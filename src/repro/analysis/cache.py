@@ -11,7 +11,7 @@ the previous result.
 The cache is in-process and keyed by ``(rel_path,
 blake2s(content))``; a worker process under ``--jobs`` gets its own
 (initially cold) cache.  Entries are never invalidated by time — a
-content change simply hashes to a new key, and the bounded FIFO keeps
+content change simply hashes to a new key, and the bounded LRU keeps
 the footprint predictable.
 """
 
@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import ast
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from ..lru import LRU
 
 if TYPE_CHECKING:
     from .engine import Suppressions
@@ -51,7 +52,9 @@ class CacheStatsSnapshot:
 class ExtractionCache:
     """Memoises parse trees, suppressions, and extracted module facts."""
 
-    _entries: "OrderedDict[tuple[str, str], _Entry]" = field(default_factory=OrderedDict)
+    _entries: "LRU[tuple[str, str], _Entry]" = field(
+        default_factory=lambda: LRU(_MAX_ENTRIES)
+    )
     stats: CacheStatsSnapshot = field(default_factory=CacheStatsSnapshot)
 
     @staticmethod
@@ -67,13 +70,11 @@ class ExtractionCache:
         entry = self._entries.get(key)
         if entry is not None:
             self.stats.hits += 1
-            self._entries.move_to_end(key)
             return entry.tree, entry.suppressions
         self.stats.misses += 1
         tree = ast.parse(source, filename=rel_path)
         entry = _Entry(tree=tree, suppressions=Suppressions.parse(source))
-        self._entries[key] = entry
-        self._evict()
+        self._entries.put(key, entry)
         return entry.tree, entry.suppressions
 
     def facts_for(self, source_file: "object") -> "ModuleFacts":
@@ -86,23 +87,17 @@ class ExtractionCache:
         entry = self._entries.get(key)
         if entry is None:
             entry = _Entry(tree=source_file.tree, suppressions=source_file.suppressions)
-            self._entries[key] = entry
-            self._evict()
+            self._entries.put(key, entry)
         if entry.facts is None:
             self.stats.facts_misses += 1
             entry.facts = extract_module(source_file)
         else:
             self.stats.facts_hits += 1
-        self._entries.move_to_end(key)
         return entry.facts
 
     def clear(self) -> None:
         self._entries.clear()
         self.stats = CacheStatsSnapshot()
-
-    def _evict(self) -> None:
-        while len(self._entries) > _MAX_ENTRIES:
-            self._entries.popitem(last=False)
 
 
 #: Process-wide cache used by the engine; tests may ``clear()`` it.

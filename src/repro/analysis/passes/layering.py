@@ -9,7 +9,7 @@ The documented architecture (``docs/architecture.md``) is a DAG::
                      └─ core
                           └─ chargers / estimation
                                └─ network
-                                    └─ foundations (intervals, spatial,
+                                    └─ foundations (intervals, spatial, lru,
                                        observability, analysis)
 
 This pass assigns every ``repro.*`` package a layer rank and flags any
@@ -41,6 +41,7 @@ LAYER_RANKS: dict[str, int] = {
     "analysis": 0,
     "observability": 0,
     "intervals": 0,
+    "lru": 0,
     "spatial": 0,
     # the road network and its engines
     "network": 1,

@@ -45,8 +45,8 @@ R15       backpressure-bypass     The serving tier admits load only through boun
                                   queues and never blocks without a timeout
 R16       epoch-bypass            Engine and dynamic-cache reads in ``core/`` and
                                   ``server/`` flow through the epoch-fenced API —
-                                  no reach-ins past ``_observe_epoch`` /
-                                  ``observe_epoch``
+                                  no reach-ins past ``_observe_epoch`` or the
+                                  fenced ``DynamicCache.lookup``
 R17       label-cardinality-bypass  Metric labels outside ``observability/`` are
                                   bounded enumerations or registry-guarded — no
                                   user-derived/interpolated label values
@@ -1027,15 +1027,15 @@ class BackpressureBypassRule(RuleProtocol):
 #: and the serving tier both hold references to fenced caches.
 _R16_PACKAGES = ("core/", "server/")
 
-#: The module that owns the dynamic cache's fence (it implements
-#: ``observe_epoch`` and may touch ``_entry`` on ``self``).
+#: The module that owns the dynamic cache's fence (it implements the
+#: fenced ``lookup`` and may touch ``_entry`` on ``self``).
 _R16_CACHE_OWNER = "core/caching.py"
 
 #: Private stores inside :class:`DistanceEngine` and
 #: :class:`DynamicCache` that the epoch fence invalidates.  Reading one
-#: through another object's attribute skips ``_observe_epoch`` /
-#: ``observe_epoch`` entirely, so a stale-epoch distance can escape.
-_R16_FENCED_STORES = frozenset({"_maps", "_customized", "_pairs", "_queries", "_entry"})
+#: through another object's attribute skips the fence entirely, so a
+#: stale-epoch distance can escape.
+_R16_FENCED_STORES = frozenset({"_maps", "_customized", "_pairs", "_entry"})
 
 #: Engine internals that sit *below* the fence: the public
 #: ``one_to_many`` / ``many_to_one`` / ``many_to_many`` entry points call
@@ -1052,18 +1052,20 @@ class EpochBypassRule(RuleProtocol):
     from two network epochs — is enforced at exactly two choke points:
     :class:`~repro.network.distance_engine.DistanceEngine`'s public
     query methods (which call ``_observe_epoch`` before touching any
-    cache) and ``DynamicCache.observe_epoch`` (which callers must invoke
-    before ``lookup``).  Reaching around either one — reading a fenced
-    store (``_maps``/``_pairs``/``_queries``/``_customized``/``_entry``)
-    through another object, calling a below-fence engine internal, or
-    looking up a solution cache in a function that never observes the
-    epoch — recreates the stale-serve bug the fence exists to prevent,
-    and only under live-graph churn, where it is hardest to debug.
+    cache) and ``DynamicCache.lookup`` (which takes the weights token as
+    a required argument and fences on it first, so an unfenced lookup
+    cannot be written).  Reaching around either one — reading a fenced
+    store (``_maps``/``_pairs``/``_customized``/``_entry``) through
+    another object, or calling a below-fence engine internal — recreates
+    the stale-serve bug the fence exists to prevent, and only under
+    live-graph churn, where it is hardest to debug.
     """
 
     rule_id = "R16"
     name = "epoch-bypass"
-    description = "live-graph cache read that bypasses the epoch fence"
+    description = (
+        "reach-in to a fenced engine/dynamic-cache store or a below-fence engine internal"
+    )
 
     def applies_to(self, source: SourceFile) -> bool:
         if source.is_test:
@@ -1078,8 +1080,6 @@ class EpochBypassRule(RuleProtocol):
                 violation = self._store_violation(source, node, is_owner)
                 if violation is not None:
                     yield violation
-            if isinstance(node, ast.FunctionDef):
-                yield from self._unfenced_lookups(source, node, is_owner)
 
     def _store_violation(
         self, source: SourceFile, node: ast.Attribute, is_owner: bool
@@ -1110,53 +1110,6 @@ class EpochBypassRule(RuleProtocol):
                 ),
             )
         return None
-
-    def _unfenced_lookups(
-        self, source: SourceFile, func: ast.FunctionDef, is_owner: bool
-    ) -> Iterator[Violation]:
-        """Flag solution-cache ``lookup`` calls in functions that never
-        observe the epoch.
-
-        Scoped to ``core/`` (R9 already keeps ``DynamicCache`` out of the
-        server tier, whose response cache is a different, epoch-stamped
-        layer) and to receivers whose name mentions ``cache`` — the
-        project-wide naming convention for solution-cache handles.
-        """
-        if is_owner or "core/" not in f"/{source.rel_path}":
-            return
-        fenced = any(
-            isinstance(inner, ast.Call)
-            and isinstance(inner.func, ast.Attribute)
-            and inner.func.attr == "observe_epoch"
-            for inner in ast.walk(func)
-        )
-        if fenced:
-            return
-        for inner in ast.walk(func):
-            if not (
-                isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Attribute)
-                and inner.func.attr == "lookup"
-            ):
-                continue
-            receiver = inner.func.value
-            name = (
-                receiver.id
-                if isinstance(receiver, ast.Name)
-                else receiver.attr if isinstance(receiver, ast.Attribute) else ""
-            )
-            if "cache" in name.lower():
-                yield Violation(
-                    rule_id=self.rule_id,
-                    path=source.rel_path,
-                    line=inner.lineno,
-                    message=(
-                        f"'{name}.lookup()' in a function that never calls "
-                        f"observe_epoch — under live-graph churn the entry "
-                        f"may predate the current epoch; fence with "
-                        f"observe_epoch(env.weights_token()) first"
-                    ),
-                )
 
 
 # --------------------------------------------------------------------------

@@ -36,8 +36,8 @@ class CacheStats:
     expirations: int = 0
     out_of_range: int = 0
     #: Entries dropped because the live graph moved past the epoch they
-    #: were computed on (:meth:`DynamicCache.observe_epoch`) — distinct
-    #: from ``expirations`` (time) and ``out_of_range`` (space).
+    #: were computed on (the fence in :meth:`DynamicCache.lookup`) —
+    #: distinct from ``expirations`` (time) and ``out_of_range`` (space).
     epoch_invalidations: int = 0
 
     @property
@@ -75,7 +75,7 @@ class CachedSolution:
     #: Live-graph *weight-changing* epoch token the solution was computed
     #: on (the manager's ``weights_version``; 0 is the static network).
     #: A solution is only reusable on its own token —
-    #: :meth:`DynamicCache.observe_epoch` enforces it — while no-op epoch
+    #: :meth:`DynamicCache.lookup` enforces it — while no-op epoch
     #: bumps, which leave the token unchanged, never cost the entry.
     epoch: int = 0
 
@@ -99,22 +99,34 @@ class DynamicCache:
         self._lock = threading.RLock()
 
     @ensure(
-        lambda result, self, origin, now_h: result is None
+        lambda result, self, origin, now_h, epoch: result is None
         or (
             origin.distance_to(result.origin) <= self.range_km
             and now_h - result.generated_at_h <= self.ttl_h
+            and result.epoch == epoch
         ),
-        "Section IV-C admission: a reused solution must be within Q and "
-        "temporally valid",
+        "Section IV-C admission: a reused solution must be within Q, "
+        "temporally valid, and computed on the current epoch",
     )
-    def lookup(self, origin: Point, now_h: float) -> CachedSolution | None:
-        """The cached solution if reusable for a query at ``origin``.
+    def lookup(self, origin: Point, now_h: float, epoch: int) -> CachedSolution | None:
+        """The cached solution if reusable for a query at ``origin`` on the
+        live graph's current weights token ``epoch``.
 
-        Misses are categorised (empty / expired / out of Q range) for the
-        Q-opt experiment's diagnostics.
+        The epoch fence runs first: an entry computed on a *different*
+        token is dropped (counting ``epoch_invalidations``) whatever its
+        TTL or range say, because derouting distances from an old graph
+        must never be adapted onto the new one.  Taking the token as a
+        required argument makes an unfenced lookup impossible to write;
+        a static network passes ``0``.
+
+        Misses are categorised (empty / epoch / expired / out of Q range)
+        for the Q-opt experiment's diagnostics.
         """
         with self._lock:
             entry = self._entry
+            if entry is not None and entry.epoch != epoch:
+                self._entry = entry = None
+                self.stats.epoch_invalidations += 1
             if entry is None:
                 self.stats.misses += 1
                 return None
@@ -129,24 +141,6 @@ class DynamicCache:
                 return None
             self.stats.hits += 1
             return entry
-
-    def observe_epoch(self, epoch: int) -> bool:
-        """Fence the cache against the live graph's current ``epoch``.
-
-        Drops the entry (counting ``epoch_invalidations``) when it was
-        computed on a *different* epoch — derouting distances from an old
-        graph must never be adapted onto the new one, whatever their TTL
-        or range say.  Returns True when an entry was invalidated.  Call
-        before :meth:`lookup`; the check is separate so a static-network
-        deployment (no epochs) pays nothing.
-        """
-        with self._lock:
-            entry = self._entry
-            if entry is None or entry.epoch == epoch:
-                return False
-            self._entry = None
-            self.stats.epoch_invalidations += 1
-            return True
 
     def store(self, solution: CachedSolution) -> None:
         """Replace the cached solution with ``solution``."""

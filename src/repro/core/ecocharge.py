@@ -184,13 +184,12 @@ class EcoChargeRanker:
         telemetry = self._env.telemetry
         origin = segment.midpoint
         with telemetry.span("cache.lookup", tier="cache", segment=segment.index):
-            # Epoch fence before the Q/TTL admission test: a solution
-            # computed on an older graph is unusable however close and
-            # fresh it is (its derouting distances priced roads that may
-            # since have closed).  The token is the *weights* version, so
-            # a no-op epoch bump never costs a warm entry.
-            self._cache.observe_epoch(self._env.weights_token())
-            cached = self._cache.lookup(origin, now_h=eta_h)
+            # The lookup fences on the *weights* version before its Q/TTL
+            # admission test, so a no-op epoch bump never costs a warm
+            # entry while a weight change always does.
+            cached = self._cache.lookup(
+                origin, now_h=eta_h, epoch=self._env.weights_token()
+            )
         if cached is not None:
             with telemetry.span("ranker.adapt", tier="ranker", segment=segment.index):
                 return self._adapt(cached, segment, origin, eta_h)

@@ -18,6 +18,7 @@ import numpy as np
 from ..chargers.charger import Charger
 from ..chargers.registry import ChargerRegistry
 from ..intervals import Interval
+from ..lru import LRU
 from .component import DEFAULT_CONFIDENCE, ForecastConfidence
 
 HOURS_PER_WEEK = 168
@@ -96,10 +97,10 @@ class AvailabilityEstimator:
             for charger in registry
         }
         # Deterministic model of (charger, eta, now) — continuous serving
-        # re-estimates the same triples every warm pass, so a bounded memo
-        # turns warm ``A`` into a dict probe.  Lives below the resilience
+        # re-estimates the same triples every warm pass, so an LRU memo
+        # turns warm ``A`` into one probe.  Lives below the resilience
         # proxies so fault injection still sees every logical call.
-        self._memo: dict[tuple[int, float, float], Interval] = {}
+        self._memo: LRU[tuple[int, float, float], Interval] = LRU(65_536)
 
     def timetable(self, charger_id: int) -> BusyTimetable:
         """The weekly busy profile backing ``charger_id``."""
@@ -127,7 +128,5 @@ class AvailabilityEstimator:
             result = Interval.exact(truth)
         else:
             result = self.confidence.interval_around(truth, horizon)
-        if len(self._memo) >= 65_536:
-            self._memo.clear()
-        self._memo[key] = result
+        self._memo.put(key, result)
         return result

@@ -16,6 +16,7 @@ from ..chargers.charger import Charger
 from ..chargers.registry import ChargerRegistry
 from ..chargers.solar import SolarProfile
 from ..intervals import Interval
+from ..lru import LRU
 from .weather import WeatherModel
 
 
@@ -59,9 +60,9 @@ class SustainableChargingEstimator:
         #: Memoised estimates: the model is a deterministic function of
         #: (charger, eta, now, window), and continuous serving re-asks the
         #: same question every warm pass — a warm segment's ``L`` is one
-        #: dict probe.  The memo sits *below* the resilience proxies, so
+        #: LRU probe.  The memo sits *below* the resilience proxies, so
         #: fault injection and the degradation ladder see every call.
-        self._memo: dict[tuple[int, float, float, float], SustainableLevel] = {}
+        self._memo: LRU[tuple[int, float, float, float], SustainableLevel] = LRU(65_536)
         # Environment maximum deliverable clean power: the best any charger
         # could do under clear sky, bounded by its rate.
         self._max_power_kw = max(
@@ -138,9 +139,7 @@ class SustainableChargingEstimator:
             return cached
         power = self.power_interval_kw(charger, eta_h, now_h, window_h)
         level = self.normalised_level(charger, power)
-        if len(self._memo) >= 65_536:
-            self._memo.clear()
-        self._memo[key] = level
+        self._memo.put(key, level)
         return level
 
     def true_power_kw(self, charger: Charger, time_h: float) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 from typing import Mapping, Sequence
 
 from ..intervals import Interval
+from ..lru import LRU
 from ..network.distance_engine import WeightSpec
 from ..network.epochs import GraphEpochManager
 from ..network.graph import EdgeWeight, RoadEdge
@@ -80,12 +81,12 @@ class TrafficModel:
         #: Static per-edge arrays for the vectorised spec evaluators, keyed
         #: by the identity of the (stable) edge sequence a DistanceEngine
         #: hierarchy hands us.  Tiny: one entry per hierarchy.
-        self._batch_arrays: dict[int, tuple[object, tuple]] = {}
+        self._batch_arrays: LRU[int, tuple[object, tuple]] = LRU(8)
         #: Live-graph epoch manager; ``None`` keeps the model static.
         self._epochs: GraphEpochManager | None = None
         #: Incident factor arrays per (arc-list id, weights version) —
-        #: one entry per hierarchy per epoch, cleared when it grows.
-        self._factor_arrays: dict[tuple[int, int], tuple[object, np.ndarray]] = {}
+        #: one entry per hierarchy per epoch.
+        self._factor_arrays: LRU[tuple[int, int], tuple[object, np.ndarray]] = LRU(16)
 
     def set_epochs(self, epochs: GraphEpochManager | None) -> None:
         """Attach the live-graph epoch manager (``None`` detaches).
@@ -295,9 +296,7 @@ class TrafficModel:
             np.array([edge.speed_kmh for edge in real], dtype=np.float64),
             np.array([self._edge_noise(edge) for edge in real], dtype=np.float64),
         )
-        if len(self._batch_arrays) > 8:
-            self._batch_arrays.clear()
-        self._batch_arrays[key] = (edges, arrays)
+        self._batch_arrays.put(key, (edges, arrays))
         return arrays
 
     def _factor_array(
@@ -320,9 +319,7 @@ class TrafficModel:
             ],
             dtype=np.float64,
         )
-        if len(self._factor_arrays) > 16:
-            self._factor_arrays.clear()
-        self._factor_arrays[key] = (edges, farr)
+        self._factor_arrays.put(key, (edges, farr))
         return farr
 
     def _batch_travel_time(

@@ -224,11 +224,16 @@ class IntervalArray:
 
     def scaled_by_max(self, maximum: float) -> "IntervalArray":
         """Normalise by the environment maximum (zero interval when the
-        maximum is non-positive, mirroring :meth:`Interval.scaled_by_max`)."""
+        maximum is non-positive, mirroring :meth:`Interval.scaled_by_max`).
+
+        A quotient past the float range is ``inf`` without a warning, as
+        it is for the scalar division.
+        """
         if maximum <= 0:
             zeros = np.zeros(len(self), dtype=np.float64)
             return IntervalArray(zeros, zeros.copy())
-        return IntervalArray(self.lo / maximum, self.hi / maximum)
+        with np.errstate(over="ignore"):
+            return IntervalArray(self.lo / maximum, self.hi / maximum)
 
     def widened(self, factor: float) -> "IntervalArray":
         """Symmetric growth by ``factor`` of each width (forecast-horizon

@@ -5,13 +5,16 @@ chaos re-rankings) prices derouting with single-source searches over the
 *same static network* under a small set of recurring cost functions.  The
 :class:`DistanceEngine` is the one place those searches happen:
 
-* results are memoised per ``(weight key, node, direction)`` in a bounded
-  LRU shared across trip segments and across methods, so the Brute-Force
+* results are memoised per ``(weight key, node, direction)`` in an LRU
+  bounded by total settled nodes (64 per network node by default) and
+  shared across trip segments and across methods, so the Brute-Force
   grader and EcoCharge stop paying for the same ball twice;
 * two interchangeable backends sit behind one API — truncated Dijkstra
   (the always-correct fallback, and the paper baseline) and a contraction
   hierarchy (:mod:`repro.network.contraction`) whose per-metric
-  customisation is itself cached;
+  customisations and joined pair distances are cached too;
+* every one of those caches is a :class:`~repro.lru.LRU`, and every
+  eviction is counted in :attr:`EngineStats.evictions`;
 * all delivered distances are quantised to :data:`DISTANCE_DECIMALS`
   decimals, which makes the two backends *bit-comparable* (floating-point
   summation order differs between a Dijkstra path walk and a CH
@@ -26,9 +29,9 @@ members are accepted directly.
 **Live-graph fencing.** When a :class:`~repro.network.epochs.
 GraphEpochManager` is attached, every public query first observes the
 manager's ``weights_version`` and *fences*: cached settled maps,
-customisations, pair joins, and whole-query memos belonging to specs
-built against an older version are dropped before anything is served, so
-a stale-epoch read is structurally impossible.  Fencing is incremental —
+customisations and pair joins belonging to specs built against an older
+version are dropped before anything is served, so a stale-epoch read is
+structurally impossible.  Fencing is incremental —
 only specs that carry a stale ``epoch_version`` are invalidated; static
 specs (``epoch_version=None``, e.g. raw ``EdgeWeight`` metrics that never
 see incidents) keep their warm state, and re-customization on the CH
@@ -37,13 +40,12 @@ backend therefore sweeps only the metrics the incident actually touched.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
+from ..lru import LRU
 from ..observability.deadline import NEVER_EXPIRES, CancellationToken
 from ..observability.recorder import NOOP_TELEMETRY, Telemetry
 from .contraction import ContractionHierarchy, CustomizedHierarchy, combine_spaces
@@ -125,7 +127,7 @@ class EngineStats:
     ch_builds: int = 0
     #: Weight-version bumps the engine observed and fenced (live graph).
     epoch_fences: int = 0
-    #: Cached artifacts (maps, customisations, pair joins, query memos)
+    #: Cached artifacts (maps, customisations, pair joins)
     #: dropped by epoch fencing — zero across a no-op epoch bump.
     epoch_invalidations: int = 0
 
@@ -187,20 +189,25 @@ class DistanceEngine:
     ``capacity_nodes`` bounds the LRU by the *total number of settled
     nodes* held across all cached maps (a full Dijkstra ball on a large
     network weighs thousands of entries, a CH search space a few dozen —
-    counting nodes keeps memory bounded regardless of backend).
+    counting nodes keeps memory bounded regardless of backend).  The
+    default is 64 settled nodes per network node, so the bound scales
+    with the network instead of letting a small network's engine grow
+    until a fixed node count is reached.
     """
 
     def __init__(
         self,
         network: RoadNetwork,
         backend: str = "dijkstra",
-        capacity_nodes: int = 500_000,
+        capacity_nodes: int | None = None,
         max_customizations: int = 64,
         hierarchy: ContractionHierarchy | None = None,
         capacity_pairs: int = 262_144,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+        if capacity_nodes is None:
+            capacity_nodes = 64 * max(1, network.node_count)
         if capacity_nodes < 1:
             raise ValueError("capacity_nodes must be positive")
         if max_customizations < 1:
@@ -209,15 +216,12 @@ class DistanceEngine:
             raise ValueError("capacity_pairs must be positive")
         self._network = network
         self._backend = backend
-        self._capacity_nodes = capacity_nodes
-        self._max_customizations = max_customizations
-        self._capacity_pairs = capacity_pairs
         self._hierarchy = hierarchy
-        #: (weight key, node, direction) -> (computed budget, settled map)
-        self._maps: OrderedDict[tuple[Hashable, int, str], tuple[float, dict[int, float]]]
-        self._maps = OrderedDict()
-        self._cached_nodes = 0
-        self._customized: OrderedDict[Hashable, CustomizedHierarchy] = OrderedDict()
+        #: (weight key, node, direction) -> (computed budget, settled map),
+        #: each map costing its settled-node count.
+        self._maps: LRU[tuple[Hashable, int, str], tuple[float, dict[int, float]]]
+        self._maps = LRU(capacity_nodes, cost=lambda entry: len(entry[1]))
+        self._customized: LRU[Hashable, CustomizedHierarchy] = LRU(max_customizations)
         #: Metrics announced by :meth:`prepare` but not yet customised.
         #: Customisation is *deferred* to the first settled-map miss that
         #: needs one of them: a warm segment whose maps are all cached
@@ -231,16 +235,10 @@ class DistanceEngine:
         self._spec_ids: dict[Hashable, int] = {}
         #: (spec id, anchor, node, forward) -> (budget, quantised join).
         #: The CH warm path: a bipartite query member whose join result is
-        #: cached is answered by this one dict probe — no settled maps, no
-        #: space combine, no re-quantisation.  Insertion-ordered; oldest
-        #: half dropped in bulk when ``capacity_pairs`` is exceeded.
-        self._pairs: dict[tuple[int, int, int, bool], tuple[float, float]] = {}
-        #: Whole-query memo in front of the pair cache: a repeated
-        #: bipartite query (same spec, anchor, pool, budget, direction) is
-        #: one probe plus a shallow copy of the small result dict.
-        self._queries: dict[
-            tuple[int, int, bool, float, tuple[int, ...]], dict[int, float]
-        ] = {}
+        #: cached is answered by this one probe — no settled maps, no
+        #: space combine, no re-quantisation.
+        self._pairs: LRU[tuple[int, int, int, bool], tuple[float, float]]
+        self._pairs = LRU(capacity_pairs)
         self.stats = EngineStats()
         #: Live-graph epoch manager (``attach_epochs``); ``None`` keeps
         #: the engine in its historical static-network behaviour.
@@ -281,7 +279,7 @@ class DistanceEngine:
     @property
     def cached_nodes(self) -> int:
         """Total settled nodes currently held across cached maps."""
-        return self._cached_nodes
+        return self._maps.total_cost
 
     @property
     def cached_maps(self) -> int:
@@ -304,9 +302,7 @@ class DistanceEngine:
             self._pending = ()
             self._spec_ids.clear()
             self._pairs.clear()
-            self._queries.clear()
             self._spec_versions.clear()
-            self._cached_nodes = 0
             self._epoch_dirty = False
 
     # -- live-graph epoch fencing -------------------------------------------
@@ -354,48 +350,34 @@ class DistanceEngine:
         self.stats.epoch_fences += 1
         if not stale:
             return
-        dropped = 0
+        self.stats.epoch_invalidations += self._invalidate_keys(stale)
         for key in stale:
-            dropped += self._invalidate_key(key)
             del self._spec_versions[key]
-        self.stats.epoch_invalidations += dropped
         self._epoch_dirty = True
 
-    def _invalidate_key(self, key: Hashable) -> int:
-        """Remove every cached artifact for one weight key; returns how
-        many artifacts were dropped."""
-        dropped = 0
-        for map_key in [k for k in self._maps if k[0] == key]:
-            _, settled = self._maps.pop(map_key)
-            self._cached_nodes -= len(settled)
-            dropped += 1
-        if key in self._customized:
-            del self._customized[key]
-            dropped += 1
+    def _invalidate_keys(self, keys: set[Hashable]) -> int:
+        """Remove every cached artifact for the given weight keys in one
+        pass over each cache; returns how many artifacts were dropped."""
+        dropped = self._maps.drop_where(lambda map_key, _: map_key[0] in keys)
+        dropped += self._customized.drop_where(lambda key, _: key in keys)
         if self._pending:
-            self._pending = tuple(p for p in self._pending if p.key != key)
-        spec_id = self._spec_ids.get(key)
-        if spec_id is not None:
-            for pair_key in [k for k in self._pairs if k[0] == spec_id]:
-                del self._pairs[pair_key]
-                dropped += 1
-            for query_key in [k for k in self._queries if k[0] == spec_id]:
-                del self._queries[query_key]
-                dropped += 1
+            self._pending = tuple(p for p in self._pending if p.key not in keys)
+        spec_ids = {self._spec_ids[key] for key in keys if key in self._spec_ids}
+        if spec_ids:
+            dropped += self._pairs.drop_where(lambda pair_key, _: pair_key[0] in spec_ids)
         return dropped
 
     def _note_spec(self, spec: WeightSpec) -> None:
         """Pin the key -> epoch-version binding; a key *reused* under a
         different version is a weight change in disguise, and its cached
-        state is dropped before the query runs (the satellite contract:
-        the pair-join cache and whole-query memo can never serve
-        distances across a weight change)."""
+        state is dropped before the query runs (the pair-join cache can
+        never serve distances across a weight change)."""
         recorded = self._spec_versions.get(spec.key, _UNSEEN)
         if recorded is _UNSEEN:
             self._spec_versions[spec.key] = spec.epoch_version
             return
         if recorded != spec.epoch_version:
-            self.stats.epoch_invalidations += self._invalidate_key(spec.key)
+            self.stats.epoch_invalidations += self._invalidate_keys({spec.key})
             self._spec_versions[spec.key] = spec.epoch_version
 
     def ensure_hierarchy(self) -> ContractionHierarchy:
@@ -502,7 +484,6 @@ class DistanceEngine:
         with self._lock:
             cached = self._maps.get(key)
             if cached is not None and cached[0] >= budget:
-                self._maps.move_to_end(key)
                 self.stats.cache_hits += 1
                 return cached[1]
             # Deadline checkpoint on the miss path only: a cache hit is
@@ -531,7 +512,7 @@ class DistanceEngine:
                 )
             else:
                 raw = self._search(spec, node, direction, budget)
-            self._admit(key, budget, raw, cached)
+            self.stats.evictions += self._maps.put(key, (budget, raw))
             return raw
 
     def _search(
@@ -580,11 +561,6 @@ class DistanceEngine:
             for edge in hierarchy.original_edges
         ]
 
-    def _trim_customizations(self) -> None:
-        while len(self._customized) > self._max_customizations:
-            self._customized.popitem(last=False)
-            self.stats.evictions += 1
-
     def _customize(self, spec: WeightSpec) -> CustomizedHierarchy:
         """The customisation for ``spec``, built lazily on first need.
 
@@ -596,7 +572,6 @@ class DistanceEngine:
         with self._lock:
             cached = self._customized.get(spec.key)
             if cached is not None:
-                self._customized.move_to_end(spec.key)
                 self.stats.customisation_hits += 1
                 return cached
             hierarchy = self.ensure_hierarchy()
@@ -629,9 +604,8 @@ class DistanceEngine:
                         backend=self._backend,
                     )
             for p, custom in zip(group, customs):
-                self._customized[p.key] = custom
+                self.stats.evictions += self._customized.put(p.key, custom)
                 self.stats.customisations += 1
-            self._trim_customizations()
             return customs[0]
 
     def _ch_bipartite(
@@ -647,7 +621,7 @@ class DistanceEngine:
         ``forward=True`` answers anchor -> pool member; ``forward=False``
         answers pool member -> anchor.  Joined, quantised results are
         memoised per ``(spec, anchor, node, direction)`` pair, so a warm
-        query is one dict probe per pool member — the spaces themselves
+        query is one LRU probe per pool member — the spaces themselves
         (each independently cached in the settled-map LRU) are only
         touched on a pair miss.
         """
@@ -659,15 +633,10 @@ class DistanceEngine:
             if spec_id is None:
                 spec_id = len(self._spec_ids)
                 self._spec_ids[spec.key] = spec_id
-            query_key = (spec_id, anchor, forward, max_cost, tuple(pool))
-            memo = self._queries.get(query_key)
-            if memo is not None:
-                stats.pair_hits += len(query_key[4])
-                return dict(memo)
             pairs = self._pairs
             anchor_space: dict[int, float] | None = None
             out: dict[int, float] = {}
-            for node in query_key[4]:
+            for node in pool:
                 key = (spec_id, anchor, node, forward)
                 cached = pairs.get(key)
                 if cached is not None:
@@ -692,43 +661,7 @@ class DistanceEngine:
                 node_space = self._map(spec, node, "b" if forward else "f", max_cost)
                 best = combine_spaces(anchor_space, node_space)
                 q = math.inf if math.isinf(best) else _quantize(best)
-                if len(pairs) >= self._capacity_pairs:
-                    self._trim_pairs()
-                pairs[key] = (budget, q)
+                stats.evictions += pairs.put(key, (budget, q))
                 if q <= max_cost and not math.isinf(q):
                     out[node] = q
-            if len(self._queries) >= self._capacity_pairs:
-                self._queries.clear()
-            self._queries[query_key] = dict(out)
             return out
-
-    def _trim_pairs(self) -> None:
-        """Drop the oldest half of the pair cache in one bulk sweep (plain
-        dicts iterate in insertion order; per-probe LRU bookkeeping would
-        cost more than the entries it saves)."""
-        drop = max(1, len(self._pairs) // 2)
-        for key in list(itertools.islice(self._pairs, drop)):
-            del self._pairs[key]
-        self.stats.evictions += drop
-
-    # -- LRU bookkeeping ----------------------------------------------------
-
-    def _admit(
-        self,
-        key: tuple[Hashable, int, str],
-        budget: float,
-        settled: dict[int, float],
-        replaced: tuple[float, dict[int, float]] | None,
-    ) -> None:
-        if replaced is not None:
-            self._cached_nodes -= len(replaced[1])
-        size = len(settled)
-        self._maps[key] = (budget, settled)
-        self._maps.move_to_end(key)
-        self._cached_nodes += size
-        # Evict least-recently-used maps until within budget; the entry
-        # being served sits at the MRU end and is never evicted (len > 1).
-        while self._cached_nodes > self._capacity_nodes and len(self._maps) > 1:
-            __, (___, evicted) = self._maps.popitem(last=False)
-            self._cached_nodes -= len(evicted)
-            self.stats.evictions += 1

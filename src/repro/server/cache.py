@@ -22,6 +22,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
+from ..lru import LRU
 from ..spatial.geometry import Point
 
 
@@ -55,12 +56,11 @@ class CachedValue:
     age_h: float
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class _Entry:
-    """One stored response: write time, last read time, payload."""
+    """One stored response: write time and payload."""
 
     stored_h: float
-    last_access_h: float
     value: Any
 
 
@@ -88,7 +88,8 @@ class ResponseCache:
     and times so continuous queries quantise onto shared entries.
     Recency is tracked per *access* (reads refresh it), so a hot entry
     is never evicted in favour of a cold one merely because the cold one
-    was written later.
+    was written later; accesses that share one ``now_h`` still order by
+    when they happened.
     """
 
     def __init__(self, ttl_h: float = 0.5, max_entries: int = 4096):
@@ -99,7 +100,7 @@ class ResponseCache:
         self.ttl_h = ttl_h
         self.max_entries = max_entries
         self.stats = ResponseCacheStats()
-        self._entries: dict[Hashable, _Entry] = {}
+        self._entries: LRU[Hashable, _Entry] = LRU(max_entries)
         # Entries, stats, and the in-flight table mutate under one
         # re-entrant lock; ``compute()`` itself always runs outside it so
         # a slow upstream never blocks unrelated keys.
@@ -123,6 +124,8 @@ class ResponseCache:
         )
 
     def _fresh_entry(self, key: Hashable, now_h: float) -> _Entry | None:
+        """The entry under ``key`` if within its TTL (a read refreshes
+        its recency either way)."""
         entry = self._entries.get(key)
         if entry is not None and now_h - entry.stored_h <= self.ttl_h:
             return entry
@@ -134,7 +137,6 @@ class ResponseCache:
             entry = self._fresh_entry(key, now_h)
             if entry is not None:
                 self.stats.hits += 1
-                entry.last_access_h = now_h
                 return CachedValue(entry.value, entry.stored_h, now_h - entry.stored_h)
             self.stats.misses += 1
             return None
@@ -158,7 +160,6 @@ class ResponseCache:
             if max_stale_h is not None and age_h > max_stale_h:
                 return None
             self.stats.stale_hits += 1
-            entry.last_access_h = now_h
             return CachedValue(entry.value, entry.stored_h, max(0.0, age_h))
 
     def get_or_compute(self, key: Hashable, now_h: float, compute: Callable[[], Any]) -> Any:
@@ -182,7 +183,6 @@ class ResponseCache:
             entry = self._fresh_entry(key, now_h)
             if entry is not None:
                 self.stats.hits += 1
-                entry.last_access_h = now_h
                 return entry.value
             flight = self._inflight.get(key)
             leader = flight is None
@@ -222,25 +222,15 @@ class ResponseCache:
         *used* entry if full (reads refresh recency, so hot entries
         survive write bursts)."""
         with self._lock:
-            if len(self._entries) >= self.max_entries and key not in self._entries:
-                coldest = min(
-                    self._entries, key=lambda k: self._entries[k].last_access_h
-                )
-                del self._entries[coldest]
-                self.stats.evictions += 1
-            self._entries[key] = _Entry(stored_h=now_h, last_access_h=now_h, value=value)
+            entry = _Entry(stored_h=now_h, value=value)
+            self.stats.evictions += self._entries.put(key, entry)
 
     def invalidate_older_than(self, now_h: float) -> int:
         """Drop expired entries; returns how many were removed."""
         with self._lock:
-            stale = [
-                k
-                for k, entry in self._entries.items()
-                if now_h - entry.stored_h > self.ttl_h
-            ]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
+            return self._entries.drop_where(
+                lambda _, entry: now_h - entry.stored_h > self.ttl_h
+            )
 
     def clear(self) -> None:
         """Drop every entry and reset statistics (in-flight computations

@@ -730,21 +730,6 @@ class TestR16EpochBypass:
         )
         assert rule_ids(check_source(snippet, self.CORE_PATH)) == ["R16"]
 
-    def test_fires_on_unfenced_solution_cache_lookup(self):
-        snippet = (
-            "def reuse(self, origin, now_h):\n"
-            "    return self._cache.lookup(origin, now_h)\n"
-        )
-        assert rule_ids(check_source(snippet, self.CORE_PATH)) == ["R16"]
-
-    def test_clean_when_lookup_is_fenced(self):
-        snippet = (
-            "def reuse(self, origin, now_h):\n"
-            "    self._cache.observe_epoch(self._env.weights_token())\n"
-            "    return self._cache.lookup(origin, now_h)\n"
-        )
-        assert check_source(snippet, self.CORE_PATH) == []
-
     def test_clean_on_public_engine_api(self):
         snippet = (
             "def price(engine, spec, anchor, pool, budget):\n"
@@ -769,16 +754,6 @@ class TestR16EpochBypass:
             "    return cache._entry\n"
         )
         assert check_source(snippet, "src/repro/core/caching.py") == []
-
-    def test_server_response_cache_lookup_is_exempt(self):
-        # The server-tier response cache is its own epoch-stamped layer;
-        # the lookup-fence discipline is scoped to core/, where the
-        # solution cache lives.
-        snippet = (
-            "def serve(self, key, now_h):\n"
-            "    return self.cache.lookup(key, now_h)\n"
-        )
-        assert check_source(snippet, self.SERVER_PATH) == []
 
     def test_non_cache_lookup_is_not_flagged(self):
         snippet = (
@@ -1074,9 +1049,9 @@ class TestContracts:
             "cache = DynamicCache(range_km=5.0, ttl_h=1.0)\n"
             "sol = CachedSolution(0, Point(0.0, 0.0), 0.0, 0.0, 50.0, (), ())\n"
             "cache.store(sol)\n"
-            "assert cache.lookup(Point(1.0, 1.0), now_h=0.5) is not None\n"
-            "assert cache.lookup(Point(30.0, 0.0), now_h=0.5) is None\n"
-            "assert cache.lookup(Point(1.0, 1.0), now_h=5.0) is None\n"
+            "assert cache.lookup(Point(1.0, 1.0), now_h=0.5, epoch=0) is not None\n"
+            "assert cache.lookup(Point(30.0, 0.0), now_h=0.5, epoch=0) is None\n"
+            "assert cache.lookup(Point(1.0, 1.0), now_h=5.0, epoch=0) is None\n"
         )
         proc = _run_python(code, contracts=True)
         assert proc.returncode == 0, proc.stderr
@@ -1104,7 +1079,7 @@ class TestContracts:
             "        self._reads += 1\n"
             "        return 1e9 if self._reads == 1 else 0.5\n"
             "try:\n"
-            "    DynamicCache.lookup(Sabotaged(), Point(3.0, 0.0), now_h=0.5)\n"
+            "    DynamicCache.lookup(Sabotaged(), Point(3.0, 0.0), now_h=0.5, epoch=0)\n"
             "except ContractViolation:\n"
             "    pass\n"
             "else:\n"

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scoring import (
@@ -129,6 +129,7 @@ class TestIntervalArrayOps:
         assert_interval_rows_match(got, [iv.clamp(lo, hi) for iv in rows])
 
     @given(interval_lists(), finite)
+    @example(rows=[Interval(0.0, 1.85e48)], maximum=1.0e-261)  # quotient overflows to inf
     def test_scaled_by_max(self, rows, maximum):
         got = IntervalArray.from_intervals(rows).scaled_by_max(maximum)
         assert_interval_rows_match(got, [iv.scaled_by_max(maximum) for iv in rows])

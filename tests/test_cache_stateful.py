@@ -50,7 +50,7 @@ class CacheMachine(RuleBasedStateMachine):
     @rule(x=st.floats(0, 40), y=st.floats(0, 40))
     def lookup(self, x, y):
         probe = Point(x, y)
-        result = self.cache.lookup(probe, now_h=self.clock)
+        result = self.cache.lookup(probe, now_h=self.clock, epoch=0)
         fresh = (
             self.model_stored_at is not None
             and self.clock - self.model_stored_at <= TTL_H

@@ -142,6 +142,20 @@ class TestLRU:
         assert len(out) == 49
         assert engine.cached_maps == 1
 
+    def test_default_bound_scales_with_network(self, grid):
+        # Without capacity_nodes the bound is 64 settled nodes per network
+        # node; 128 distinct metrics of 49-node balls must evict to fit it.
+        engine = DistanceEngine(grid)
+        bound = 64 * grid.node_count
+        for i in range(128):
+            spec = WeightSpec(
+                key=("scaled", i),
+                fn=lambda edge, s=1.0 + i: s * edge.weight(EdgeWeight.DISTANCE_KM),
+            )
+            engine.one_to_many(0, [48], spec)
+            assert engine.cached_nodes <= bound
+        assert engine.stats.evictions > 0
+
     def test_customization_cache_bounded(self, grid):
         engine = DistanceEngine(grid, backend="ch", max_customizations=2)
         traffic = TrafficModel(seed=0)

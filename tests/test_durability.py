@@ -652,14 +652,14 @@ class TestTornStateRollback:
 
     def test_restore_is_isolated_from_later_mutation(self):
         cache = DynamicCache(range_km=5.0, ttl_h=1.0)
-        cache.lookup(Point(0.0, 0.0), now_h=0.0)  # one miss
+        cache.lookup(Point(0.0, 0.0), now_h=0.0, epoch=0)  # one miss
         state = cache.checkpoint()
-        cache.lookup(Point(0.0, 0.0), now_h=0.0)  # another miss
+        cache.lookup(Point(0.0, 0.0), now_h=0.0, epoch=0)  # another miss
         assert cache.stats.misses == 2
         cache.restore(state)
         assert cache.stats.misses == 1
         # The checkpoint's stats copy must not alias the live counters.
-        cache.lookup(Point(0.0, 0.0), now_h=0.0)
+        cache.lookup(Point(0.0, 0.0), now_h=0.0, epoch=0)
         assert state.stats.misses == 1
 
     def test_failed_segment_rolls_back_to_checkpoint(self, world):

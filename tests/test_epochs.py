@@ -226,9 +226,10 @@ class TestIncidentStream:
 
 
 class TestWeightChangeCacheAudit:
-    """PR 8 keyed the pair cache and whole-query memo by an interned
-    weight id; these tests pin that a reused key (same id, different
-    metric) fences all of that state instead of serving stale joins."""
+    """The pair-join cache is keyed by an interned weight id; these tests
+    pin that a reused key (same id, different metric) fences the pair
+    joins, settled maps and customisations instead of serving stale
+    joins."""
 
     @staticmethod
     def _endpoints(grid):
@@ -245,7 +246,7 @@ class TestWeightChangeCacheAudit:
 
         spec_v0 = WeightSpec(key=("live", "tt"), fn=base_cost, epoch_version=0)
         first = engine.one_to_many(source, targets, spec_v0)
-        again = engine.one_to_many(source, targets, spec_v0)  # warm the memo
+        again = engine.one_to_many(source, targets, spec_v0)  # warm the pairs
         assert again == first
 
         spec_v1 = WeightSpec(

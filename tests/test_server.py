@@ -64,6 +64,18 @@ class TestResponseCache:
         assert cache.lookup("hot", 4.0) is not None
         assert cache.lookup("cold", 4.0) is None
 
+    def test_recency_is_access_order_within_one_now_h(self):
+        # Accesses that share one now_h still order by when they
+        # happened: "a" is read after "b" is written, so "b" is evicted.
+        cache = ResponseCache(ttl_h=10.0, max_entries=2)
+        cache.put("a", 5.0, "a")
+        cache.put("b", 5.0, "b")
+        assert cache.lookup("a", 5.0) is not None
+        cache.put("c", 5.0, "c")
+        assert cache.lookup("a", 5.0) is not None
+        assert cache.lookup("b", 5.0) is None
+        assert cache.stats.evictions == 1
+
     def test_get_or_compute_error_counted_not_cached(self):
         cache = ResponseCache(ttl_h=0.5)
 
