@@ -1,5 +1,6 @@
 """Core contribution: CkNN-EC queries, SC scoring, EcoCharge, baselines."""
 
+from ..intervals import Interval, hull_of, weighted_sum
 from .aknn import AknnResult, aknn_self_join, knn_graph_edges
 from .baselines import BruteForceRanker, QuadtreeRanker, RandomRanker
 from .extensions import (
@@ -19,7 +20,6 @@ from .cknn import (
 )
 from .ecocharge import EcoCharge, EcoChargeConfig, EcoChargeRanker
 from .environment import ChargingEnvironment, TrueComponents
-from .intervals import Interval, hull_of, weighted_sum
 from .offering import OfferingEntry, OfferingTable, build_table
 from .ranking import RankingRun, SegmentRanker, refine_pool, run_over_trip
 from .scoring import (

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..chargers.charger import Charger
+from ..intervals import Interval
 from ..network.path import Trip, TripSegment
 from .environment import ChargingEnvironment
-from .intervals import Interval
 from .offering import OfferingTable, build_table
 from .ranking import refine_pool
 from .scoring import ScScore, Weights

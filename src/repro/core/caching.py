@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 
 from ..analysis.contracts import ensure
 from ..chargers.charger import Charger
+from ..interval_array import ComponentArrays
 from ..spatial.geometry import Point
-from .scoring import ComponentScores
 
 
 @dataclass(slots=True)
@@ -62,7 +62,8 @@ class CachedSolution:
 
     Keeping the *scored pool* (not just the top-k) is what makes
     adaptation sound: a charger that was rank 7 at the previous location
-    can surface into the top-k at the new one.
+    can surface into the top-k at the new one.  ``components`` row ``i``
+    prices ``pool[i]``.
     """
 
     segment_index: int
@@ -71,7 +72,7 @@ class CachedSolution:
     eta_h: float
     radius_km: float
     pool: tuple[Charger, ...]
-    components: tuple[ComponentScores, ...]
+    components: ComponentArrays
     #: Live-graph *weight-changing* epoch token the solution was computed
     #: on (the manager's ``weights_version``; 0 is the static network).
     #: A solution is only reusable on its own token —

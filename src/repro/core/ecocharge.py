@@ -22,6 +22,8 @@ from dataclasses import dataclass, replace
 
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from ..analysis.contracts import ensure
 from ..chargers.charger import Charger
 from ..spatial.geometry import Point
@@ -29,22 +31,14 @@ from ..spatial.geometry import Point
 if TYPE_CHECKING:
     from .feasibility import VehicleConstraints
 from ..estimation.derouting import REFERENCE_SPEED_KMH
+from ..interval_array import ComponentArrays
 from ..network.path import DEFAULT_SEGMENT_KM, Trip, TripSegment
 from ..observability.recorder import Telemetry
 from .caching import CachedSolution, CacheState, CacheStats, DynamicCache
 from .environment import ChargingEnvironment
-from .interval_array import ComponentArrays
-from .intervals import Interval
-from .offering import OfferingTable, build_table, build_table_from_arrays
+from .offering import OfferingTable, build_table_from_arrays
 from .ranking import RankingRun, run_over_trip
-from .scoring import (
-    ComponentScores,
-    Weights,
-    intersect_top_k,
-    intersect_top_k_batch,
-    sc_score,
-    sc_score_batch,
-)
+from .scoring import Weights, intersect_top_k_batch, sc_score_batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,13 +70,6 @@ class EcoChargeConfig:
     #: truncated-Dijkstra fallback, "ch" the contraction hierarchy (same
     #: quantised distances, measured in benchmarks/bench_perf_trajectory).
     engine: str | None = None
-    #: Refinement arithmetic: "batch" (the default) evaluates Eq. 4-6
-    #: over the whole pool with numpy arrays, materialising dataclasses
-    #: only for the <= k chosen rows; "scalar" keeps the per-charger
-    #: dataclass pipeline.  Both produce bitwise-identical Offering
-    #: Tables (asserted by tests/test_batch_scoring_equality.py and the
-    #: perf experiment driver) — the knob exists for that comparison.
-    scoring: str = "batch"
     #: Install a live telemetry recorder (metrics registry + span tracer,
     #: see repro.observability) on the environment when this ranker is
     #: built.  False keeps the shared no-op recorder: instrumented call
@@ -105,8 +92,6 @@ class EcoChargeConfig:
             raise ValueError("cache_pool_limit must be at least k")
         if self.engine is not None and self.engine not in ("dijkstra", "ch"):
             raise ValueError("engine must be None, 'dijkstra', or 'ch'")
-        if self.scoring not in ("batch", "scalar"):
-            raise ValueError("scoring must be 'batch' or 'scalar'")
 
 
 class EcoChargeRanker:
@@ -239,18 +224,17 @@ class EcoChargeRanker:
         return self._refine(segment.index, origin, eta_h, eta_h, pool, components)
 
     def _reduce_for_cache(
-        self, pool: Sequence[Charger], components: Sequence[ComponentScores]
-    ) -> tuple[tuple[Charger, ...], tuple[ComponentScores, ...]]:
+        self, pool: Sequence[Charger], components: ComponentArrays
+    ) -> tuple[tuple[Charger, ...], ComponentArrays]:
         """Apply ``cache_pool_limit``: keep the most promising candidates
-        (by midpoint score) so adaptation work is bounded."""
+        (by midpoint score, best first, ties in pool order) so adaptation
+        work is bounded."""
         limit = self.config.cache_pool_limit
         if limit is None or len(pool) <= limit:
-            return tuple(pool), tuple(components)
-        scored = sorted(
-            zip(pool, components),
-            key=lambda pair: -sc_score(pair[1], self.config.weights).midpoint,
-        )[:limit]
-        return tuple(p for p, __ in scored), tuple(c for __, c in scored)
+            return tuple(pool), components
+        sc_min, sc_max = sc_score_batch(components, self.config.weights)
+        kept = np.argsort(-((sc_min + sc_max) / 2.0), kind="stable")[:limit]
+        return tuple(pool[i] for i in kept), components.take(kept)
 
     def _adapt(
         self,
@@ -275,19 +259,15 @@ class EcoChargeRanker:
         moved.
         """
         max_h = self._env.derouting.max_derouting_h
-        adapted: list[ComponentScores] = []
-        for charger, comp in zip(cached.pool, cached.components):
-            old_km = cached.origin.distance_to(charger.point)
-            new_km = origin.distance_to(charger.point)
-            delta_norm = 2.0 * (new_km - old_km) / REFERENCE_SPEED_KMH / max_h
-            adapted.append(
-                replace(
-                    comp,
-                    derouting=Interval(
-                        comp.derouting.lo + delta_norm, comp.derouting.hi + delta_norm
-                    ).clamp(0.0, 1.0),
-                )
-            )
+        # Point.distance_to per charger (math.hypot), not np.hypot, whose
+        # last bit may differ.
+        old_km = np.array([cached.origin.distance_to(c.point) for c in cached.pool])
+        new_km = np.array([origin.distance_to(c.point) for c in cached.pool])
+        delta_norm = 2.0 * (new_km - old_km) / REFERENCE_SPEED_KMH / max_h
+        adapted = replace(
+            cached.components,
+            derouting=cached.components.derouting.add(delta_norm).clamp(0.0, 1.0),
+        )
         self._cache.store(
             CachedSolution(
                 segment_index=segment.index,
@@ -296,7 +276,7 @@ class EcoChargeRanker:
                 eta_h=eta_h,
                 radius_km=cached.radius_km,
                 pool=cached.pool,
-                components=tuple(adapted),
+                components=adapted,
                 epoch=cached.epoch,
             )
         )
@@ -317,50 +297,29 @@ class EcoChargeRanker:
         eta_h: float,
         generated_at_h: float,
         pool: Sequence[Charger],
-        components: Sequence[ComponentScores],
+        components: ComponentArrays,
         adapted_from: int | None = None,
     ) -> OfferingTable:
         """Eq. 6 intersection + sort + table assembly (lines 16-18)."""
-        if self.config.scoring == "batch":
-            arrays = ComponentArrays.from_scores(components)
-            sc_min, sc_max = sc_score_batch(arrays, self.config.weights)
-            chosen_rows = intersect_top_k_batch(
-                arrays.charger_ids,
-                sc_min,
-                sc_max,
-                self.config.k,
-                pad=self.config.pad_intersection,
-            )
-            return build_table_from_arrays(
-                segment_index=segment_index,
-                origin=origin,
-                generated_at_h=generated_at_h,
-                radius_km=self.config.radius_km,
-                components=arrays,
-                sc_min=sc_min,
-                sc_max=sc_max,
-                chosen_rows=chosen_rows,
-                chargers_by_id={charger.charger_id: charger for charger in pool},
-                eta_h=eta_h,
-                adapted_from=adapted_from,
-            )
-        by_id: dict[int, tuple[Charger, ComponentScores]] = {
-            comp.charger_id: (charger, comp) for charger, comp in zip(pool, components)
-        }
-        scores = [sc_score(comp, self.config.weights) for comp in components]
-        chosen = intersect_top_k(scores, self.config.k, pad=self.config.pad_intersection)
-        rows = []
-        for score in chosen:
-            charger, comp = by_id[score.charger_id]
-            rows.append(
-                (score, charger, comp.sustainable, comp.availability, comp.derouting, eta_h)
-            )
-        return build_table(
+        sc_min, sc_max = sc_score_batch(components, self.config.weights)
+        chosen_rows = intersect_top_k_batch(
+            components.charger_ids,
+            sc_min,
+            sc_max,
+            self.config.k,
+            pad=self.config.pad_intersection,
+        )
+        return build_table_from_arrays(
             segment_index=segment_index,
             origin=origin,
             generated_at_h=generated_at_h,
             radius_km=self.config.radius_km,
-            ranked=rows,
+            components=components,
+            sc_min=sc_min,
+            sc_max=sc_max,
+            chosen_rows=chosen_rows,
+            chargers_by_id={charger.charger_id: charger for charger in pool},
+            eta_h=eta_h,
             adapted_from=adapted_from,
         )
 

@@ -29,8 +29,7 @@ from ..network.graph import RoadNetwork
 from ..network.path import TripSegment
 from ..observability.deadline import NEVER_EXPIRES, CancellationToken
 from ..observability.recorder import NOOP_TELEMETRY, Telemetry
-from .interval_array import ComponentArrays, IntervalArray
-from .scoring import ComponentScores
+from ..interval_array import ComponentArrays, IntervalArray
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,59 +144,17 @@ class ChargingEnvironment:
         now_h: float,
         next_segment: TripSegment | None = None,
         search_budget_h: float | None = None,
-    ) -> list[ComponentScores]:
-        """Interval L/A/D for every charger in the pool (Alg. 1 lines 4-10).
+    ) -> ComponentArrays:
+        """Interval L/A/D for every charger in the pool (Alg. 1 lines 4-10),
+        as one :class:`ComponentArrays` row per charger in pool order.
 
         Derouting is batch-priced (four shortest-path searches for the
         whole pool); ``search_budget_h`` bounds those searches — EcoCharge
         passes its ``R``-derived budget, Brute Force passes None (whole
-        environment).
+        environment).  Sustainable and availability come from the
+        memoised per-charger estimators, packed into arrays.
         """
         derouting = self.derouting.batch_estimate(
-            segment,
-            chargers,
-            time_h=eta_h,
-            now_h=now_h,
-            next_segment=next_segment,
-            search_budget_h=search_budget_h,
-        )
-        scores: list[ComponentScores] = []
-        for charger in chargers:
-            # Per-charger deadline checkpoint: an expired request stops
-            # mid-pool rather than pricing the remaining candidates.
-            self.cancellation.checkpoint("pool")
-            level = self.sustainable.estimate(
-                charger, eta_h, now_h, window_h=self.charging_window_h
-            )
-            avail = self.availability.estimate(charger, eta_h, now_h)
-            scores.append(
-                ComponentScores(
-                    charger_id=charger.charger_id,
-                    sustainable=level.normalised,
-                    availability=avail,
-                    derouting=derouting[charger.charger_id].normalised,
-                )
-            )
-        return scores
-
-    def score_pool_arrays(
-        self,
-        segment: TripSegment,
-        chargers: Sequence[Charger],
-        eta_h: float,
-        now_h: float,
-        next_segment: TripSegment | None = None,
-        search_budget_h: float | None = None,
-    ) -> ComponentArrays:
-        """Flat-array form of :meth:`score_pool` (the batched funnel).
-
-        Derouting comes back as arrays directly; sustainable and
-        availability reuse the same memoised per-charger estimators and
-        are packed from their interval results, so every value is bitwise
-        equal to the :class:`ComponentScores` the scalar path builds —
-        without materialising a dataclass per charger.
-        """
-        derouting = self.derouting.batch_estimate_arrays(
             segment,
             chargers,
             time_h=eta_h,
@@ -208,7 +165,8 @@ class ChargingEnvironment:
         levels = []
         avails = []
         for charger in chargers:
-            # Same per-charger deadline checkpoint as the scalar path.
+            # Per-charger deadline checkpoint: an expired request stops
+            # mid-pool rather than pricing the remaining candidates.
             self.cancellation.checkpoint("pool")
             level = self.sustainable.estimate(
                 charger, eta_h, now_h, window_h=self.charging_window_h

@@ -24,11 +24,11 @@ from dataclasses import dataclass, replace
 
 from ..chargers.charger import Charger
 from ..estimation.tariff import TariffEstimator
+from ..intervals import Interval
 from ..network.path import Trip, TripSegment
 from .caching import CacheStats
 from .ecocharge import EcoChargeConfig, EcoChargeRanker
 from .environment import ChargingEnvironment
-from .intervals import Interval
 from .offering import OfferingTable, build_table
 from .scoring import ComponentScores, ScScore, Weights, intersect_top_k
 

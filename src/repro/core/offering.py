@@ -13,12 +13,12 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..chargers.charger import Charger
+from ..intervals import Interval
 from ..spatial.geometry import Point
-from .intervals import Interval
 from .scoring import ScScore
 
 if TYPE_CHECKING:
-    from .interval_array import ComponentArrays
+    from ..interval_array import ComponentArrays
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +149,7 @@ def build_table_from_arrays(
     ``chosen_rows`` is the final rank order of row indices (the output of
     :func:`~repro.core.scoring.intersect_top_k_batch`).  This is the API
     boundary of the batched scoring path: :class:`ScScore` and
-    :class:`~repro.core.intervals.Interval` dataclasses exist only for
+    :class:`~repro.intervals.Interval` dataclasses exist only for
     the ``<= k`` chosen rows, never for the whole pool.  Values are
     passed through ``float()`` untouched, so the table is bitwise equal
     to :func:`build_table` over the scalar pipeline.

@@ -18,16 +18,8 @@ from ..observability.deadline import NEVER_EXPIRES, CancellationToken, DeadlineE
 from ..observability.tracing import trip_correlation_id
 from ..resilience.errors import UpstreamError
 from .environment import ChargingEnvironment
-from .intervals import Interval
-from .offering import OfferingTable, build_table, build_table_from_arrays
-from .scoring import (
-    ComponentScores,
-    Weights,
-    intersect_top_k,
-    intersect_top_k_batch,
-    sc_score,
-    sc_score_batch,
-)
+from .offering import OfferingTable, build_table_from_arrays
+from .scoring import Weights, intersect_top_k_batch, sc_score_batch
 
 
 @runtime_checkable
@@ -115,50 +107,19 @@ def refine_pool(
     next_segment: TripSegment | None = None,
     search_budget_h: float | None = None,
     radius_km: float | None = None,
-    scoring: str = "batch",
 ) -> OfferingTable:
     """The shared Filtering + Refinement pipeline of Algorithm 1.
 
     Scores the candidate ``pool`` (lines 4-10), applies the Eq. 6 top-k
     intersection (line 16), sorts (line 17) and assembles the Offering
     Table (line 18).  Every ranker except Random funnels through here.
-
-    ``scoring`` selects the refinement arithmetic: ``"batch"`` (default)
-    runs the flat-array pipeline end to end — component arrays from the
-    environment, Eq. 4-6 as numpy elementwise operations and lexsorts,
-    dataclasses materialised only for the ``<= k`` chosen rows;
-    ``"scalar"`` keeps the per-charger dataclass pipeline.  Both produce
-    bitwise-identical tables.
+    The pool stays in flat arrays end to end; dataclasses are built only
+    for the ``<= k`` chosen rows.
     """
-    if scoring not in ("batch", "scalar"):
-        raise ValueError("scoring must be 'batch' or 'scalar'")
     if radius_km is None:
         bounds = environment.registry.bounds
         radius_km = max(bounds.width, bounds.height)
-    if scoring == "batch":
-        arrays = environment.score_pool_arrays(
-            segment,
-            pool,
-            eta_h=eta_h,
-            now_h=now_h,
-            next_segment=next_segment,
-            search_budget_h=search_budget_h,
-        )
-        sc_min, sc_max = sc_score_batch(arrays, weights)
-        chosen_rows = intersect_top_k_batch(arrays.charger_ids, sc_min, sc_max, k)
-        return build_table_from_arrays(
-            segment_index=segment.index,
-            origin=segment.midpoint,
-            generated_at_h=now_h,
-            radius_km=radius_km,
-            components=arrays,
-            sc_min=sc_min,
-            sc_max=sc_max,
-            chosen_rows=chosen_rows,
-            chargers_by_id={charger.charger_id: charger for charger in pool},
-            eta_h=eta_h,
-        )
-    scores = environment.score_pool(
+    arrays = environment.score_pool(
         segment,
         pool,
         eta_h=eta_h,
@@ -166,23 +127,19 @@ def refine_pool(
         next_segment=next_segment,
         search_budget_h=search_budget_h,
     )
-    by_id: dict[int, tuple[Charger, ComponentScores]] = {
-        comp.charger_id: (charger, comp) for charger, comp in zip(pool, scores)
-    }
-    sc_scores = [sc_score(comp, weights) for comp in scores]
-    chosen = intersect_top_k(sc_scores, k)
-    rows = []
-    for score in chosen:
-        charger, comp = by_id[score.charger_id]
-        rows.append(
-            (score, charger, comp.sustainable, comp.availability, comp.derouting, eta_h)
-        )
-    return build_table(
+    sc_min, sc_max = sc_score_batch(arrays, weights)
+    chosen_rows = intersect_top_k_batch(arrays.charger_ids, sc_min, sc_max, k)
+    return build_table_from_arrays(
         segment_index=segment.index,
         origin=segment.midpoint,
         generated_at_h=now_h,
         radius_km=radius_km,
-        ranked=rows,
+        components=arrays,
+        sc_min=sc_min,
+        sc_max=sc_max,
+        chosen_rows=chosen_rows,
+        chargers_by_id={charger.charger_id: charger for charger in pool},
+        eta_h=eta_h,
     )
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.contracts import ensure, require
-from .interval_array import ComponentArrays
-from .intervals import Interval
+from ..interval_array import ComponentArrays
+from ..intervals import Interval
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +205,7 @@ def sc_score_batch(
     ``components.charger_ids``.  The expressions repeat :func:`sc_score`'s
     arithmetic with identical association (``(a*w1 + b*w2) + (1-d)*w3``),
     so every element is bitwise equal to the scalar result — asserted by
-    the property tests and the perf experiment driver.
+    the property tests.
     """
     w1, w2, w3 = weights.as_tuple()
     sc_min = (

@@ -27,10 +27,11 @@ from typing import Any, Mapping
 
 from ..chargers.charger import Charger, PlugType, RenewableSource
 from ..core.caching import CachedSolution, CacheStats
-from ..core.intervals import Interval
 from ..core.moving import MovingQuery
 from ..core.offering import OfferingEntry, OfferingTable
 from ..core.scoring import ComponentScores, ScScore, Weights
+from ..interval_array import ComponentArrays
+from ..intervals import Interval
 from ..network.path import Trip
 from ..spatial.geometry import Point, Segment
 
@@ -340,8 +341,23 @@ class OfferingTableCodec:
         )
 
 
+def _component_row(components: ComponentArrays, row: int) -> ComponentScores:
+    """Row ``row`` of a cached pool as the dataclass its codec encodes."""
+    return ComponentScores(
+        charger_id=int(components.charger_ids[row]),
+        sustainable=components.sustainable.at(row),
+        availability=components.availability.at(row),
+        derouting=components.derouting.at(row),
+    )
+
+
 class CachedSolutionCodec:
-    """``CachedSolution`` ⇄ the scored pool behind one Offering Table."""
+    """``CachedSolution`` ⇄ the scored pool behind one Offering Table.
+
+    The pool's :class:`ComponentArrays` travel as one
+    ``component-scores`` object per row, so the wire format does not
+    depend on the in-memory layout.
+    """
 
     tag = "cached-solution"
     #: v2 adds the live-graph ``epoch`` the solution was computed on, so
@@ -358,7 +374,8 @@ class CachedSolutionCodec:
             "radius_km": encode_float(value.radius_km),
             "pool": [ChargerCodec.encode(charger) for charger in value.pool],
             "components": [
-                ComponentScoresCodec.encode(comp) for comp in value.components
+                ComponentScoresCodec.encode(_component_row(value.components, row))
+                for row in range(len(value.components))
             ],
             "epoch": value.epoch,
         }
@@ -379,8 +396,8 @@ class CachedSolutionCodec:
             eta_h=decode_float(_field(data, "eta_h", CachedSolutionCodec.tag)),
             radius_km=decode_float(_field(data, "radius_km", CachedSolutionCodec.tag)),
             pool=tuple(ChargerCodec.decode(charger) for charger in pool),
-            components=tuple(
-                ComponentScoresCodec.decode(comp) for comp in components
+            components=ComponentArrays.from_scores(
+                [ComponentScoresCodec.decode(comp) for comp in components]
             ),
             # Absent from v1 payloads (static network): epoch 0.
             epoch=int(data.get("epoch", 0)),

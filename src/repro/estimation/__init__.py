@@ -7,7 +7,7 @@ from .component import (
     EstimatedComponent,
     ForecastConfidence,
 )
-from .derouting import REFERENCE_SPEED_KMH, DeroutingCost, DeroutingEstimator
+from .derouting import REFERENCE_SPEED_KMH, DeroutingEstimator
 from .eta import EtaEstimate, EtaEstimator
 from .regional import RegionalWeatherModel, WeatherZone
 from .sustainable import SustainableChargingEstimator, SustainableLevel
@@ -20,7 +20,6 @@ __all__ = [
     "AvailabilityEstimator",
     "BusyTimetable",
     "DEFAULT_CONFIDENCE",
-    "DeroutingCost",
     "DeroutingEstimator",
     "EstimatedComponent",
     "EtaEstimate",

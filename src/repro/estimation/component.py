@@ -1,7 +1,7 @@
 """Estimated Component (EC) abstraction.
 
 An EC is "a function that can have a fuzzy value based on some estimates"
-(Section I): the value is an :class:`~repro.core.intervals.Interval` whose
+(Section I): the value is an :class:`~repro.intervals.Interval` whose
 width reflects forecast confidence.  This module defines the common
 horizon-dependent confidence model quoted by the paper for GFS/ECMWF
 weather products — 95-96 % accuracy up to 12 hours out, 85-95 % up to

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..chargers.charger import Charger
 from ..interval_array import IntervalArray
-from ..intervals import Interval
 from ..network.distance_engine import DistanceEngine
 from ..network.graph import RoadNetwork
 from ..network.path import TripSegment
@@ -36,20 +35,9 @@ REFERENCE_SPEED_KMH = 40.0
 
 
 @dataclass(frozen=True, slots=True)
-class DeroutingCost:
-    """Raw and normalised ``D`` for one charger relative to one segment."""
-
-    charger_id: int
-    hours: Interval
-    normalised: Interval
-
-
-@dataclass(frozen=True, slots=True)
 class DeroutingArrays:
-    """A pool's derouting costs in flat form: row ``i`` belongs to
-    ``charger_ids[i]``.  The array counterpart of
-    ``dict[int, DeroutingCost]`` — bitwise-equal values, no per-charger
-    dataclasses (see :meth:`DeroutingEstimator.batch_estimate_arrays`)."""
+    """A pool's raw and normalised ``D`` in flat form: row ``i`` belongs
+    to ``charger_ids[i]`` (see :meth:`DeroutingEstimator.batch_estimate`)."""
 
     charger_ids: np.ndarray
     hours: IntervalArray
@@ -100,63 +88,19 @@ class DeroutingEstimator:
         now_h: float,
         next_segment: TripSegment | None = None,
         search_budget_h: float | None = None,
-    ) -> dict[int, DeroutingCost]:
-        """``[D_min, D_max]`` for every charger in the pool.
+    ) -> DeroutingArrays:
+        """``[D_min, D_max]`` for every charger in the pool, as arrays.
 
         ``time_h`` is when the deroute would happen (ETA at the segment);
         ``now_h`` is when the forecast is made.  Chargers unreachable
         within ``search_budget_h`` (default: the normalising maximum) get
         the saturated cost of 1.0 rather than being dropped, mirroring the
         paper's treatment of chargers "outside the initial scheduled trip".
-        """
-        pool = list(chargers)
-        if not pool:
-            return {}
-        (
-            out_low,
-            out_high,
-            back_same_low,
-            back_same_high,
-            back_next_low,
-            back_next_high,
-        ) = self._query_round_trip_maps(
-            segment, pool, time_h, now_h, next_segment, search_budget_h
-        )
 
-        results: dict[int, DeroutingCost] = {}
-        for charger in pool:
-            node = charger.node_id
-            lo = self._round_trip(node, out_low, back_same_low, back_next_low)
-            hi = self._round_trip(node, out_high, back_same_high, back_next_high)
-            if lo is None or hi is None:
-                hours = Interval.exact(self.max_derouting_h)
-            else:
-                hours = Interval(min(lo, hi), max(lo, hi))
-            results[charger.charger_id] = DeroutingCost(
-                charger_id=charger.charger_id,
-                hours=hours,
-                normalised=hours.scaled_by_max(self.max_derouting_h).clamp(0.0, 1.0),
-            )
-        return results
-
-    def batch_estimate_arrays(
-        self,
-        segment: TripSegment,
-        chargers: Iterable[Charger],
-        time_h: float,
-        now_h: float,
-        next_segment: TripSegment | None = None,
-        search_budget_h: float | None = None,
-    ) -> DeroutingArrays:
-        """Array form of :func:`batch_estimate`: same engine queries, same
-        values, no per-charger ``Interval``/``DeroutingCost`` objects.
-
-        Missing distance-map entries become ``inf`` so that
-        ``out + min(back_same, back_next)`` reproduces the scalar
-        ``None``-propagation exactly: any leg unreachable makes the total
-        ``inf``, and ``inf`` rows collapse to the saturated
-        ``max_derouting_h`` cost.  Elementwise arithmetic matches the
-        scalar path operation-for-operation, so results are bitwise equal.
+        Missing distance-map entries become ``inf``, so any unreachable
+        leg makes ``out + min(back_same, back_next)`` infinite, and
+        ``inf`` rows collapse to the saturated ``max_derouting_h`` cost.
+        Whichever rejoin point costs less is taken (Section III-C).
         """
         pool = list(chargers)
         ids = np.array([charger.charger_id for charger in pool], dtype=np.int64)
@@ -214,7 +158,7 @@ class DeroutingEstimator:
         Mapping[int, float],
         Mapping[int, float],
     ]:
-        """The six distance maps both estimate paths share: optimistic and
+        """The six distance maps a pool's pricing needs: optimistic and
         pessimistic bounds for outbound, return-to-same-segment, and
         return-to-next-segment legs (four engine searches per bound pair
         when the rejoin points coincide)."""
@@ -247,22 +191,6 @@ class DeroutingEstimator:
             back_next_low,
             back_next_high,
         )
-
-    @staticmethod
-    def _round_trip(
-        node: int,
-        outbound: Mapping[int, float],
-        back_same: Mapping[int, float],
-        back_next: Mapping[int, float],
-    ) -> float | None:
-        out = outbound.get(node)
-        if out is None:
-            return None
-        returns = [cost for cost in (back_same.get(node), back_next.get(node)) if cost is not None]
-        if not returns:
-            return None
-        # Whichever rejoin point costs less is taken (Section III-C).
-        return out + min(returns)
 
     def true_cost_h(
         self,

@@ -250,46 +250,19 @@ def _check_backends_agree(scenario: PerfScenario, seed: int) -> None:
                 now_h=trip.departure_time_h,
             )
             rows.append(
-                {
-                    cid: (cost.hours.lo, cost.hours.hi, cost.normalised)
-                    for cid, cost in costs.items()
-                }
+                (
+                    costs.charger_ids.tolist(),
+                    costs.hours.lo.tolist(),
+                    costs.hours.hi.tolist(),
+                    costs.normalised.lo.tolist(),
+                    costs.normalised.hi.tolist(),
+                )
             )
         estimates[backend] = rows
     if estimates["dijkstra"] != estimates["ch"]:
         raise SystemExit(
             f"perf: backend mismatch on scenario {scenario.name!r} — "
             "'ch' and 'dijkstra' derouting intervals differ"
-        )
-
-
-def _check_scoring_agrees(scenario: PerfScenario, seed: int) -> None:
-    """Abort (exit 1) unless the batch and scalar refinement pipelines
-    deliver identical Offering Tables over a full trip — the vectorised
-    scoring path's bitwise contract, enforced in the driver exactly like
-    the backend-equality contract above."""
-    network = scenario.build()
-    registry = generate_catalog(
-        network, CatalogSpec(charger_count=scenario.charger_count, seed=7)
-    )
-    trip = _trips(network, 1, scenario.segment_km)[0]
-    tables = {}
-    for scoring in ("scalar", "batch"):
-        environment = ChargingEnvironment(network, registry, seed=seed)
-        config = EcoChargeConfig(
-            k=scenario.k,
-            radius_km=scenario.radius_km,
-            range_km=1.0,
-            segment_km=scenario.segment_km,
-            scoring=scoring,
-        )
-        ranker = EcoChargeRanker(environment, config)
-        run = run_over_trip(ranker, environment, trip, segment_km=scenario.segment_km)
-        tables[scoring] = run.tables
-    if tables["scalar"] != tables["batch"]:
-        raise SystemExit(
-            f"perf: scoring mismatch on scenario {scenario.name!r} — "
-            "'batch' and 'scalar' refinement tables differ"
         )
 
 
@@ -302,7 +275,6 @@ def run_scenario(
 ) -> dict:
     """Measure one scenario under every backend and cross-check them."""
     _check_backends_agree(scenario, seed)
-    _check_scoring_agrees(scenario, seed)
     network = scenario.build()
     start = clock.monotonic()
     hierarchy = ContractionHierarchy.build(network)
@@ -335,7 +307,6 @@ def run_scenario(
             else None
         ),
         "backends_agree": True,
-        "scoring_agree": True,
     }
 
 

@@ -1,22 +1,22 @@
-"""Structure-of-arrays interval arithmetic for the batched scoring path.
+"""Structure-of-arrays interval arithmetic: the form every candidate pool
+takes, from pricing through the dynamic cache to refinement.
 
 :mod:`repro.intervals` models one Estimated Component as an
 :class:`~repro.intervals.Interval` object; pricing a candidate pool that
-way allocates three dataclasses per charger before a single score is
-computed.  This module is the flat mirror: a pool's worth of intervals is
-two parallel ``float64`` arrays (``lo``/``hi``), and every operation is
-the *same IEEE-754 double operation* numpy applies elementwise that the
-scalar class applies one charger at a time — same order, same
-association — so results are bitwise equal to the scalar path, not
-merely close.  That equality is load-bearing (the experiment driver and
-the property tests assert it) exactly like the engine's backend-equality
-contract: the batched path may replace the scalar one anywhere without
-changing a single ranked table.
+way would allocate three dataclasses per charger before a single score
+is computed.  Here a pool's worth of intervals is two parallel
+``float64`` arrays (``lo``/``hi``), and every operation is the *same
+IEEE-754 double operation* numpy applies elementwise that the scalar
+class applies one value at a time — same order, same association — so
+results are bitwise equal to the scalar :class:`Interval`, not merely
+close.  The scalar class stays as the oracle the property tests check
+this module against.
 
 Dataclasses (:class:`~repro.intervals.Interval`,
 :class:`~repro.core.scoring.ComponentScores`) are materialised only at
 the API boundary — see
-:func:`~repro.core.offering.build_table_from_arrays`.
+:func:`~repro.core.offering.build_table_from_arrays` and the durable
+codecs.
 """
 
 from __future__ import annotations
@@ -162,7 +162,8 @@ class IntervalArray:
 
     # -- arithmetic (elementwise, bitwise-equal to Interval ops) -------------
 
-    def add(self, other: "IntervalArray | float") -> "IntervalArray":
+    def add(self, other: "IntervalArray | np.ndarray | float") -> "IntervalArray":
+        """Elementwise sum; a plain array or float shifts both endpoints."""
         if isinstance(other, IntervalArray):
             return IntervalArray(self.lo + other.lo, self.hi + other.hi)
         return IntervalArray(self.lo + other, self.hi + other)
@@ -270,8 +271,9 @@ class ComponentArrays:
 
     The array counterpart of ``list[ComponentScores]``: ``charger_ids[i]``
     owns row ``i`` of each component.  Produced by
-    :meth:`~repro.core.environment.ChargingEnvironment.score_pool_arrays`
-    and consumed by :func:`~repro.core.scoring.sc_score_batch`.
+    :meth:`~repro.core.environment.ChargingEnvironment.score_pool`, kept
+    in the dynamic cache, and consumed by
+    :func:`~repro.core.scoring.sc_score_batch`.
     """
 
     charger_ids: np.ndarray
@@ -299,14 +301,27 @@ class ComponentArrays:
     def __len__(self) -> int:
         return int(self.charger_ids.shape[0])
 
+    def take(self, rows: Sequence[int] | np.ndarray) -> "ComponentArrays":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+
+        def pick(component: IntervalArray) -> IntervalArray:
+            return IntervalArray._trusted(component.lo[rows], component.hi[rows])
+
+        return ComponentArrays(
+            charger_ids=self.charger_ids[rows],
+            sustainable=pick(self.sustainable),
+            availability=pick(self.availability),
+            derouting=pick(self.derouting),
+        )
+
     @classmethod
     def from_scores(cls, scores: Sequence["object"]) -> "ComponentArrays":
-        """Pack ``ComponentScores`` dataclasses (e.g. out of the dynamic
-        cache, whose durable representation stays scalar) into flat form.
+        """Pack ``ComponentScores`` dataclasses (decoded journal rows, or a
+        scalar reference pipeline in the tests) into flat form.
 
         Skips the [0, 1] re-validation: every ``ComponentScores`` row
-        already proved it in its own ``__post_init__``, and this runs on
-        the per-segment refinement hot path.  Typed loosely to avoid a
+        already proved it in its own ``__post_init__``.  Typed loosely to avoid a
         circular import with :mod:`repro.core.scoring`; rows must expose
         ``charger_id`` / ``sustainable`` / ``availability`` /
         ``derouting``.

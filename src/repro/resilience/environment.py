@@ -23,10 +23,14 @@ evaluation grades against ground truth, which no outage can corrupt.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Iterable
+
+import numpy as np
 
 from ..core.environment import ChargingEnvironment
-from ..estimation.derouting import DeroutingCost
+from ..estimation.derouting import DeroutingArrays
+from ..interval_array import IntervalArray
 from ..intervals import Interval
 from .gateway import ResilienceGateway, ServiceLevel
 
@@ -98,7 +102,7 @@ class _ResilientDerouting:
         now_h: float,
         next_segment: "TripSegment | None" = None,
         search_budget_h: float | None = None,
-    ) -> dict[int, DeroutingCost]:
+    ) -> DeroutingArrays:
         fetch = self._gateway.traffic_snapshot(now_h)
         base = self._inner.batch_estimate(
             segment,
@@ -108,36 +112,35 @@ class _ResilientDerouting:
             next_segment=next_segment,
             search_budget_h=search_budget_h,
         )
+        conf = self._gateway.confidence
+        max_h = self._inner.max_derouting_h
         if fetch.level is ServiceLevel.FALLBACK:
-            return {cid: self._floor_cost(cid) for cid in base}
+            floor = conf.fallback_interval(0.0, 1.0)
+            rows = len(base.charger_ids)
+            return replace(
+                base,
+                hours=IntervalArray(np.zeros(rows), np.full(rows, max_h)),
+                normalised=IntervalArray(
+                    np.full(rows, floor.lo), np.full(rows, floor.hi)
+                ),
+            )
         if fetch.level is ServiceLevel.STALE:
-            return {
-                cid: self._widened_cost(cost, fetch.age_h) for cid, cost in base.items()
-            }
+            # Absolute margins, not IntervalArray.widened (which scales the
+            # width and so would leave a saturated exact cost un-widened);
+            # the normalised rows are ForecastConfidence.stale_interval.
+            margin = conf.degraded_half_width(fetch.age_h)
+            margin_h = margin * max_h
+            hours, normalised = base.hours, base.normalised
+            return replace(
+                base,
+                hours=IntervalArray(
+                    hours.lo - margin_h, hours.hi + margin_h
+                ).clamp(0.0, max_h),
+                normalised=IntervalArray(
+                    normalised.lo - margin, normalised.hi + margin
+                ).clamp(0.0, 1.0),
+            )
         return base
-
-    def _floor_cost(self, charger_id: int) -> DeroutingCost:
-        conf = self._gateway.confidence
-        max_h = self._inner.max_derouting_h
-        return DeroutingCost(
-            charger_id=charger_id,
-            hours=Interval(0.0, max_h),
-            normalised=conf.fallback_interval(0.0, 1.0),
-        )
-
-    def _widened_cost(self, cost: DeroutingCost, age_h: float) -> DeroutingCost:
-        conf = self._gateway.confidence
-        max_h = self._inner.max_derouting_h
-        # Absolute margin, not Interval.widened (which scales the width
-        # and so would leave a saturated exact cost un-widened).
-        margin_h = conf.degraded_half_width(age_h) * max_h
-        return DeroutingCost(
-            charger_id=cost.charger_id,
-            hours=Interval(cost.hours.lo - margin_h, cost.hours.hi + margin_h).clamp(
-                0.0, max_h
-            ),
-            normalised=conf.stale_interval(cost.normalised, age_h),
-        )
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)

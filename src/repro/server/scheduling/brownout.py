@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 
-from ...core.intervals import Interval
 from ...core.offering import OfferingTable, build_table
 from ...core.scoring import ComponentScores, Weights, sc_score
+from ...intervals import Interval
 
 
 class BrownoutLevel(IntEnum):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.intervals import Interval
 from ..core.offering import OfferingTable
+from ..intervals import Interval
 
 
 def _fmt_interval(interval: Interval, digits: int = 2) -> str:

@@ -1,0 +1,304 @@
+"""The scalar reference pipeline the array code is checked against.
+
+Production prices, caches, adapts and ranks a candidate pool only as
+:class:`~repro.interval_array.ComponentArrays`.  This module keeps the
+per-row form — one :class:`~repro.intervals.Interval` per component and
+charger — as an oracle: the same steps written with ``Interval`` and
+``ComponentScores`` dataclasses, ``sc_score``, ``intersect_top_k`` and
+``build_table``.  Tests compare production output with it bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from repro.chargers.charger import Charger
+from repro.core.ecocharge import EcoChargeConfig
+from repro.core.environment import ChargingEnvironment
+from repro.core.offering import OfferingTable, build_table
+from repro.core.scoring import ComponentScores, Weights, intersect_top_k, sc_score
+from repro.estimation.derouting import REFERENCE_SPEED_KMH
+from repro.interval_array import ComponentArrays
+from repro.intervals import Interval
+from repro.network.path import Trip, TripSegment
+from repro.spatial.geometry import Point
+
+
+def bits(value: float) -> bytes:
+    """The raw IEEE-754 bit pattern (distinguishes -0.0 from 0.0)."""
+    return np.float64(value).tobytes()
+
+
+def assert_tables_bitequal(
+    expected: Sequence[OfferingTable], got: Sequence[OfferingTable]
+) -> None:
+    """Same tables, entries, ranks and raw float bits."""
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
+        assert a.segment_index == b.segment_index
+        assert a.adapted_from == b.adapted_from
+        assert bits(a.generated_at_h) == bits(b.generated_at_h)
+        assert len(a.entries) == len(b.entries)
+        for ea, eb in zip(a.entries, b.entries):
+            assert ea.charger_id == eb.charger_id
+            assert ea.rank == eb.rank
+            assert bits(ea.score.sc_min) == bits(eb.score.sc_min)
+            assert bits(ea.score.sc_max) == bits(eb.score.sc_max)
+            for field in ("sustainable", "availability", "derouting"):
+                iva, ivb = getattr(ea, field), getattr(eb, field)
+                assert bits(iva.lo) == bits(ivb.lo), (field, iva, ivb)
+                assert bits(iva.hi) == bits(ivb.hi), (field, iva, ivb)
+
+
+def assert_rows_bitequal(
+    expected: Sequence[ComponentScores], got: Sequence[ComponentScores]
+) -> None:
+    """Same charger per row and the same raw float bits per component."""
+    assert [c.charger_id for c in expected] == [c.charger_id for c in got]
+    for a, b in zip(expected, got):
+        for field in ("sustainable", "availability", "derouting"):
+            iva, ivb = getattr(a, field), getattr(b, field)
+            assert bits(iva.lo) == bits(ivb.lo), (a.charger_id, field, iva, ivb)
+            assert bits(iva.hi) == bits(ivb.hi), (a.charger_id, field, iva, ivb)
+
+
+def rows(arrays: ComponentArrays) -> list[ComponentScores]:
+    """One ``ComponentScores`` per array row, in row order."""
+    return [
+        ComponentScores(
+            charger_id=int(arrays.charger_ids[i]),
+            sustainable=arrays.sustainable.at(i),
+            availability=arrays.availability.at(i),
+            derouting=arrays.derouting.at(i),
+        )
+        for i in range(len(arrays))
+    ]
+
+
+def _round_trip(
+    node: int,
+    outbound: Mapping[int, float],
+    back_same: Mapping[int, float],
+    back_next: Mapping[int, float],
+) -> float | None:
+    out = outbound.get(node)
+    if out is None:
+        return None
+    returns = [cost for cost in (back_same.get(node), back_next.get(node)) if cost is not None]
+    if not returns:
+        return None
+    return out + min(returns)
+
+
+def price_rows(
+    environment: ChargingEnvironment,
+    segment: TripSegment,
+    pool: Sequence[Charger],
+    eta_h: float,
+    now_h: float,
+    next_segment: TripSegment | None = None,
+    search_budget_h: float | None = None,
+) -> list[ComponentScores]:
+    """Interval L/A/D per charger: the derouting round trip priced one
+    charger at a time from the estimator's six distance maps."""
+    derouting = environment.derouting
+    out_lo, out_hi, same_lo, same_hi, next_lo, next_hi = derouting._query_round_trip_maps(
+        segment, list(pool), eta_h, now_h, next_segment, search_budget_h
+    )
+    max_h = derouting.max_derouting_h
+    priced = []
+    for charger in pool:
+        lo = _round_trip(charger.node_id, out_lo, same_lo, next_lo)
+        hi = _round_trip(charger.node_id, out_hi, same_hi, next_hi)
+        if lo is None or hi is None:
+            hours = Interval.exact(max_h)
+        else:
+            hours = Interval(min(lo, hi), max(lo, hi))
+        level = environment.sustainable.estimate(
+            charger, eta_h, now_h, window_h=environment.charging_window_h
+        )
+        priced.append(
+            ComponentScores(
+                charger_id=charger.charger_id,
+                sustainable=level.normalised,
+                availability=environment.availability.estimate(charger, eta_h, now_h),
+                derouting=hours.scaled_by_max(max_h).clamp(0.0, 1.0),
+            )
+        )
+    return priced
+
+
+def reduce_rows(
+    pool: Sequence[Charger],
+    components: Sequence[ComponentScores],
+    limit: int | None,
+    weights: Weights,
+) -> tuple[list[Charger], list[ComponentScores]]:
+    """``cache_pool_limit``: a stable sort by descending midpoint score,
+    cut at ``limit``."""
+    if limit is None or len(pool) <= limit:
+        return list(pool), list(components)
+    kept = sorted(
+        zip(pool, components), key=lambda pair: -sc_score(pair[1], weights).midpoint
+    )[:limit]
+    return [p for p, __ in kept], [c for __, c in kept]
+
+
+def adapt_rows(
+    pool: Sequence[Charger],
+    components: Sequence[ComponentScores],
+    old_origin: Point,
+    new_origin: Point,
+    max_h: float,
+) -> list[ComponentScores]:
+    """Shift each cached ``D`` by the straight-line round-trip delta
+    between the two origins at the reference speed, then clamp."""
+    adapted = []
+    for charger, comp in zip(pool, components):
+        old_km = old_origin.distance_to(charger.point)
+        new_km = new_origin.distance_to(charger.point)
+        delta_norm = 2.0 * (new_km - old_km) / REFERENCE_SPEED_KMH / max_h
+        adapted.append(
+            replace(
+                comp,
+                derouting=Interval(
+                    comp.derouting.lo + delta_norm, comp.derouting.hi + delta_norm
+                ).clamp(0.0, 1.0),
+            )
+        )
+    return adapted
+
+
+def refine_rows(
+    pool: Sequence[Charger],
+    components: Sequence[ComponentScores],
+    weights: Weights,
+    k: int,
+    *,
+    segment_index: int,
+    origin: Point,
+    generated_at_h: float,
+    radius_km: float,
+    eta_h: float,
+    pad: bool = True,
+    adapted_from: int | None = None,
+) -> OfferingTable:
+    """Eq. 4-6 per row, then the Offering Table."""
+    by_id = {comp.charger_id: (charger, comp) for charger, comp in zip(pool, components)}
+    chosen = intersect_top_k([sc_score(comp, weights) for comp in components], k, pad=pad)
+    ranked = []
+    for score in chosen:
+        charger, comp = by_id[score.charger_id]
+        ranked.append(
+            (score, charger, comp.sustainable, comp.availability, comp.derouting, eta_h)
+        )
+    return build_table(
+        segment_index=segment_index,
+        origin=origin,
+        generated_at_h=generated_at_h,
+        radius_km=radius_km,
+        ranked=ranked,
+        adapted_from=adapted_from,
+    )
+
+
+@dataclass
+class _Entry:
+    segment_index: int
+    origin: Point
+    generated_at_h: float
+    pool: list[Charger]
+    components: list[ComponentScores]
+
+
+class ScalarEcoCharge:
+    """Algorithm 1 with dynamic caching, one ``ComponentScores`` per
+    charger: the reference for ``EcoChargeRanker`` on a static network
+    with no vehicle constraints."""
+
+    name = "scalar-ecocharge"
+
+    def __init__(self, environment: ChargingEnvironment, config: EcoChargeConfig):
+        self._env = environment
+        self.config = config
+        if config.engine is not None:
+            environment.set_engine_backend(config.engine)
+        self._budget_h = min(
+            environment.derouting.max_derouting_h,
+            4.0 * config.radius_km / REFERENCE_SPEED_KMH,
+        )
+        self._entry: _Entry | None = None
+
+    def reset(self) -> None:
+        self._entry = None
+
+    def rank_segment(
+        self,
+        trip: Trip,
+        segment: TripSegment,
+        eta_h: float,
+        now_h: float,
+        next_segment: TripSegment | None = None,
+    ) -> OfferingTable:
+        config = self.config
+        origin = segment.midpoint
+        entry = self._entry
+        if (
+            entry is not None
+            and eta_h - entry.generated_at_h <= config.cache_ttl_h
+            and origin.distance_to(entry.origin) <= config.range_km
+        ):
+            adapted = adapt_rows(
+                entry.pool,
+                entry.components,
+                entry.origin,
+                origin,
+                self._env.derouting.max_derouting_h,
+            )
+            self._entry = _Entry(
+                segment.index, origin, entry.generated_at_h, entry.pool, adapted
+            )
+            return self._refine(
+                segment.index, origin, eta_h, entry.generated_at_h, entry.pool, adapted,
+                adapted_from=entry.segment_index,
+            )
+        pool = self._env.registry.within_radius(
+            origin, config.radius_km, kind=config.index_kind
+        )
+        if not pool:
+            pool = self._env.registry.nearest(origin, k=config.k)
+        components = price_rows(
+            self._env, segment, pool, eta_h, now_h, next_segment, self._budget_h
+        )
+        kept_pool, kept = reduce_rows(
+            pool, components, config.cache_pool_limit, config.weights
+        )
+        self._entry = _Entry(segment.index, origin, eta_h, kept_pool, kept)
+        return self._refine(segment.index, origin, eta_h, eta_h, pool, components)
+
+    def _refine(
+        self,
+        segment_index: int,
+        origin: Point,
+        eta_h: float,
+        generated_at_h: float,
+        pool: Sequence[Charger],
+        components: Sequence[ComponentScores],
+        adapted_from: int | None = None,
+    ) -> OfferingTable:
+        return refine_rows(
+            pool,
+            components,
+            self.config.weights,
+            self.config.k,
+            segment_index=segment_index,
+            origin=origin,
+            generated_at_h=generated_at_h,
+            radius_km=self.config.radius_km,
+            eta_h=eta_h,
+            pad=self.config.pad_intersection,
+            adapted_from=adapted_from,
+        )

@@ -6,6 +6,8 @@ from repro.core.baselines import BruteForceRanker, QuadtreeRanker, RandomRanker
 from repro.core.ranking import RankingRun, run_over_trip
 from repro.core.scoring import Weights, sc_score
 
+from .scalar_oracle import rows
+
 
 class TestBruteForce:
     def test_k_entries(self, small_environment, sample_trip):
@@ -25,7 +27,7 @@ class TestBruteForce:
             next_segment=sample_trip.segments()[1],
         )
         best_possible = max(
-            sc_score(c, Weights.equal()).sc_max for c in scores
+            sc_score(c, Weights.equal()).sc_max for c in rows(scores)
         )
         assert table.best.score.sc_max <= best_possible + 1e-9
 

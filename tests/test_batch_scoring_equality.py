@@ -1,16 +1,15 @@
-"""Bitwise equality of the batched scoring path against the scalar path.
+"""Bitwise equality of the array pipeline against the scalar oracle.
 
 The vectorised modules (:mod:`repro.interval_array`,
 :func:`repro.core.scoring.sc_score_batch`,
 :func:`repro.core.scoring.intersect_top_k_batch`, and the flat-array
-table build) promise results *bitwise identical* to the scalar
-dataclass pipeline — the same contract PR 3 established between the
-engine backends.  These property tests drive both pipelines over
-generated inputs (including ``-0.0``, infinities, and quantisation
-edges) and compare raw float bit patterns, not ``==`` (which would let
-``-0.0 == 0.0`` slide).
+table build) promise results *bitwise identical* to the per-row
+``Interval`` pipeline kept in :mod:`tests.scalar_oracle` — the same
+contract the engine backends keep with each other.  These property
+tests drive both over generated inputs (including ``-0.0``,
+infinities, and quantisation edges) and compare raw float bit
+patterns, not ``==`` (which would let ``-0.0 == 0.0`` slide).
 """
-
 from __future__ import annotations
 
 import math
@@ -32,10 +31,13 @@ from repro.interval_array import ComponentArrays, IntervalArray, quantize
 from repro.intervals import Interval
 from repro.network.distance_engine import DISTANCE_DECIMALS
 
-
-def bits(value: float) -> bytes:
-    """The raw IEEE-754 bit pattern (distinguishes -0.0 from 0.0)."""
-    return np.float64(value).tobytes()
+from .scalar_oracle import (
+    ScalarEcoCharge,
+    assert_tables_bitequal,
+    bits,
+    price_rows,
+    refine_rows,
+)
 
 
 def assert_bitequal(a: float, b: float) -> None:
@@ -282,7 +284,8 @@ class TestIntersectTopKBatch:
 
 
 class TestEndToEndTables:
-    """Scalar vs flat-array pipelines over a seeded scenario: every
+    """The one production pipeline (component arrays from pricing through
+    the dynamic cache to refinement) against the scalar oracle: every
     delivered Offering Table must match bit for bit, on both engine
     backends, through computes *and* cache adaptations."""
 
@@ -303,42 +306,26 @@ class TestEndToEndTables:
         return network, registry, trip
 
     @staticmethod
-    def _tables(world, scoring: str, backend: str):
-        from repro.core.ecocharge import EcoChargeConfig, EcoChargeRanker
+    def _tables(world, ranker_cls, backend: str):
+        from repro.core.ecocharge import EcoChargeConfig
         from repro.core.environment import ChargingEnvironment
         from repro.core.ranking import run_over_trip
 
         network, registry, trip = world
         environment = ChargingEnvironment(network, registry, seed=5, engine=backend)
-        ranker = EcoChargeRanker(
-            environment,
-            EcoChargeConfig(k=4, radius_km=9.0, range_km=5.0, scoring=scoring),
+        ranker = ranker_cls(
+            environment, EcoChargeConfig(k=4, radius_km=9.0, range_km=5.0)
         )
         return run_over_trip(ranker, environment, trip).tables
 
-    @staticmethod
-    def _assert_tables_bitequal(scalar_tables, batch_tables):
-        assert len(scalar_tables) == len(batch_tables)
-        for a, b in zip(scalar_tables, batch_tables):
-            assert a.segment_index == b.segment_index
-            assert a.adapted_from == b.adapted_from
-            assert len(a.entries) == len(b.entries)
-            for ea, eb in zip(a.entries, b.entries):
-                assert ea.charger_id == eb.charger_id
-                assert ea.rank == eb.rank
-                assert_bitequal(ea.score.sc_min, eb.score.sc_min)
-                assert_bitequal(ea.score.sc_max, eb.score.sc_max)
-                for field in ("sustainable", "availability", "derouting"):
-                    iva, ivb = getattr(ea, field), getattr(eb, field)
-                    assert_bitequal(iva.lo, ivb.lo)
-                    assert_bitequal(iva.hi, ivb.hi)
-
     @pytest.mark.parametrize("backend", ["dijkstra", "ch"])
     def test_ranker_tables_bitequal(self, world, backend):
-        scalar = self._tables(world, "scalar", backend)
-        batch = self._tables(world, "batch", backend)
+        from repro.core.ecocharge import EcoChargeRanker
+
+        scalar = self._tables(world, ScalarEcoCharge, backend)
+        batch = self._tables(world, EcoChargeRanker, backend)
         assert any(t.is_adapted for t in batch)  # adaptations are covered
-        self._assert_tables_bitequal(scalar, batch)
+        assert_tables_bitequal(scalar, batch)
 
     def test_refine_pool_bitequal(self, world):
         from repro.core.environment import ChargingEnvironment
@@ -347,19 +334,34 @@ class TestEndToEndTables:
         network, registry, trip = world
         segments = trip.segments()
         pool = registry.within_radius(segments[0].midpoint, 9.0)
-        tables = {}
-        for scoring in ("scalar", "batch"):
-            environment = ChargingEnvironment(network, registry, seed=5)
-            tables[scoring] = refine_pool(
-                environment,
-                trip,
+        bounds = registry.bounds
+        scalar = refine_rows(
+            pool,
+            price_rows(
+                ChargingEnvironment(network, registry, seed=5),
                 segments[0],
                 pool,
                 eta_h=9.2,
                 now_h=9.0,
-                k=4,
-                weights=Weights.equal(),
                 next_segment=segments[1],
-                scoring=scoring,
-            )
-        self._assert_tables_bitequal([tables["scalar"]], [tables["batch"]])
+            ),
+            Weights.equal(),
+            4,
+            segment_index=segments[0].index,
+            origin=segments[0].midpoint,
+            generated_at_h=9.0,
+            radius_km=max(bounds.width, bounds.height),
+            eta_h=9.2,
+        )
+        batch = refine_pool(
+            ChargingEnvironment(network, registry, seed=5),
+            trip,
+            segments[0],
+            pool,
+            eta_h=9.2,
+            now_h=9.0,
+            k=4,
+            weights=Weights.equal(),
+            next_segment=segments[1],
+        )
+        assert_tables_bitequal([scalar], [batch])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.caching import CachedSolution, DynamicCache
+from repro.interval_array import ComponentArrays
 from repro.spatial.geometry import Point
 
 RANGE_KM = 5.0
@@ -37,7 +38,7 @@ class CacheMachine(RuleBasedStateMachine):
                 eta_h=self.clock,
                 radius_km=50.0,
                 pool=(),
-                components=(),
+                components=ComponentArrays.from_scores(()),
             )
         )
         self.model_origin = origin

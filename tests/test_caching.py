@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.caching import CachedSolution, CacheStats, DynamicCache
+from repro.interval_array import ComponentArrays
 from repro.spatial.geometry import Point
 
 
@@ -14,7 +15,7 @@ def _solution(origin=Point(0, 0), at_h=10.0, segment_index=0):
         eta_h=at_h,
         radius_km=50.0,
         pool=(),
-        components=(),
+        components=ComponentArrays.from_scores(()),
     )
 
 

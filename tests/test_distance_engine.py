@@ -367,13 +367,13 @@ class TestDeroutingIntervalEquality:
             results[backend] = estimator.batch_estimate(
                 segment, chargers, time_h=8.4, now_h=8.0
             )
-        assert set(results["dijkstra"]) == set(results["ch"])
-        for cid, cost_d in results["dijkstra"].items():
-            cost_c = results["ch"][cid]
-            # Bitwise equality of the interval endpoints, not approx.
-            assert cost_d.hours.lo == cost_c.hours.lo
-            assert cost_d.hours.hi == cost_c.hours.hi
-            assert cost_d.normalised == cost_c.normalised
+        cost_d, cost_c = results["dijkstra"], results["ch"]
+        assert cost_d.charger_ids.tolist() == cost_c.charger_ids.tolist()
+        # Bitwise equality of the interval endpoints, not approx.
+        assert cost_d.hours.lo.tobytes() == cost_c.hours.lo.tobytes()
+        assert cost_d.hours.hi.tobytes() == cost_c.hours.hi.tobytes()
+        assert cost_d.normalised.lo.tobytes() == cost_c.normalised.lo.tobytes()
+        assert cost_d.normalised.hi.tobytes() == cost_c.normalised.hi.tobytes()
 
     def test_full_environment_true_components_identical(self):
         net = build_city_network(

@@ -67,6 +67,7 @@ from repro.durability.codecs import (
     TripCodec,
     WeightsCodec,
 )
+from repro.interval_array import ComponentArrays
 from repro.intervals import Interval
 from repro.network.builders import NetworkSpec, build_city_network
 from repro.network.path import Trip
@@ -223,7 +224,7 @@ def cached_solutions(draw):
         eta_h=draw(any_float),
         radius_km=draw(any_float),
         pool=pool,
-        components=tuple(
+        components=ComponentArrays.from_scores([
             draw(component_scores.map(lambda c, cid=ch.charger_id: ComponentScores(
                 charger_id=cid,
                 sustainable=c.sustainable,
@@ -231,7 +232,7 @@ def cached_solutions(draw):
                 derouting=c.derouting,
             )))
             for ch in pool
-        ),
+        ]),
     )
 
 
@@ -362,7 +363,7 @@ class TestCodecRoundTrips:
             eta_h=0.0,
             radius_km=1.0,
             pool=(),
-            components=(),
+            components=ComponentArrays.from_scores(()),
         )
         assert_byte_stable(CachedSolutionCodec, empty)
 

@@ -4,8 +4,20 @@ import pytest
 
 from repro.core.baselines import BruteForceRanker
 from repro.core.ecocharge import EcoCharge, EcoChargeConfig, EcoChargeRanker
+from repro.core.environment import ChargingEnvironment
 from repro.core.ranking import run_over_trip
-from repro.core.scoring import Weights
+from repro.core.scoring import ComponentScores, Weights
+from repro.interval_array import ComponentArrays
+from repro.intervals import Interval
+
+from .scalar_oracle import (
+    ScalarEcoCharge,
+    assert_rows_bitequal,
+    assert_tables_bitequal,
+    price_rows,
+    reduce_rows,
+    rows,
+)
 
 
 @pytest.fixture()
@@ -129,6 +141,62 @@ class TestCachePoolLimit:
         adapted = ranker.rank_segment(sample_trip, segments[1], eta_h=10.2, now_h=10.0)
         assert adapted.is_adapted
         assert len(adapted) == 3
+
+    def test_kept_pool_matches_scalar_reference(self, small_environment, sample_trip):
+        """``cache_pool_limit = 2k`` keeps the 2k best candidates by
+        midpoint score, in the order of a stable scalar sort."""
+        config = EcoChargeConfig(k=3, radius_km=12.0, cache_pool_limit=6)
+        ranker = EcoChargeRanker(small_environment, config)
+        segment = sample_trip.segments()[0]
+        ranker.rank_segment(sample_trip, segment, eta_h=10.2, now_h=10.0)
+        pool = small_environment.registry.within_radius(segment.midpoint, 12.0)
+        assert len(pool) > 6
+        priced = price_rows(
+            small_environment, segment, pool, 10.2, 10.0,
+            search_budget_h=ranker._budget_h,
+        )
+        kept_pool, kept = reduce_rows(pool, priced, 6, config.weights)
+        cached = ranker.cache_entry
+        assert [c.charger_id for c in cached.pool] == [c.charger_id for c in kept_pool]
+        assert_rows_bitequal(kept, rows(cached.components))
+
+    def test_midpoint_ties_keep_pool_order(self, small_environment, small_registry):
+        chargers = small_registry.all()[:8]
+
+        def comp(charger, level):
+            iv = Interval(level, min(1.0, level + 0.1))
+            return ComponentScores(charger.charger_id, iv, iv, Interval(0.3, 0.4))
+
+        # Rows 1, 3, 4 and 6 tie exactly; the stable sort keeps 1 and 3.
+        levels = [0.9, 0.5, 0.1, 0.5, 0.5, 0.7, 0.5, 0.2]
+        components = [comp(c, level) for c, level in zip(chargers, levels)]
+        config = EcoChargeConfig(k=2, cache_pool_limit=4)
+        ranker = EcoChargeRanker(small_environment, config)
+        kept_pool, kept = ranker._reduce_for_cache(
+            chargers, ComponentArrays.from_scores(components)
+        )
+        ref_pool, ref = reduce_rows(chargers, components, 4, config.weights)
+        expected = [chargers[i].charger_id for i in (0, 5, 1, 3)]
+        assert [c.charger_id for c in ref_pool] == expected
+        assert [c.charger_id for c in kept_pool] == expected
+        assert_rows_bitequal(ref, rows(kept))
+
+    @pytest.mark.parametrize("backend", ["dijkstra", "ch"])
+    def test_limited_tables_match_scalar_reference(
+        self, small_network, small_registry, sample_trip, backend
+    ):
+        """Computed and adapted tables over a reduced cached pool equal
+        the scalar reference's, bit for bit."""
+        config = EcoChargeConfig(k=3, radius_km=12.0, range_km=5.0, cache_pool_limit=6)
+        tables = {}
+        for ranker_cls in (ScalarEcoCharge, EcoChargeRanker):
+            environment = ChargingEnvironment(
+                small_network, small_registry, seed=5, engine=backend
+            )
+            ranker = ranker_cls(environment, config)
+            tables[ranker_cls] = run_over_trip(ranker, environment, sample_trip).tables
+        assert any(t.is_adapted for t in tables[EcoChargeRanker])
+        assert_tables_bitequal(tables[ScalarEcoCharge], tables[EcoChargeRanker])
 
     def test_limited_adaptation_close_to_exact(self, small_environment, sample_trip):
         """The reduced pool's adapted selection should overlap strongly

@@ -4,20 +4,22 @@ import pytest
 
 from repro.core.environment import ChargingEnvironment
 
+from .scalar_oracle import rows
+
 
 class TestScorePool:
     def test_one_score_per_charger(self, small_environment, sample_trip):
         segment = sample_trip.segments()[0]
         pool = small_environment.registry.all()[:10]
         scores = small_environment.score_pool(segment, pool, eta_h=10.5, now_h=10.0)
-        assert [s.charger_id for s in scores] == [c.charger_id for c in pool]
+        assert scores.charger_ids.tolist() == [c.charger_id for c in pool]
 
     def test_all_components_normalised(self, small_environment, sample_trip):
         segment = sample_trip.segments()[0]
         scores = small_environment.score_pool(
             segment, small_environment.registry.all(), eta_h=10.5, now_h=10.0
         )
-        for comp in scores:
+        for comp in rows(scores):
             for iv in (comp.sustainable, comp.availability, comp.derouting):
                 assert 0.0 <= iv.lo <= iv.hi <= 1.0
 
@@ -27,7 +29,7 @@ class TestScorePool:
         tight = small_environment.score_pool(
             segment, pool, eta_h=10.5, now_h=10.0, search_budget_h=1e-9
         )
-        assert all(c.derouting.hi == 1.0 for c in tight)
+        assert all(c.derouting.hi == 1.0 for c in rows(tight))
 
 
 class TestOracleView:
@@ -42,7 +44,7 @@ class TestOracleView:
             segment, pool, eta_h=eta, now_h=10.0, next_segment=nxt
         )
         truths = small_environment.true_components_pool(segment, pool, eta, nxt)
-        for comp in forecast:
+        for comp in rows(forecast):
             truth = truths[comp.charger_id]
             assert comp.sustainable.lo - 1e-9 <= truth.sustainable <= comp.sustainable.hi + 1e-9
             assert comp.availability.lo - 1e-9 <= truth.availability <= comp.availability.hi + 1e-9

@@ -278,18 +278,19 @@ class TestDeroutingEstimator:
         pool = env.registry.all()[:15]
         batch = env.derouting.batch_estimate(seg, pool, time_h=10.5, now_h=10.0,
                                              next_segment=nxt)
-        for charger in pool:
+        assert batch.charger_ids.tolist() == [c.charger_id for c in pool]
+        for row, charger in enumerate(pool):
             truth = env.derouting.true_cost_h(seg, charger, 10.5, nxt)
-            cost = batch[charger.charger_id]
-            assert cost.hours.lo - 1e-6 <= truth <= cost.hours.hi + 1e-6
+            hours = batch.hours.at(row)
+            assert hours.lo - 1e-6 <= truth <= hours.hi + 1e-6
 
     def test_normalised_unit_range(self, setup):
         env, trip, segments = setup
         batch = env.derouting.batch_estimate(
             segments[0], env.registry.all(), time_h=10.5, now_h=10.0
         )
-        for cost in batch.values():
-            assert 0.0 <= cost.normalised.lo <= cost.normalised.hi <= 1.0
+        for normalised in batch.normalised.to_intervals():
+            assert 0.0 <= normalised.lo <= normalised.hi <= 1.0
 
     def test_on_route_charger_cheapest(self, setup):
         """A charger at the segment anchor has near-zero derouting."""
@@ -300,12 +301,15 @@ class TestDeroutingEstimator:
             seg, env.registry.all(), time_h=10.5, now_h=10.0
         )
         if anchored:
-            cheapest = min(batch.values(), key=lambda c: c.hours.lo)
-            assert batch[anchored[0].charger_id].hours.lo <= cheapest.hours.lo * 1.5 + 0.05
+            hours = batch.hours.to_intervals()
+            cheapest = min(hours, key=lambda iv: iv.lo)
+            row = batch.charger_ids.tolist().index(anchored[0].charger_id)
+            assert hours[row].lo <= cheapest.lo * 1.5 + 0.05
 
     def test_empty_pool(self, setup):
         env, trip, segments = setup
-        assert env.derouting.batch_estimate(segments[0], [], 10.5, 10.0) == {}
+        batch = env.derouting.batch_estimate(segments[0], [], 10.5, 10.0)
+        assert len(batch.charger_ids) == len(batch.hours) == len(batch.normalised) == 0
 
     def test_unreachable_saturates(self, small_environment, sample_trip):
         env = small_environment
@@ -314,8 +318,8 @@ class TestDeroutingEstimator:
             seg, env.registry.all()[:5], time_h=10.5, now_h=10.0,
             search_budget_h=1e-9,  # nothing reachable
         )
-        for cost in batch.values():
-            assert cost.normalised.hi == 1.0
+        for normalised in batch.normalised.to_intervals():
+            assert normalised.hi == 1.0
 
     def test_validation(self, small_environment):
         with pytest.raises(ValueError):

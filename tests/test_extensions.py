@@ -9,7 +9,7 @@ from repro.core.extensions import (
     ExtendedWeights,
     TariffAwareRanker,
 )
-from repro.core.intervals import Interval
+from repro.intervals import Interval
 from repro.core.ranking import run_over_trip
 from repro.core.scoring import ComponentScores
 

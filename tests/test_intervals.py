@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.intervals import Interval, hull_of, weighted_sum
+from repro.intervals import Interval, hull_of, weighted_sum
 
 vals = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.intervals import Interval
+from repro.intervals import Interval
 from repro.core.scoring import (
     ABLATION_CONFIGS,
     ComponentScores,

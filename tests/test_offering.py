@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chargers.charger import Charger
-from repro.core.intervals import Interval
+from repro.intervals import Interval
 from repro.core.offering import OfferingEntry, OfferingTable, build_table
 from repro.core.scoring import ScScore
 from repro.spatial.geometry import Point

@@ -11,8 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.baselines import BruteForceRanker
 from repro.core.ecocharge import EcoChargeConfig, EcoChargeRanker
-from repro.core.ranking import run_over_trip
+from repro.core.ranking import refine_pool, run_over_trip
+from repro.core.scoring import Weights
 from repro.estimation.component import DEFAULT_CONFIDENCE
 from repro.intervals import Interval
 from repro.resilience import (
@@ -35,6 +37,7 @@ from repro.resilience import (
     TransientUpstreamError,
     UpstreamTimeoutError,
 )
+from repro.server.cache import ResponseCache
 from repro.server.eis import EcoChargeInformationServer
 from repro.simulation.scenarios import ChaosSpec, run_chaos
 
@@ -548,6 +551,95 @@ class TestFaultTolerantEnvironment:
         assert len(run.tables) > 0
         for table in run.tables:
             assert len(table.entries) > 0
+
+
+    @staticmethod
+    def _refine(environment, trip, pool, now_h):
+        segments = trip.segments()
+        return refine_pool(
+            environment,
+            trip,
+            segments[0],
+            pool,
+            eta_h=10.4,
+            now_h=now_h,
+            k=3,
+            weights=Weights.equal(),
+            next_segment=segments[1],
+        )
+
+    def test_dead_traffic_feed_floors_every_pool_row(
+        self, small_environment, small_registry, sample_trip
+    ):
+        """Every ranker prices its pool through the same gateway-backed
+        derouting: a dead traffic feed floors ``D`` on the Brute-Force
+        and refine_pool tables too, not only on EcoCharge's."""
+        injector = FaultInjector(default=FaultProfile(error_rate=1.0))
+        gateway = ResilienceGateway.build(small_environment, injector=injector)
+        environment = FaultTolerantEnvironment(small_environment, gateway)
+        floor = gateway.confidence.fallback_interval(0.0, 1.0)
+        segments = sample_trip.segments()
+        pool = small_registry.within_radius(segments[0].midpoint, 8.0)
+        tables = [
+            self._refine(environment, sample_trip, pool, now_h=10.0),
+            BruteForceRanker(environment, k=3).rank_segment(
+                sample_trip, segments[0], 10.4, 10.0, segments[1]
+            ),
+        ]
+        for table in tables:
+            assert len(table) == 3
+            assert [entry.derouting for entry in table] == [floor] * 3
+        priced = environment.score_pool(segments[0], pool, eta_h=10.4, now_h=10.0)
+        assert len(priced) == len(pool)
+        assert priced.derouting.to_intervals() == [floor] * len(pool)
+        traffic = gateway.health.for_endpoint("traffic")
+        # The provider is never reached (usage.traffic_calls stays 0), but
+        # each pricing made one logical traffic call, served by the floor.
+        assert traffic.calls == traffic.fallbacks == 3
+        assert gateway.usage.traffic_calls == 0
+        assert gateway.accounting_ok()
+
+    def test_stale_traffic_feed_widens_every_pool_row(
+        self, small_environment, small_registry, sample_trip
+    ):
+        injector = FaultInjector(
+            profiles={"traffic": FaultProfile(outages=(OutageWindow(10.1, 24.0),))}
+        )
+        gateway = ResilienceGateway.build(
+            small_environment, cache=ResponseCache(ttl_h=0.05), injector=injector
+        )
+        environment = FaultTolerantEnvironment(small_environment, gateway)
+        conf = gateway.confidence
+        segments = sample_trip.segments()
+        pool = small_registry.within_radius(segments[0].midpoint, 8.0)
+        self._refine(environment, sample_trip, pool, now_h=10.0)
+        assert gateway.usage.traffic_calls == 1  # the live fetch, now cached
+        # Same quarter-hour key, past the TTL, feed down: served stale.
+        table = self._refine(environment, sample_trip, pool, now_h=10.2)
+        degraded = environment.derouting.batch_estimate(
+            segments[0], pool, time_h=10.4, now_h=10.2, next_segment=segments[1]
+        )
+        traffic = gateway.health.for_endpoint("traffic")
+        assert traffic.stale_served == 2
+        assert gateway.usage.traffic_calls == 1
+        age_h = 10.2 - 10.0
+        fresh = small_environment.derouting.batch_estimate(
+            segments[0], pool, time_h=10.4, now_h=10.2, next_segment=segments[1]
+        )
+        max_h = small_environment.derouting.max_derouting_h
+        margin_h = conf.degraded_half_width(age_h) * max_h
+        expected = {}
+        for i, charger in enumerate(pool):
+            hours = fresh.hours.at(i)
+            widened = Interval(hours.lo - margin_h, hours.hi + margin_h).clamp(0.0, max_h)
+            assert degraded.hours.at(i) == widened
+            assert degraded.normalised.at(i) == conf.stale_interval(
+                fresh.normalised.at(i), age_h
+            )
+            expected[charger.charger_id] = degraded.normalised.at(i)
+        assert len(table) == 3
+        for entry in table:
+            assert entry.derouting == expected[entry.charger_id]
 
 
 class TestChaosScenario:
