@@ -628,6 +628,7 @@ _RAW_SEARCH_FUNCTIONS = {
     "dijkstra_all",
     "dijkstra_all_backward",
     "dijkstra_to_targets",
+    "settle_arcs",
 }
 
 

@@ -19,7 +19,7 @@ from ..chargers.charger import Charger
 from ..chargers.registry import ChargerRegistry
 from ..intervals import Interval
 from ..lru import LRU
-from .component import DEFAULT_CONFIDENCE, ForecastConfidence
+from .component import DEFAULT_CONFIDENCE, MEMO_ENTRIES_PER_CHARGER, ForecastConfidence
 
 HOURS_PER_WEEK = 168
 
@@ -100,7 +100,10 @@ class AvailabilityEstimator:
         # re-estimates the same triples every warm pass, so an LRU memo
         # turns warm ``A`` into one probe.  Lives below the resilience
         # proxies so fault injection still sees every logical call.
-        self._memo: LRU[tuple[int, float, float], Interval] = LRU(65_536)
+        # Bounded per catalog charger (see ``MEMO_ENTRIES_PER_CHARGER``).
+        self._memo: LRU[tuple[int, float, float], Interval] = LRU(
+            MEMO_ENTRIES_PER_CHARGER * max(1, len(registry))
+        )
 
     def timetable(self, charger_id: int) -> BusyTimetable:
         """The weekly busy profile backing ``charger_id``."""

@@ -17,6 +17,7 @@ from ..chargers.registry import ChargerRegistry
 from ..chargers.solar import SolarProfile
 from ..intervals import Interval
 from ..lru import LRU
+from .component import MEMO_ENTRIES_PER_CHARGER
 from .weather import WeatherModel
 
 
@@ -62,7 +63,10 @@ class SustainableChargingEstimator:
         #: same question every warm pass — a warm segment's ``L`` is one
         #: LRU probe.  The memo sits *below* the resilience proxies, so
         #: fault injection and the degradation ladder see every call.
-        self._memo: LRU[tuple[int, float, float, float], SustainableLevel] = LRU(65_536)
+        #: Bounded per catalog charger (see ``MEMO_ENTRIES_PER_CHARGER``).
+        self._memo: LRU[tuple[int, float, float, float], SustainableLevel] = LRU(
+            MEMO_ENTRIES_PER_CHARGER * max(1, len(registry))
+        )
         # Environment maximum deliverable clean power: the best any charger
         # could do under clear sky, bounded by its rate.
         self._max_power_kw = max(

@@ -359,7 +359,11 @@ class TrafficModel:
         costs = (length / speed) * multiplier
         if factors is not None:
             farr = self._factor_array(edges, index, factors, version or 0)
-            costs = np.where(np.isinf(farr), math.inf, costs * farr)
+            closed = np.isinf(farr)
+            # Multiply closed arcs by 1.0, not inf: a zero-length closed
+            # arc would compute 0 * inf (NaN, and an invalid-value warning)
+            # before the select discards it.
+            costs = np.where(closed, math.inf, costs * np.where(closed, 1.0, farr))
         out[index] = costs
         return out
 

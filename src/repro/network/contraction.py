@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import RoadEdge, RoadNetwork
-from .shortest_path import CostFn
+from .shortest_path import CostFn, dense_span, settle_arcs
 
 
 #: Regions at or below this size are contracted in plain id order — the
@@ -140,13 +140,8 @@ class ContractionHierarchy:
                 up_in[head].append((tail, arc_id))
         self._up_out = up_out
         self._up_in = up_in
-        # Dense-id fast path for search spaces: when node ids pack into a
-        # small contiguous span (every synthetic builder emits 0..n-1),
-        # distances can live in a flat list indexed by node id instead of
-        # a dict — the per-relaxation probe is an index load, not a hash.
-        span = (max(rank) + 1) if rank else 0
-        dense = 0 < span <= 2 * len(rank) + 1024 and min(rank, default=0) >= 0
-        self._node_span = span if dense else 0
+        # Dense-id fast path for search spaces (see ``dense_span``).
+        self._node_span = dense_span(rank)
 
     # -- preprocessing ------------------------------------------------------
 
@@ -417,77 +412,15 @@ class CustomizedHierarchy:
 
     # -- search spaces ------------------------------------------------------
 
-    def _space(
-        self,
-        origin: int,
-        adjacency: dict[int, list[tuple[int, int]]],
-        max_cost: float,
-    ) -> dict[int, float]:
-        span = self._ch._node_span
-        if span:
-            return self._space_dense(origin, adjacency, max_cost, span)
-        weights = self._weights
-        dist: dict[int, float] = {origin: 0.0}
-        heap: list[tuple[float, int]] = [(0.0, origin)]
-        push, pop, get = heapq.heappush, heapq.heappop, dist.get
-        inf = math.inf
-        while heap:
-            d, node = pop(heap)
-            if d > max_cost:
-                # Everything still queued is farther; entries already in
-                # ``dist`` but past the budget are exactly the unsettled.
-                return {n: v for n, v in dist.items() if v <= max_cost}
-            if d > dist[node]:
-                continue  # stale queue entry, node already settled closer
-            for neighbour, arc_id in adjacency[node]:
-                nd = d + weights[arc_id]
-                if nd <= max_cost and nd < get(neighbour, inf):
-                    dist[neighbour] = nd
-                    push(heap, (nd, neighbour))
-        return dist
-
-    def _space_dense(
-        self,
-        origin: int,
-        adjacency: dict[int, list[tuple[int, int]]],
-        max_cost: float,
-        span: int,
-    ) -> dict[int, float]:
-        """Flat-list variant of :meth:`_space` for contiguous node ids.
-
-        Identical relaxation order and arithmetic — only the distance
-        store changes (list indexed by id instead of a dict), so every
-        settled value is bitwise equal to the dict path's.
-        """
-        if max_cost < 0.0:
-            return {}  # dict path: even the origin fails the budget filter
-        weights = self._weights
-        inf = math.inf
-        dist = [inf] * span
-        dist[origin] = 0.0
-        reached = [origin]
-        heap: list[tuple[float, int]] = [(0.0, origin)]
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            d, node = pop(heap)
-            if d > dist[node]:
-                continue  # stale queue entry, node already settled closer
-            for neighbour, arc_id in adjacency[node]:
-                nd = d + weights[arc_id]
-                if nd <= max_cost and nd < dist[neighbour]:
-                    if dist[neighbour] is inf:
-                        reached.append(neighbour)
-                    dist[neighbour] = nd
-                    push(heap, (nd, neighbour))
-        return {node: dist[node] for node in reached}
-
     def forward_space(self, source: int, max_cost: float = math.inf) -> dict[int, float]:
         """Upward distances from ``source`` (the forward CH frontier)."""
-        return self._space(source, self._ch._up_out, max_cost)
+        ch = self._ch
+        return settle_arcs(source, ch._up_out, self._weights, max_cost, ch._node_span)
 
     def backward_space(self, target: int, max_cost: float = math.inf) -> dict[int, float]:
         """Upward distances *to* ``target`` over the reversed downward arcs."""
-        return self._space(target, self._ch._up_in, max_cost)
+        ch = self._ch
+        return settle_arcs(target, ch._up_in, self._weights, max_cost, ch._node_span)
 
     # -- queries ------------------------------------------------------------
 

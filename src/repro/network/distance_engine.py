@@ -13,6 +13,11 @@ chaos re-rankings) prices derouting with single-source searches over the
   (the always-correct fallback, and the paper baseline) and a contraction
   hierarchy (:mod:`repro.network.contraction`) whose per-metric
   customisations and joined pair distances are cached too;
+* both backends price a metric once per weight key into a per-arc cost
+  vector and settle over it with one flat kernel
+  (:func:`~repro.network.shortest_path.settle_arcs`): Dijkstra over the
+  network's own arcs, CH over its upward graphs after customisation —
+  no search calls a cost function per relaxation;
 * every one of those caches is a :class:`~repro.lru.LRU`, and every
   eviction is counted in :attr:`EngineStats.evictions`;
 * all delivered distances are quantised to :data:`DISTANCE_DECIMALS`
@@ -23,7 +28,7 @@ chaos re-rankings) prices derouting with single-source searches over the
 
 Cost functions are identified by :class:`WeightSpec` — a hashable key
 plus the per-edge callable (and optionally a vectorised batch evaluator
-used by CH customisation).  Raw :class:`~repro.network.graph.EdgeWeight`
+used to price every arc at once).  Raw :class:`~repro.network.graph.EdgeWeight`
 members are accepted directly.
 
 **Live-graph fencing.** When a :class:`~repro.network.epochs.
@@ -45,13 +50,15 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
+import numpy as np
+
 from ..lru import LRU
 from ..observability.deadline import NEVER_EXPIRES, CancellationToken
 from ..observability.recorder import NOOP_TELEMETRY, Telemetry
 from .contraction import ContractionHierarchy, CustomizedHierarchy, combine_spaces
 from .epochs import GraphEpochManager
 from .graph import EdgeWeight, RoadEdge, RoadNetwork
-from .shortest_path import CostFn, dijkstra_all, dijkstra_all_backward
+from .shortest_path import ArcGraph, CostFn, settle_arcs
 
 #: Decimal places every delivered distance is rounded to.  1e-9 h is 3.6 us
 #: of travel time — far below any component's resolution, far above the
@@ -73,8 +80,8 @@ class WeightSpec:
     engine's lifetime (the engine is bound to one network + one traffic
     model, so keys like ``("tt_lo", time_h, now_h)`` suffice).  ``batch``
     optionally evaluates the metric over a fixed edge sequence in one
-    call — the vectorised fast path for CH customisation; it must agree
-    bitwise with ``fn`` edge-by-edge.
+    call — the vectorised fast path for pricing arc-cost vectors on both
+    backends; it must agree bitwise with ``fn`` edge-by-edge.
 
     ``epoch_version`` is the live-graph ``weights_version`` the metric
     was built against, or ``None`` for metrics that never see incidents
@@ -127,8 +134,8 @@ class EngineStats:
     ch_builds: int = 0
     #: Weight-version bumps the engine observed and fenced (live graph).
     epoch_fences: int = 0
-    #: Cached artifacts (maps, customisations, pair joins)
-    #: dropped by epoch fencing — zero across a no-op epoch bump.
+    #: Cached artifacts (maps, arc-cost vectors, customisations, pair
+    #: joins) dropped by epoch fencing — zero across a no-op epoch bump.
     epoch_invalidations: int = 0
 
     #: Integer counter fields, in report order (used for snapshot deltas).
@@ -178,6 +185,31 @@ def _quantize(value: float) -> float:
     return round(value, DISTANCE_DECIMALS)
 
 
+def _arc_costs(
+    spec: WeightSpec, edges: Sequence[RoadEdge | None]
+) -> np.ndarray:
+    """``spec`` priced over ``edges`` as a float64 vector (``inf`` at
+    ``None``, a CH shortcut).  ``spec.batch`` prices them in one call; a
+    spec without it calls ``fn`` once per edge.  Negative costs are
+    rejected: no search stays exact under them."""
+    if spec.batch is not None:
+        costs = np.asarray(spec.batch(edges), dtype=np.float64)
+    else:
+        costs = np.array(
+            [math.inf if edge is None else spec.fn(edge) for edge in edges],
+            dtype=np.float64,
+        )
+    if np.any(costs[np.isfinite(costs)] < 0):
+        raise ValueError("negative arc cost")
+    return costs
+
+
+#: Arc-cost vectors the Dijkstra backend keeps: a segment prices two
+#: metrics (its lower and upper travel-time bound), so a few cover the
+#: segments in flight; each vector holds one float per network arc.
+PRICED_METRICS = 8
+
+
 #: Sentinel distinguishing "key never seen" from the valid version
 #: ``None`` (static spec) in the engine's per-key version ledger.
 _UNSEEN = object()
@@ -222,6 +254,12 @@ class DistanceEngine:
         self._maps: LRU[tuple[Hashable, int, str], tuple[float, dict[int, float]]]
         self._maps = LRU(capacity_nodes, cost=lambda entry: len(entry[1]))
         self._customized: LRU[Hashable, CustomizedHierarchy] = LRU(max_customizations)
+        #: The network's arcs flattened for the Dijkstra backend, built on
+        #: its first search.
+        self._arcs: ArcGraph | None = None
+        #: weight key -> the metric's cost per ``_arcs`` arc: the Dijkstra
+        #: backend's counterpart of a customisation, priced once per key.
+        self._priced: LRU[Hashable, list[float]] = LRU(PRICED_METRICS)
         #: Metrics announced by :meth:`prepare` but not yet customised.
         #: Customisation is *deferred* to the first settled-map miss that
         #: needs one of them: a warm segment whose maps are all cached
@@ -295,9 +333,11 @@ class DistanceEngine:
                 self.clear()
 
     def clear(self) -> None:
-        """Drop all cached maps and customisations (keeps the hierarchy)."""
+        """Drop all cached maps, arc-cost vectors and customisations
+        (keeps the hierarchy)."""
         with self._lock:
             self._maps.clear()
+            self._priced.clear()
             self._customized.clear()
             self._pending = ()
             self._spec_ids.clear()
@@ -359,6 +399,7 @@ class DistanceEngine:
         """Remove every cached artifact for the given weight keys in one
         pass over each cache; returns how many artifacts were dropped."""
         dropped = self._maps.drop_where(lambda map_key, _: map_key[0] in keys)
+        dropped += self._priced.drop_where(lambda key, _: key in keys)
         dropped += self._customized.drop_where(lambda key, _: key in keys)
         if self._pending:
             self._pending = tuple(p for p in self._pending if p.key not in keys)
@@ -526,9 +567,21 @@ class DistanceEngine:
                 if direction == "f"
                 else custom.backward_space(node, budget)
             )
-        if direction == "f":
-            return dijkstra_all(self._network, node, spec.fn, max_cost=budget)
-        return dijkstra_all_backward(self._network, node, spec.fn, max_cost=budget)
+        network = self._network
+        if not network.has_node(node):
+            raise KeyError(node)
+        arcs = self._arcs
+        if arcs is None or arcs.shape != (network.node_count, network.edge_count):
+            # First search, or the network grew: arc ids changed, so every
+            # priced vector is misaligned.
+            arcs = self._arcs = ArcGraph.of(network)
+            self._priced.clear()
+        weights = self._priced.get(spec.key)
+        if weights is None:
+            weights = _arc_costs(spec, arcs.edges).tolist()
+            self.stats.evictions += self._priced.put(spec.key, weights)
+        adjacency = arcs.out_arcs if direction == "f" else arcs.in_arcs
+        return settle_arcs(node, adjacency, weights, budget, arcs.span)
 
     @staticmethod
     def _subset(
@@ -548,18 +601,6 @@ class DistanceEngine:
         return out
 
     # -- CH backend ---------------------------------------------------------
-
-    @staticmethod
-    def _arc_costs(
-        spec: WeightSpec, hierarchy: ContractionHierarchy
-    ) -> Sequence[float]:
-        """Per-arc costs aligned with ``hierarchy.original_edges``."""
-        if spec.batch is not None:
-            return spec.batch(hierarchy.original_edges)
-        return [
-            math.inf if edge is None else spec.fn(edge)
-            for edge in hierarchy.original_edges
-        ]
 
     def _customize(self, spec: WeightSpec) -> CustomizedHierarchy:
         """The customisation for ``spec``, built lazily on first need.
@@ -581,7 +622,7 @@ class DistanceEngine:
                 if p.key != spec.key and p.key not in self._customized
             ]
             self._pending = ()
-            rows = [self._arc_costs(p, hierarchy) for p in group]
+            rows = [_arc_costs(p, hierarchy.original_edges) for p in group]
             telemetry = self.telemetry
             recustomizing = self._epoch_dirty
             timed = telemetry.enabled and recustomizing

@@ -5,6 +5,13 @@ the vehicle's position to a prospective charger and back to the trip.  The
 module provides plain Dijkstra, single-source Dijkstra with early exit on
 multiple targets, A* with an admissible Euclidean-over-max-speed heuristic,
 and bidirectional Dijkstra for long point-to-point queries.
+
+The searches above price every relaxed edge through a cost callable.
+:func:`settle_arcs` is the flat kernel the
+:class:`~repro.network.distance_engine.DistanceEngine` runs instead: it
+reads each arc's cost from a vector priced once per metric, over an
+``(neighbour, arc id)`` adjacency (:class:`ArcGraph` for the road network
+itself, the upward graphs of :mod:`repro.network.contraction` for CH).
 """
 
 from __future__ import annotations
@@ -12,13 +19,139 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable, Mapping, Sequence, Union
 
 from .graph import EdgeWeight, RoadEdge, RoadNetwork
 
 #: Cost function signature; receives the edge being relaxed.  Time-varying
 #: traffic plugs in here (see :mod:`repro.estimation.traffic`).
 CostFn = Callable[[RoadEdge], float]
+
+#: Per node, the ``(neighbour, arc id)`` pairs a search relaxes from it:
+#: a list indexed by node id when the ids are dense, a dict otherwise.
+ArcAdjacency = Union[
+    Sequence[Sequence[tuple[int, int]]], Mapping[int, Sequence[tuple[int, int]]]
+]
+
+
+def dense_span(node_ids: Collection[int]) -> int:
+    """Length of a flat array indexed by node id, or 0 for a dict.
+
+    Ids pack into a flat array when they are non-negative and span at
+    most about twice their count (every synthetic builder emits
+    ``0..n-1``): the per-relaxation probe is then an index load, not a
+    hash.
+    """
+    if not node_ids:
+        return 0
+    span = max(node_ids) + 1
+    return span if span <= 2 * len(node_ids) + 1024 and min(node_ids) >= 0 else 0
+
+
+def settle_arcs(
+    origin: int,
+    adjacency: ArcAdjacency,
+    weights: Sequence[float],
+    max_cost: float = math.inf,
+    span: int = 0,
+) -> dict[int, float]:
+    """Truncated Dijkstra over a flat adjacency with per-arc cost ``weights``.
+
+    A node is pushed only when its tentative cost is within ``max_cost``,
+    so every reached node is settled and the result holds exactly the
+    nodes within budget.  For non-negative costs each settled value is
+    bitwise equal to :func:`dijkstra_all` under the same costs: a stale
+    queue entry (``d > dist[node]``) is skipped where ``dijkstra_all``
+    skips a settled node, and the sums are the same.  With ``span > 0``
+    (see :func:`dense_span`) distances live in a flat list indexed by node
+    id; otherwise in a dict.  Both paths relax in the same order.
+    """
+    inf = math.inf
+    push, pop = heapq.heappush, heapq.heappop
+    heap: list[tuple[float, int]] = [(0.0, origin)]
+    if span:
+        if max_cost < 0.0:
+            return {}  # as on the dict path: even the origin is over budget
+        dist = [inf] * span
+        dist[origin] = 0.0
+        reached = [origin]
+        while heap:
+            d, node = pop(heap)
+            if d > dist[node]:
+                continue  # stale queue entry, node already settled closer
+            for neighbour, arc_id in adjacency[node]:
+                nd = d + weights[arc_id]
+                if nd <= max_cost and nd < dist[neighbour]:
+                    if dist[neighbour] is inf:
+                        reached.append(neighbour)
+                    dist[neighbour] = nd
+                    push(heap, (nd, neighbour))
+        return {node: dist[node] for node in reached}
+    best: dict[int, float] = {origin: 0.0}
+    get = best.get
+    while heap:
+        d, node = pop(heap)
+        if d > max_cost:
+            return {}  # only the origin is ever queued over budget
+        if d > best[node]:
+            continue  # stale queue entry, node already settled closer
+        for neighbour, arc_id in adjacency[node]:
+            nd = d + weights[arc_id]
+            if nd <= max_cost and nd < get(neighbour, inf):
+                best[neighbour] = nd
+                push(heap, (nd, neighbour))
+    return best
+
+
+@dataclass(frozen=True, slots=True)
+class ArcGraph:
+    """A road network's arcs, flattened once for :func:`settle_arcs`.
+
+    ``edges[arc_id]`` is the edge behind each arc: one stable tuple, so a
+    metric is priced once into a cost vector aligned with it (batch
+    evaluators key their static per-arc arrays by its identity).
+    ``out_arcs`` relaxes forward in ``out_edges`` order, ``in_arcs``
+    backward in ``in_edges`` order, both over the same arc ids.
+    ``shape`` is the ``(node_count, edge_count)`` the graph was built
+    from, so a network grown afterwards is detected.
+    """
+
+    edges: tuple[RoadEdge, ...]
+    out_arcs: ArcAdjacency
+    in_arcs: ArcAdjacency
+    span: int
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, network: RoadNetwork) -> "ArcGraph":
+        """Flatten ``network``'s adjacency into arc-id form."""
+        node_ids = list(network.node_ids())
+        edges: list[RoadEdge] = []
+        out_arcs: dict[int, list[tuple[int, int]]] = {}
+        for node in node_ids:
+            row = out_arcs[node] = []
+            for edge in network.out_edges(node):
+                row.append((edge.target, len(edges)))
+                edges.append(edge)
+        arc_of = {(edge.source, edge.target): arc_id for arc_id, edge in enumerate(edges)}
+        in_arcs = {
+            node: [
+                (edge.source, arc_of[(edge.source, edge.target)])
+                for edge in network.in_edges(node)
+            ]
+            for node in node_ids
+        }
+        span = dense_span(node_ids)
+        shape = (network.node_count, network.edge_count)
+        if not span:
+            return cls(tuple(edges), out_arcs, in_arcs, 0, shape)
+        return cls(
+            tuple(edges),
+            [out_arcs.get(node, []) for node in range(span)],
+            [in_arcs.get(node, []) for node in range(span)],
+            span,
+            shape,
+        )
 
 
 class NoPathError(Exception):

@@ -381,6 +381,13 @@ class TestR8EngineBypass:
         )
         assert rule_ids(check_source(snippet, self.CORE_PATH)) == ["R8"]
 
+    def test_fires_on_the_flat_arc_kernel(self):
+        snippet = (
+            "def price(arcs, origin, weights):\n"
+            "    return settle_arcs(origin, arcs.out_arcs, weights, 1.0, arcs.span)\n"
+        )
+        assert rule_ids(check_source(snippet, self.EST_PATH)) == ["R8"]
+
     def test_clean_when_using_engine(self):
         snippet = (
             "def price(engine, origin, pool, spec, budget):\n"

@@ -1,0 +1,293 @@
+"""Price each metric once: the Dijkstra backend's arc-cost vectors.
+
+The engine's Dijkstra backend no longer calls a cost function per
+relaxation.  It prices a metric once per weight key into a per-arc cost
+vector and settles over the network's flat ``(neighbour, arc id)``
+adjacency with the kernel CH search spaces use.  These tests pin:
+
+* bitwise equality of the raw (unquantised) settled maps with
+  ``dijkstra_all``/``dijkstra_all_backward`` under the spec's own
+  callable, on arbitrary small graphs in both kernel paths;
+* the "price once" contract itself, counted at the cost functions;
+* the fences that drop a priced vector with the rest of a key's state;
+* the catalog-derived bound of the ``L``/``A`` estimator memos.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.chargers.plugshare import CatalogSpec, generate_catalog
+from repro.core.ecocharge import EcoChargeConfig, EcoChargeRanker
+from repro.core.environment import ChargingEnvironment
+from repro.core.ranking import run_over_trip
+from repro.estimation.component import MEMO_ENTRIES_PER_CHARGER
+from repro.estimation.derouting import DeroutingEstimator
+from repro.estimation.traffic import TrafficModel
+from repro.lru import LRU
+from repro.network.builders import NetworkSpec, build_city_network
+from repro.network.distance_engine import DISTANCE_QUANTUM, DistanceEngine, WeightSpec
+from repro.network.epochs import GraphEpochManager, Incident
+from repro.network.graph import EdgeWeight, RoadEdge, RoadNetwork
+from repro.network.path import Trip
+from repro.network.shortest_path import dijkstra_all, dijkstra_all_backward
+from repro.spatial.geometry import Point
+
+INF = float("inf")
+
+
+def bits(settled: dict[int, float]) -> dict[int, str]:
+    """A settled map with every distance as its exact bit pattern."""
+    return {node: d.hex() for node, d in settled.items()}
+
+
+@st.composite
+def small_networks(draw):
+    """A random directed graph with zero-length edges, self loops and
+    optionally non-contiguous node ids, plus edges to close and an origin."""
+    n = draw(st.integers(2, 9))
+    sparse = draw(st.booleans())
+    # Sparse ids span far more than twice their count: the kernel's dict path.
+    ids = [7 + 5_000 * i for i in range(n)] if sparse else list(range(n))
+    network = RoadNetwork()
+    for i, node in enumerate(ids):
+        network.add_node(node, Point(float(i), float(i % 3)))
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3 * n, unique=True)
+    )
+    lengths = st.one_of(st.just(0.0), st.floats(0.0, 5.0, allow_nan=False))
+    for source, target in pairs:
+        network.add_edge(
+            source,
+            target,
+            length_km=draw(lengths),
+            speed_kmh=draw(st.sampled_from([20.0, 35.0, 50.0, 80.0])),
+        )
+    closed = draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)) if pairs else []
+    return network, closed, draw(st.sampled_from(ids))
+
+
+class TestSettledMapsMatchRawDijkstra:
+    """Engine settled maps equal raw Dijkstra under ``spec.fn``, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=small_networks(), data=st.data())
+    def test_both_directions_bitwise(self, case, data):
+        network, closed, origin = case
+        manager = GraphEpochManager(network)
+        traffic = TrafficModel(seed=3)
+        traffic.set_epochs(manager)
+        if closed:
+            # A live-graph closure: the metric's factor on these edges is inf.
+            manager.apply([Incident.closure(s, t) for s, t in closed])
+        engine = DistanceEngine(network)
+        engine.attach_epochs(manager)
+        specs = [
+            WeightSpec.of(EdgeWeight.DISTANCE_KM),
+            *traffic.travel_time_bound_specs(9.0, 8.0),
+            traffic.travel_time_spec(17.5),
+        ]
+        for spec in specs:
+            for direction, reference in (("f", dijkstra_all), ("b", dijkstra_all_backward)):
+                full = reference(network, origin, spec.fn)
+                # Unbudgeted, through the cached path.
+                got = engine._map(spec, origin, direction, INF)
+                assert bits(got) == bits(full)
+                # A budget exactly equal to one node's distance.
+                exact = data.draw(st.sampled_from(sorted(full.values())), label="budget")
+                got = engine._search(spec, origin, direction, exact)
+                assert bits(got) == bits(reference(network, origin, spec.fn, max_cost=exact))
+                # The engine's own quantum-inflated budget (a fresh engine:
+                # this one would serve the cached unbudgeted ball).
+                fresh = DistanceEngine(network)
+                got = fresh._map(spec, origin, direction, exact)
+                ref = reference(network, origin, spec.fn, max_cost=exact + DISTANCE_QUANTUM)
+                assert bits(got) == bits(ref)
+
+    def test_closed_zero_length_edge_prices_inf(self):
+        # 0 -> 1 is zero-length and closed: its cost is inf, never the NaN
+        # of 0 * inf, on the scalar and the batch path alike.
+        network = RoadNetwork()
+        for node in range(3):
+            network.add_node(node, Point(float(node), 0.0))
+        network.add_edge(0, 1, length_km=0.0)
+        network.add_edge(0, 2, length_km=1.0)
+        network.add_edge(2, 1, length_km=1.0)
+        manager = GraphEpochManager(network)
+        traffic = TrafficModel(seed=1)
+        traffic.set_epochs(manager)
+        manager.apply([Incident.closure(0, 1)])
+        spec = traffic.travel_time_spec(9.0)
+        closed = network.edge(0, 1)
+        assert spec.fn(closed) == INF
+        assert spec.batch((closed,))[0] == INF
+        engine = DistanceEngine(network)
+        engine.attach_epochs(manager)
+        ball = engine._map(spec, 0, "f", INF)
+        assert ball[1] == ball[2] + spec.fn(network.edge(2, 1))
+
+
+@pytest.fixture(scope="module")
+def city():
+    return build_city_network(NetworkSpec(width_km=8.0, height_km=6.0, block_km=1.2, seed=4))
+
+
+class TestPriceOnce:
+    """Each metric is priced once per weight key, then only indexed."""
+
+    def test_batch_spec_segment_makes_no_fn_calls(self, city, monkeypatch):
+        traffic = TrafficModel(seed=5)
+        calls: Counter[str] = Counter()
+
+        def counted(spec: WeightSpec) -> WeightSpec:
+            assert spec.batch is not None
+            batch = spec.batch
+
+            def fn(edge: RoadEdge) -> float:
+                calls["fn"] += 1
+                return spec.fn(edge)
+
+            def priced(edges):
+                calls["batch"] += 1
+                return batch(edges)
+
+            return WeightSpec(spec.key, fn, priced, spec.epoch_version)
+
+        original = traffic.travel_time_bound_specs
+        monkeypatch.setattr(
+            traffic,
+            "travel_time_bound_specs",
+            lambda time_h, now_h: tuple(counted(s) for s in original(time_h, now_h)),
+        )
+        engine = DistanceEngine(city)
+        estimator = DeroutingEstimator(city, traffic, engine=engine)
+        registry = generate_catalog(city, CatalogSpec(charger_count=20, seed=4))
+        nodes = sorted(city.node_ids())
+        trip = Trip.route(city, nodes[0], nodes[-1], departure_time_h=8.0)
+        first, second = trip.segments(segment_km=2.0)[:2]
+        estimator.batch_estimate(first, registry.all(), time_h=8.3, now_h=8.0, next_segment=second)
+        assert engine.stats.searches == 6
+        assert calls == Counter(batch=2)  # one pricing per metric, zero fn calls
+
+    def test_raw_edge_weight_calls_fn_once_per_arc_per_metric(self, city, monkeypatch):
+        calls: Counter[EdgeWeight] = Counter()
+        weight = RoadEdge.weight
+
+        def counted(edge: RoadEdge, kind: EdgeWeight) -> float:
+            calls[kind] += 1
+            return weight(edge, kind)
+
+        monkeypatch.setattr(RoadEdge, "weight", counted)
+        engine = DistanceEngine(city)
+        nodes = sorted(city.node_ids())
+        for kind in (EdgeWeight.DISTANCE_KM, EdgeWeight.TRAVEL_TIME_H):
+            for source in nodes[:4]:
+                engine.one_to_many(source, nodes, kind, max_cost=3.0)
+                engine.many_to_one(nodes, source, kind)
+        assert engine.stats.searches == 16
+        assert calls == {
+            EdgeWeight.DISTANCE_KM: city.edge_count,
+            EdgeWeight.TRAVEL_TIME_H: city.edge_count,
+        }
+
+    def test_epoch_fence_drops_the_cost_vector(self, city):
+        manager = GraphEpochManager(city)
+        traffic = TrafficModel(seed=2)
+        traffic.set_epochs(manager)
+        engine = DistanceEngine(city)
+        engine.attach_epochs(manager)
+        nodes = sorted(city.node_ids())
+        live = traffic.travel_time_spec(9.0)
+        engine.one_to_many(nodes[0], nodes, live, max_cost=0.2)
+        engine.one_to_many(nodes[0], nodes, EdgeWeight.DISTANCE_KM, max_cost=2.0)
+        assert live.key in engine._priced and EdgeWeight.DISTANCE_KM in engine._priced
+        edge = next(city.edges())
+        manager.apply([Incident.congestion(edge.source, edge.target, 3.0)])
+        invalidations = engine.stats.epoch_invalidations
+        engine.one_to_many(nodes[0], nodes, EdgeWeight.DISTANCE_KM, max_cost=2.0)
+        # The live metric's map and vector are gone; the static one stays warm.
+        assert live.key not in engine._priced
+        assert EdgeWeight.DISTANCE_KM in engine._priced
+        assert engine.stats.epoch_invalidations == invalidations + 2
+        engine.clear()
+        assert len(engine._priced) == 0
+
+    def test_reused_key_under_new_version_drops_the_cost_vector(self, city):
+        engine = DistanceEngine(city)
+        nodes = sorted(city.node_ids())
+        old = WeightSpec("tt", lambda e: e.length_km, epoch_version=1)
+        new = WeightSpec("tt", lambda e: 2.0 * e.length_km, epoch_version=2)
+        first = engine.one_to_many(nodes[0], nodes, old)
+        second = engine.one_to_many(nodes[0], nodes, new)
+        assert second != first
+        assert second == DistanceEngine(city).one_to_many(nodes[0], nodes, new)
+
+    def test_grown_network_is_repriced(self):
+        network = RoadNetwork()
+        for node in range(3):
+            network.add_node(node, Point(float(node), 0.0))
+        network.add_edge(0, 1, length_km=1.0)
+        engine = DistanceEngine(network)
+        assert engine.one_to_many(0, [1, 2], EdgeWeight.DISTANCE_KM) == {1: 1.0}
+        network.add_edge(1, 2, length_km=2.0)
+        engine.clear()  # drop the settled map; the arcs are rebuilt on their own
+        assert engine.one_to_many(0, [1, 2], EdgeWeight.DISTANCE_KM) == {1: 1.0, 2: 3.0}
+
+    def test_unknown_node_raises(self, city):
+        with pytest.raises(KeyError):
+            DistanceEngine(city).one_to_many(10**9, [0], EdgeWeight.DISTANCE_KM)
+
+
+class CountingLRU(LRU):
+    """An LRU that counts its writes (a memo writes only after a miss)."""
+
+    __slots__ = ("puts",)
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        self.puts = 0
+
+    def put(self, key, value) -> int:
+        self.puts += 1
+        return super().put(key, value)
+
+
+class TestEstimatorMemoBound:
+    def test_bound_is_sixteen_entries_per_charger(self, city):
+        registry = generate_catalog(city, CatalogSpec(charger_count=37, seed=2))
+        env = ChargingEnvironment(city, registry, seed=2)
+        assert MEMO_ENTRIES_PER_CHARGER == 16
+        assert env.sustainable._memo.capacity == 16 * 37
+        assert env.availability._memo.capacity == 16 * 37
+
+    def test_warm_commuter_replay_hits_every_entry(self, city):
+        registry = generate_catalog(city, CatalogSpec(charger_count=30, seed=6))
+        env = ChargingEnvironment(city, registry, seed=6)
+        memos = {
+            "L": CountingLRU(env.sustainable._memo.capacity),
+            "A": CountingLRU(env.availability._memo.capacity),
+        }
+        env.sustainable._memo = memos["L"]
+        env.availability._memo = memos["A"]
+        ranker = EcoChargeRanker(env, EcoChargeConfig(k=3, radius_km=4.0, range_km=1.0))
+        nodes = sorted(city.node_ids())
+        commuters = [
+            Trip.route(city, nodes[a], nodes[b], departure_time_h=h)
+            for a, b, h in ((0, -1, 7.5), (5, -8, 8.0), (-3, 2, 17.25))
+        ]
+
+        def commute_round() -> None:
+            for trip in commuters:
+                run_over_trip(ranker, env, trip, segment_km=2.0)
+
+        commute_round()
+        filled = {name: (len(memo), memo.puts) for name, memo in memos.items()}
+        assert all(size > 0 for size, _ in filled.values())
+        commute_round()
+        for name, memo in memos.items():
+            assert (len(memo), memo.puts) == filled[name], name  # no miss, no new entry
+            assert memo.evictions == 0, name
