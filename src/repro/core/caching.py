@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from ..analysis.contracts import ensure
 from ..chargers.charger import Charger
 from ..interval_array import ComponentArrays
+from ..observability.metrics import hit_ratio
 from ..spatial.geometry import Point
 
 
@@ -48,12 +49,7 @@ class CacheStats:
 
     @property
     def hit_rate(self) -> float:
-        # Read each counter exactly once: under concurrent mutation a
-        # re-read between the numerator and denominator can observe a
-        # different generation of the stats and report a rate > 1.
-        hits = self.hits
-        total = hits + self.misses
-        return hits / total if total else 0.0
+        return hit_ratio(self.hits, self.misses)
 
 
 @dataclass(frozen=True, slots=True)

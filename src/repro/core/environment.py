@@ -28,6 +28,7 @@ from ..network.epochs import GraphEpochManager
 from ..network.graph import RoadNetwork
 from ..network.path import TripSegment
 from ..observability.deadline import NEVER_EXPIRES, CancellationToken
+from ..observability.metrics import field_readings
 from ..observability.recorder import NOOP_TELEMETRY, Telemetry
 from ..interval_array import ComponentArrays, IntervalArray
 
@@ -73,13 +74,12 @@ class ChargingEnvironment:
         if charging_window_h <= 0:
             raise ValueError("charging window must be positive")
         self.charging_window_h = charging_window_h
-        self.telemetry = telemetry
-        self.engine.telemetry = telemetry
         #: The active request's cancellation token (scheduler-installed);
         #: the no-op default keeps uncancellable callers checkpoint-free.
         self.cancellation: CancellationToken = NEVER_EXPIRES
         #: Live-graph epoch manager (None = static network).
         self.epochs: GraphEpochManager | None = None
+        self.set_telemetry(telemetry)
 
     def set_engine_backend(self, backend: str) -> None:
         """Switch the shared distance engine backend ("dijkstra" | "ch")."""
@@ -87,9 +87,16 @@ class ChargingEnvironment:
 
     def set_telemetry(self, telemetry: Telemetry) -> None:
         """Install a telemetry recorder on this environment and the tiers
-        it owns (the shared distance engine)."""
+        it owns (the shared distance engine).  A live recorder reads the
+        engine's stats, and an attached epoch manager's, in place."""
         self.telemetry = telemetry
-        self.engine.telemetry = telemetry
+        engine = self.engine
+        engine.telemetry = telemetry
+        telemetry.read_through(
+            engine, ecocharge_engine_events=lambda: field_readings(engine.stats)
+        )
+        if self.epochs is not None:
+            self.epochs.publish(telemetry)
 
     def set_cancellation(self, token: CancellationToken) -> None:
         """Install the active request's deadline token on this environment
@@ -118,6 +125,7 @@ class ChargingEnvironment:
         self.epochs = epochs
         self.traffic.set_epochs(epochs)
         self.engine.attach_epochs(epochs)
+        epochs.publish(self.telemetry)
 
     def current_epoch(self) -> int:
         """The live-graph epoch (0 when no manager is attached)."""

@@ -36,6 +36,7 @@ from ..core.ecocharge import EcoChargeConfig, EcoChargeRanker
 from ..core.offering import OfferingTable
 from ..core.ranking import RankingRun, SegmentRanker, run_over_trip
 from ..network.path import Trip, TripSegment
+from ..observability.metrics import field_readings
 from ..resilience.errors import UpstreamError
 from .accounting import CacheEventDelta, JournalCacheAccounting
 from .codecs import (
@@ -184,6 +185,17 @@ class RankingSession:
             accounting if accounting is not None else JournalCacheAccounting()
         )
         self.ranker = EcoChargeRanker(environment, config)
+        # A live recorder reads the cache stats and journal accounting in
+        # place, keyed by session id: a resumed session (whose counters
+        # are restored from the journal) replaces its crashed
+        # predecessor's source instead of adding to it.  The reader goes
+        # through the ranker because a cache clear or restore rebinds
+        # ``stats``.
+        environment.telemetry.read_through(
+            session_id,
+            ecocharge_cache_events=lambda: field_readings(self.ranker.cache_stats),
+            ecocharge_journal_cache_events=lambda: field_readings(self._accounting),
+        )
         self._run: RankingRun | None = None
         #: The last live-graph epoch journaled for this session; segments
         #: journaled after an epoch bump are preceded by an "epoch" record
@@ -232,6 +244,7 @@ class RankingSession:
         self._write_snapshot()
         self._journal.truncate_through(self._journal.last_seq)
         self._journal.close()
+        self.environment.telemetry.registry.freeze(self.session_id)
         self.closed = True
 
     # -- SessionLog hooks (called by run_over_trip) -------------------------

@@ -12,7 +12,9 @@ distance-engine backends and demands:
   is bitwise identical to a cold recompute on the live graph;
 * free no-op bumps — bitwise-identical tables, zero cache invalidations;
 * bitwise backend agreement on the final epoch;
-* exact scheduler/epoch stats reconciliation.
+* exact accounting: every submission resolved once, and the responses
+  delivered equal the per-outcome counts the registry reads from the
+  scheduler's stats.
 
 It also wall-clock-times the **epoch swap** — the incremental CH
 re-customization sweep after an incident fences the engine — and appends
@@ -158,7 +160,7 @@ def main(config: HarnessConfig | None = None) -> str:
         "contain = epoch-degraded derouting intervals containing the "
         "fresh-epoch recompute; fresh = unwidened serves bitwise-equal to a "
         "cold recompute on the live graph; clean additionally demands free "
-        "no-op bumps, bitwise backend agreement, and exact reconciliation."
+        "no-op bumps, bitwise backend agreement, and exact accounting."
     )
     text = "\n".join(lines)
     print(text)

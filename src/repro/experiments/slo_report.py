@@ -55,9 +55,7 @@ from ..observability import (
     canonical_json,
     collect_exemplars,
     default_serving_slos,
-    mirror_scheduler_stats,
     parse_prometheus,
-    reconcile,
     render_prometheus,
     retained_trace_ids,
     trip_correlation_id,
@@ -71,6 +69,7 @@ from ..server.scheduling import (
     SchedulerConfig,
     ShardedScheduler,
 )
+from ..simulation.load import outcome_drift
 from ..trajectories.datasets import load_workload
 from .harness import HarnessConfig
 
@@ -374,18 +373,11 @@ def _grade(
     registry = telemetry.registry
     problems: list[str] = []
 
-    # -- accounting reconciliation (same bar as the serving report) -----
+    # -- accounting (same bar as the serving report) --------------------
     outcomes: dict[str, int] = {}
     for response in responses:
         outcomes[response.outcome.value] = outcomes.get(response.outcome.value, 0) + 1
-    mirror_scheduler_stats(registry, scheduler.stats)
-    problems.extend(reconcile(registry, scheduler_stats=scheduler.stats))
-    for outcome in Outcome:
-        native = registry.sample_value(
-            "ecocharge_scheduler_requests_total", {"outcome": outcome.value}
-        )
-        if (native or 0.0) != float(outcomes.get(outcome.value, 0)):
-            problems.append(f"native outcome counter drifted for {outcome.value}")
+    problems.extend(outcome_drift(registry, outcomes))
     if not scheduler.accounting_ok():
         problems.append("scheduler accounting not exact")
 

@@ -54,6 +54,7 @@ import numpy as np
 
 from ..lru import LRU
 from ..observability.deadline import NEVER_EXPIRES, CancellationToken
+from ..observability.metrics import hit_ratio
 from ..observability.recorder import NOOP_TELEMETRY, Telemetry
 from .contraction import ContractionHierarchy, CustomizedHierarchy, combine_spaces
 from .epochs import GraphEpochManager
@@ -161,17 +162,11 @@ class EngineStats:
 
     @property
     def hit_rate(self) -> float:
-        # One read per counter: a concurrent increment between reading
-        # the numerator and the denominator must not yield a rate > 1.
-        hits = self.cache_hits
-        total = hits + self.cache_misses
-        return hits / total if total else 0.0
+        return hit_ratio(self.cache_hits, self.cache_misses)
 
     @property
     def pair_hit_rate(self) -> float:
-        hits = self.pair_hits
-        total = hits + self.pair_misses
-        return hits / total if total else 0.0
+        return hit_ratio(self.pair_hits, self.pair_misses)
 
     def as_dict(self) -> dict[str, float]:
         """Flat counters for experiment reports (JSON-serialisable)."""

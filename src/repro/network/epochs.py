@@ -32,11 +32,15 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from ..observability.metrics import field_readings
 from .graph import RoadNetwork
+
+if TYPE_CHECKING:
+    from ..observability.recorder import Telemetry
 
 __all__ = [
     "Incident",
@@ -130,9 +134,8 @@ class EpochTransition:
 
 @dataclass(slots=True)
 class EpochStats:
-    """Monotonic counters for the live-graph layer, mirrored into the
-    telemetry registry by ``observability.adapters.mirror_epoch_stats``
-    with exact reconciliation."""
+    """Monotonic counters for the live-graph layer; a live telemetry
+    registry reads them in place (:meth:`GraphEpochManager.publish`)."""
 
     epochs: int = 0
     weight_epochs: int = 0
@@ -141,17 +144,8 @@ class EpochStats:
     closures_applied: int = 0
     reopenings_applied: int = 0
 
-    COUNTER_FIELDS = (
-        "epochs",
-        "weight_epochs",
-        "noop_epochs",
-        "incidents_applied",
-        "closures_applied",
-        "reopenings_applied",
-    )
-
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
+        return asdict(self)
 
 
 class GraphEpochManager:
@@ -183,6 +177,16 @@ class GraphEpochManager:
         self._factors: dict[tuple[int, int], float] = {}
         self._transitions: list[EpochTransition] = []
         self.stats = EpochStats()
+
+    def publish(self, telemetry: "Telemetry") -> None:
+        """Have a live recorder read this manager's counters and versions
+        in place (one source however many environments share it)."""
+        telemetry.read_through(
+            self,
+            ecocharge_epoch_events=lambda: field_readings(self.stats),
+            ecocharge_epoch_current=lambda: {(): float(self._epoch)},
+            ecocharge_weights_version=lambda: {(): float(self._weights_version)},
+        )
 
     @property
     def network(self) -> RoadNetwork:

@@ -8,14 +8,12 @@ One substrate for what the five tiers previously accounted separately:
 * :mod:`.deadline` — request deadlines and cancellation tokens built on
   the injected clock, polled at checkpoints by every serving tier;
 * :mod:`.metrics` — labelled counters/gauges/fixed-bucket histograms in
-  a process-local :class:`MetricsRegistry`;
+  a process-local :class:`MetricsRegistry`, whose families either count
+  at the call sites or read a stats object in place;
 * :mod:`.tracing` — deterministic span trees with trip correlation IDs
   and per-span self-time profiling;
 * :mod:`.recorder` — the :class:`Telemetry` facade the instrumented
   tiers hold (or the shared :data:`NOOP_TELEMETRY` when disabled);
-* :mod:`.adapters` — mirrors of the legacy ``CacheStats`` /
-  ``EngineStats`` / ``ApiUsage`` / health / breaker / journal counters,
-  plus exact reconciliation;
 * :mod:`.export` — Prometheus text exposition and canonical-JSON
   snapshots, with validators for both;
 * :mod:`.windows` — sliding-window aggregation over registry series
@@ -30,18 +28,6 @@ One substrate for what the five tiers previously accounted separately:
 See ``docs/observability.md`` for the metric catalog and span taxonomy.
 """
 
-from .adapters import (
-    mirror_all,
-    mirror_api_usage,
-    mirror_breakers,
-    mirror_cache_stats,
-    mirror_engine_stats,
-    mirror_epoch_stats,
-    mirror_health,
-    mirror_journal_accounting,
-    mirror_scheduler_stats,
-    reconcile,
-)
 from .clock import SYSTEM_CLOCK, Clock, SimulatedClock, SystemClock, iso_utc
 from .deadline import (
     NEVER_EXPIRES,
@@ -141,16 +127,6 @@ __all__ = [
     "trip_correlation_id",
     "Telemetry",
     "NOOP_TELEMETRY",
-    "mirror_all",
-    "mirror_cache_stats",
-    "mirror_engine_stats",
-    "mirror_epoch_stats",
-    "mirror_api_usage",
-    "mirror_health",
-    "mirror_breakers",
-    "mirror_journal_accounting",
-    "mirror_scheduler_stats",
-    "reconcile",
     "render_prometheus",
     "parse_prometheus",
     "render_json",

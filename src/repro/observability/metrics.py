@@ -1,9 +1,11 @@
 """Process-local metrics registry: counters, gauges, and histograms.
 
-The substrate every tier's accounting flows into (directly via
-instrumented call sites, or via the :mod:`.adapters` that mirror the
-legacy ``CacheStats``/``EngineStats``/``ApiUsage``/health counters).
-Design constraints, in order:
+The substrate every tier's accounting is exported through.  A family
+holds *counted children* (incremented at instrumented call sites) and
+*read-through sources*: readers over a stats object that stays the one
+store of its counts (``CacheStats``, ``EngineStats``, ``ApiUsage``,
+``EndpointHealth``, ``SchedulerStats``, ...), evaluated at collection
+time.  Design constraints, in order:
 
 * **cheap on the hot path** — the serving stack is single-threaded per
   process, so instruments are plain attribute updates with no locking;
@@ -14,15 +16,18 @@ Design constraints, in order:
   children in one dict, so an experiment can assert exact cardinality;
 * **exact export** — snapshots are plain dicts of ints/floats, rendered
   by :mod:`.export` as Prometheus text exposition or canonical JSON with
-  no rounding, so reconciliation against the legacy counters can demand
-  equality, not approximation.
+  no rounding, so a read-through sample equals its stats field exactly;
+* **count once** — a source is registered under its owner's identity
+  and a second registration replaces the first, so a resumed session or
+  a re-installed recorder never adds a count twice.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import fields
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -60,14 +65,6 @@ class Counter:
         if amount < 0:
             raise MetricError("counters only go up; use a gauge")
         self.value += amount
-
-    def set_total(self, value: float) -> None:
-        """Overwrite the absolute total — reserved for mirror adapters
-        that bridge a legacy counter (which owns the true count) into
-        the registry."""
-        if value < 0:
-            raise MetricError("a mirrored counter total cannot be negative")
-        self.value = value
 
 
 class Gauge:
@@ -133,6 +130,27 @@ class Histogram:
 
 _Instrument = Counter | Gauge | Histogram
 
+#: A read-through source: the current value per label-value tuple (in
+#: the family's label order), read from its owner at collection time.
+Reader = Callable[[], Mapping[tuple[str, ...], float]]
+
+
+def field_readings(stats: Any) -> dict[tuple[str, ...], float]:
+    """One ``(field name,)`` reading per dataclass field of ``stats`` —
+    the reader shape of an ``event``-labelled family."""
+    return {(f.name,): float(getattr(stats, f.name)) for f in fields(stats)}
+
+
+def hit_ratio(hits: float, misses: float) -> float:
+    """``hits / (hits + misses)``, 0.0 before the first lookup.
+
+    Callers pass each counter read exactly once: under concurrent
+    mutation, re-reading between numerator and denominator can observe
+    two generations of the stats and report a rate above 1.
+    """
+    total = hits + misses
+    return hits / total if total else 0.0
+
 
 class MetricFamily:
     """One named metric with a fixed label schema and typed children."""
@@ -147,6 +165,7 @@ class MetricFamily:
         "_limits",
         "_admitted",
         "_on_overflow",
+        "_sources",
     )
 
     def __init__(
@@ -172,6 +191,8 @@ class MetricFamily:
         self._limits = dict(limits) if limits else {}
         self._admitted: dict[str, set[str]] = {name: set() for name in self._limits}
         self._on_overflow = on_overflow
+        #: Read-through sources by owner identity (see :meth:`read_from`).
+        self._sources: dict[Hashable, Reader] = {}
 
     def labels(self, **labels: str) -> Any:
         """The child instrument for one label-value combination.
@@ -220,11 +241,44 @@ class MetricFamily:
         """Histogram bucket bounds (empty for counters/gauges)."""
         return self._buckets or ()
 
+    def read_from(self, owner: Hashable, reader: Reader) -> None:
+        """Read ``owner``'s counts through ``reader`` at every collection.
+
+        A second registration under the same owner replaces the first,
+        so re-installing a recorder (or resuming a session under its old
+        id) never counts twice.  Sources are summed per label set, and
+        with any counted children of the same key.
+        """
+        if self.kind == "histogram":
+            raise MetricError(f"histogram '{self.name}' cannot read through")
+        self._sources[owner] = reader
+
+    def values(self) -> dict[tuple[str, ...], float]:
+        """Counter/gauge value per label-value key: counted children plus
+        every source's reading."""
+        out = {key: child.value for key, child in self._children.items()}
+        for reader in self._sources.values():
+            for key, value in reader().items():
+                if len(key) != len(self.label_names):
+                    raise MetricError(
+                        f"source of '{self.name}' read key {key}; "
+                        f"labels are {self.label_names}"
+                    )
+                out[key] = out.get(key, 0.0) + value
+        return out
+
     def children(self) -> Iterable[tuple[tuple[str, ...], "_Instrument"]]:
         """``(label-value key, instrument)`` pairs in sorted key order —
-        the stable iteration the window aggregator snapshots."""
-        for key in sorted(self._children):
-            yield key, self._children[key]
+        the stable iteration the window aggregator snapshots.  A key fed
+        by a source yields a fresh instrument holding the summed value."""
+        if not self._sources:
+            for key in sorted(self._children):
+                yield key, self._children[key]
+            return
+        for key, value in sorted(self.values().items()):
+            reading = self._new_child()
+            reading.value = value
+            yield key, reading
 
     def admitted_values(self, label: str) -> frozenset[str]:
         """The distinct values a guarded label has admitted so far (for
@@ -249,9 +303,6 @@ class MetricFamily:
     def set(self, value: float) -> None:
         self.labels().set(value)
 
-    def set_total(self, value: float) -> None:
-        self.labels().set_total(value)
-
     def dec(self, amount: float = 1.0) -> None:
         self.labels().dec(amount)
 
@@ -263,8 +314,7 @@ class MetricFamily:
     def samples(self) -> list[dict[str, Any]]:
         """Plain-dict samples, label-sorted, for snapshots and exporters."""
         out: list[dict[str, Any]] = []
-        for key in sorted(self._children):
-            child = self._children[key]
+        for key, child in self.children():
             labels = dict(zip(self.label_names, key))
             if isinstance(child, Histogram):
                 buckets: dict[str, int] = {}
@@ -403,6 +453,16 @@ class MetricsRegistry:
     def get(self, name: str) -> MetricFamily | None:
         return self._families.get(name)
 
+    def freeze(self, owner: Hashable) -> None:
+        """Keep ``owner``'s current readings and drop its readers — and
+        with them the registry's last reference to the owner (a closed
+        session's counts stay exported)."""
+        for family in self._families.values():
+            reader = family._sources.get(owner)
+            if reader is not None:
+                reading = dict(reader())
+                family._sources[owner] = lambda reading=reading: reading
+
     def families(self) -> Iterable[MetricFamily]:
         for name in sorted(self._families):
             yield self._families[name]
@@ -421,8 +481,7 @@ class MetricsRegistry:
     def sample_value(
         self, name: str, labels: Mapping[str, str] | None = None
     ) -> float | None:
-        """One counter/gauge sample value (None when absent) — the
-        reconciliation helper the adapters' exactness tests use."""
+        """One counter/gauge sample value (None when absent)."""
         family = self._families.get(name)
         if family is None:
             return None

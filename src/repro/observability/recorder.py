@@ -13,15 +13,17 @@ constant context manager) or guarded by ``if telemetry.enabled``, and the
 acceptance criteria hold the disabled stack to < 3% overhead versus the
 pre-telemetry baseline.
 
-Native metric families (counted at the instrumented call sites) are
-predeclared here so exposition is stable even before first increment;
-mirrored families (absolute values bridged from the legacy stats
-objects) live in :mod:`.adapters`.
+Every metric family is predeclared here so exposition is stable even
+before first increment.  Families whose labels a stats object carries
+are *read-through*: the owner registers a reader with
+:meth:`Telemetry.read_through` and the stats object stays the one store
+of those counts.  The rest (tenant, shard, trips, segments, journal
+appends, histograms) are counted natively at the call sites.
 """
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Iterator
+from typing import Any, ContextManager, Hashable, Iterator
 
 from .clock import SYSTEM_CLOCK, Clock, SimulatedClock
 from .metrics import (
@@ -29,6 +31,8 @@ from .metrics import (
     MetricError,
     MetricFamily,
     MetricsRegistry,
+    Reader,
+    hit_ratio,
 )
 from .sampling import TailSampler
 from .tracing import NoopTracer, Span, Tracer
@@ -39,6 +43,38 @@ from .tracing import NoopTracer, Span, Tracer
 #: repro-check rule R17).  Overflow lands in ``__other__`` with the trip
 #: counted in ``ecocharge_label_overflow_total``.
 TENANT_LABEL_LIMIT = 8
+
+
+def _ratio_over(events: MetricFamily, hits: str, misses: str) -> Reader:
+    """A gauge reader: :func:`hit_ratio` over ``events``' summed counters
+    (nothing until some owner feeds ``events``)."""
+
+    def read() -> dict[tuple[str, ...], float]:
+        values = events.values()
+        if not values:
+            return {}
+        return {(): hit_ratio(values.get((hits,), 0.0), values.get((misses,), 0.0))}
+
+    return read
+
+
+def _availability_over(health: MetricFamily) -> Reader:
+    """Per-endpoint ``EndpointHealth.availability_ratio`` over the summed
+    ``ecocharge_endpoint_health`` counters."""
+
+    def read() -> dict[tuple[str, ...], float]:
+        values = health.values()
+        out: dict[tuple[str, ...], float] = {}
+        for (endpoint, field_name), calls in values.items():
+            if field_name != "calls":
+                continue
+            degraded = values.get((endpoint, "stale_served"), 0.0) + values.get(
+                (endpoint, "fallbacks"), 0.0
+            )
+            out[(endpoint,)] = (calls - degraded) / calls if calls else 1.0
+        return out
+
+    return read
 
 
 class Telemetry:
@@ -98,8 +134,62 @@ class Telemetry:
         reg.counter(
             "ecocharge_gateway_ladder_total",
             "Degradation-ladder outcomes per gateway fetch, by endpoint and "
-            "service level reached.",
+            "service level reached (read from EndpointHealth).",
             labels=("endpoint", "level"),
+        )
+        health = reg.counter(
+            "ecocharge_endpoint_health",
+            "Per-endpoint resilience counters (read from EndpointHealth).",
+            labels=("endpoint", "field"),
+        )
+        reg.gauge(
+            "ecocharge_endpoint_availability_ratio",
+            "Fraction of logical calls answered without degradation.",
+            labels=("endpoint",),
+        ).read_from(health, _availability_over(health))
+        reg.counter(
+            "ecocharge_api_calls",
+            "Upstream provider calls delivered (read from ApiUsage).",
+            labels=("endpoint",),
+        )
+        reg.gauge(
+            "ecocharge_breaker_state",
+            "Circuit-breaker state per endpoint (0=closed, 1=half-open, 2=open).",
+            labels=("endpoint", "state"),
+        )
+        cache = reg.counter(
+            "ecocharge_cache_events",
+            "Durable sessions' dynamic-cache lookup outcomes (read from CacheStats).",
+            labels=("event",),
+        )
+        reg.gauge(
+            "ecocharge_cache_hit_ratio",
+            "Dynamic-cache hit ratio over ecocharge_cache_events.",
+        ).read_from(cache, _ratio_over(cache, "hits", "misses"))
+        reg.counter(
+            "ecocharge_journal_cache_events",
+            "Durable sessions' journaled cache-event totals (read from "
+            "JournalCacheAccounting).",
+            labels=("event",),
+        )
+        engine = reg.counter(
+            "ecocharge_engine_events",
+            "Distance-engine cache and search accounting (read from EngineStats).",
+            labels=("event",),
+        )
+        reg.gauge(
+            "ecocharge_engine_hit_ratio",
+            "Distance-engine search-cache hit ratio over ecocharge_engine_events.",
+        ).read_from(engine, _ratio_over(engine, "cache_hits", "cache_misses"))
+        reg.counter(
+            "ecocharge_epoch_events",
+            "Live-graph epoch and incident accounting (read from EpochStats).",
+            labels=("event",),
+        )
+        reg.gauge("ecocharge_epoch_current", "The live graph's current epoch.")
+        reg.gauge(
+            "ecocharge_weights_version",
+            "The live graph's current weights version (bumps only on real changes).",
         )
         reg.counter(
             "ecocharge_journal_appends_total",
@@ -112,7 +202,8 @@ class Telemetry:
         )
         reg.counter(
             "ecocharge_scheduler_requests_total",
-            "Serving-tier requests resolved, by final outcome.",
+            "Serving-tier requests resolved, by final outcome (read from "
+            "SchedulerStats).",
             labels=("outcome",),
         )
         reg.histogram(
@@ -195,6 +286,18 @@ class Telemetry:
         if not self.enabled:
             return
         self._family(name).labels(**labels).inc(amount)
+
+    def read_through(self, owner: Hashable, **readers: Reader) -> None:
+        """Have each named family read ``owner``'s counts at collection.
+
+        ``owner`` is the identity: registering it again replaces its
+        earlier readers rather than adding to them.  A no-op when
+        disabled, so nothing registers on :data:`NOOP_TELEMETRY`.
+        """
+        if not self.enabled:
+            return
+        for name, reader in readers.items():
+            self._family(name).read_from(owner, reader)
 
     def observe(
         self, name: str, value: float, exemplar: str | None = None, **labels: str

@@ -38,9 +38,10 @@ from .windows import WindowedAggregator
 #: Finite stand-in for an infinite burn rate (zero-budget SLO violated).
 BURN_CAP = 1e6
 
-#: Terminal serving outcomes, mirrored from the scheduler's ``Outcome``
-#: enum as literals (importing the server tier here would invert the
-#: R14 layering — observability must stay importable from below).
+#: Terminal serving outcomes: the scheduler's ``Outcome`` values spelled
+#: as literals (importing the server tier here would invert the R14
+#: layering — observability must stay importable from below).  A test
+#: holds them equal to the enum and to the scheduler's exported labels.
 SERVING_OUTCOMES: tuple[str, ...] = (
     "completed",
     "stale",

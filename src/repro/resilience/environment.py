@@ -176,9 +176,11 @@ class FaultTolerantEnvironment(ChargingEnvironment):
 
     def set_telemetry(self, telemetry: "Telemetry") -> None:
         """Install telemetry on this view *and* the inner environment (the
-        gateway reads the inner environment's recorder at fetch time)."""
+        gateway reads the inner environment's recorder at fetch time,
+        and a live one reads the gateway's counters in place)."""
         self.telemetry = telemetry
         self.inner.set_telemetry(telemetry)
+        self.gateway.publish(telemetry)
 
     def set_cancellation(self, token: "CancellationToken") -> None:
         """Install the deadline token on this view *and* the inner

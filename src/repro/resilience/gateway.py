@@ -17,7 +17,10 @@ Every upstream fetch of the serving stack goes down the same ladder:
 The gateway is the *only* sanctioned way for server-tier code to reach
 the raw provider APIs (``repro-check`` rule R7 enforces this): it owns
 the fault-injecting wrappers, the per-endpoint breakers/retry policies,
-and the health counters that reconcile against ``ApiUsage``.
+and the health counters that reconcile against ``ApiUsage``.  A live
+telemetry registry reads those counters, the ``ApiUsage`` totals and the
+breaker states in place (:meth:`ResilienceGateway.publish`); nothing is
+counted twice.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..estimation.component import DEFAULT_CONFIDENCE, ForecastConfidence
 from ..estimation.weather import ATTENUATION, SkyState, WeatherForecast
+from ..observability.metrics import field_readings
 from .endpoint import ResilientEndpoint
 from .errors import UpstreamError
 from .faults import (
@@ -44,6 +48,7 @@ from .policy import BUSY, CATALOG, DEFAULT_RESILIENCE, ENDPOINTS, TRAFFIC, WEATH
 if TYPE_CHECKING:  # runtime imports are deferred to break the server cycle
     from ..chargers.charger import Charger
     from ..core.environment import ChargingEnvironment
+    from ..observability.recorder import Telemetry
     from ..server.api import ApiUsage
     from ..server.cache import ResponseCache
     from ..spatial.geometry import Point
@@ -65,6 +70,19 @@ class ServiceLevel(enum.Enum):
     @property
     def is_degraded(self) -> bool:
         return self in (ServiceLevel.STALE, ServiceLevel.FALLBACK)
+
+
+#: The ``EndpointHealth`` counter that records each ladder rung.
+_RUNG_COUNTERS = {
+    ServiceLevel.CACHED: "cache_hits",
+    ServiceLevel.LIVE: "live",
+    ServiceLevel.RETRIED: "retried",
+    ServiceLevel.STALE: "stale_served",
+    ServiceLevel.FALLBACK: "fallbacks",
+}
+
+#: ``ecocharge_breaker_state`` value per breaker state.
+_BREAKER_CODES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,6 +132,7 @@ class ResilienceGateway:
             )
             for name in ENDPOINTS
         }
+        self.publish(environment.telemetry)
 
     @classmethod
     def build(
@@ -191,11 +210,6 @@ class ResilienceGateway:
             telemetry.event(
                 "gateway.ladder", endpoint=endpoint_name, level=result.level.value
             )
-        telemetry.inc(
-            "ecocharge_gateway_ladder_total",
-            endpoint=endpoint_name,
-            level=result.level.value,
-        )
         telemetry.observe(
             "ecocharge_gateway_fetch_seconds",
             telemetry.clock.monotonic() - started_s,
@@ -363,6 +377,37 @@ class ResilienceGateway:
         )
 
     # -- observability -------------------------------------------------------
+
+    def publish(self, telemetry: "Telemetry") -> None:
+        """Have a live recorder read this gateway's health counters,
+        provider usage and breaker states in place."""
+        telemetry.read_through(
+            self,
+            ecocharge_gateway_ladder_total=self._ladder_readings,
+            ecocharge_endpoint_health=self._health_readings,
+            ecocharge_api_calls=lambda: {
+                (name.removesuffix("_calls"),): value
+                for (name,), value in field_readings(self.usage).items()
+            },
+            ecocharge_breaker_state=lambda: {
+                (name, state): _BREAKER_CODES[state]
+                for name, state in self.breaker_states().items()
+            },
+        )
+
+    def _ladder_readings(self) -> dict[tuple[str, ...], float]:
+        return {
+            (name, level.value): float(getattr(health, counter))
+            for name, health in self.health.endpoints.items()
+            for level, counter in _RUNG_COUNTERS.items()
+        }
+
+    def _health_readings(self) -> dict[tuple[str, ...], float]:
+        return {
+            (name, field_name): float(value)
+            for name, counters in self.health.as_dict().items()
+            for field_name, value in counters.items()
+        }
 
     def breaker_states(self) -> dict[str, str]:
         """Current breaker state per endpoint."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from ..lru import LRU
+from ..observability.metrics import hit_ratio
 from ..spatial.geometry import Point
 
 
@@ -39,12 +40,7 @@ class ResponseCacheStats:
 
     @property
     def hit_rate(self) -> float:
-        # Each counter is read exactly once: re-reading ``hits`` for the
-        # numerator after a concurrent increment slipped between the two
-        # reads can report a rate above 1.0 (the torn-read bug).
-        hits = self.hits
-        total = hits + self.misses
-        return hits / total if total else 0.0
+        return hit_ratio(self.hits, self.misses)
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,10 +28,10 @@ this is what the chaos tests and the experiment driver use, on a
 bounded ``poll`` timeout, which is how the wall-clock benchmark
 measures real contention.
 
-``SchedulerStats`` is the exact source of truth, mutated only under the
-scheduler lock; the (deliberately lock-free) metrics registry receives
-*mirrored absolutes* via :func:`repro.observability.mirror_scheduler_stats`,
-and reconciliation demands exact equality between the two.
+``SchedulerStats`` is the one store of the request accounting, mutated
+only under the scheduler lock; a live metrics registry reads it in place
+as ``ecocharge_scheduler_requests_total`` (a read-through family), so
+the exported outcome counts cannot drift from the stats.
 """
 
 from __future__ import annotations
@@ -124,14 +124,27 @@ class SchedulerConfig:
             raise ValueError("poll_timeout_s must be positive")
 
 
+#: The terminal ``SchedulerStats`` counter of each outcome.
+_OUTCOME_COUNTERS = {
+    Outcome.COMPLETED: "completed",
+    Outcome.STALE: "served_stale",
+    Outcome.SHED_DEADLINE: "sheds_deadline",
+    Outcome.SHED_QUEUE: "sheds_queue",
+    Outcome.SHED_BROWNOUT: "sheds_brownout",
+    Outcome.REJECTED_RATE: "rejected_rate",
+    Outcome.REJECTED_CAPACITY: "rejected_capacity",
+    Outcome.FAILED: "failed",
+}
+
+
 @dataclass(slots=True)
 class SchedulerStats:
     """Exact request accounting; every submission resolves to exactly one
     terminal counter, so :meth:`accounting_ok` can demand equality.
 
     Mutated only by the owning scheduler under its lock (repro-check
-    rule R13 polices outside writers); the metrics registry carries a
-    mirrored projection, never the source of truth.
+    rule R13 polices outside writers); a live metrics registry reads the
+    terminal counters in place, per :class:`Outcome`.
     """
 
     submitted: int = 0
@@ -154,16 +167,7 @@ class SchedulerStats:
     #: requester but never cached as fresh (not a terminal).
     stale_epoch_rejections: int = 0
 
-    _TERMINALS = (
-        "completed",
-        "served_stale",
-        "sheds_deadline",
-        "sheds_queue",
-        "sheds_brownout",
-        "rejected_rate",
-        "rejected_capacity",
-        "failed",
-    )
+    _TERMINALS = tuple(_OUTCOME_COUNTERS.values())
 
     def resolved(self) -> int:
         """Requests that reached a terminal outcome."""
@@ -182,18 +186,6 @@ class SchedulerStats:
             "epoch_degraded": self.epoch_degraded,
             "stale_epoch_rejections": self.stale_epoch_rejections,
         }
-
-
-_OUTCOME_COUNTERS = {
-    Outcome.COMPLETED: "completed",
-    Outcome.STALE: "served_stale",
-    Outcome.SHED_DEADLINE: "sheds_deadline",
-    Outcome.SHED_QUEUE: "sheds_queue",
-    Outcome.SHED_BROWNOUT: "sheds_brownout",
-    Outcome.REJECTED_RATE: "rejected_rate",
-    Outcome.REJECTED_CAPACITY: "rejected_capacity",
-    Outcome.FAILED: "failed",
-}
 
 
 class _Shard:
@@ -238,7 +230,7 @@ class ShardedScheduler:
     ``environment_factory`` is called once per shard so that engines and
     dynamic caches are never shared across workers (shard affinity, not
     locking, is the concurrency story for the heavy state; the stats
-    objects are additionally lock-protected for the mirrored counters).
+    objects are additionally lock-protected).
     """
 
     def __init__(
@@ -285,6 +277,10 @@ class ShardedScheduler:
         if epochs is not None:
             for shard in self.shards:
                 shard.environment.set_epochs(epochs)
+            epochs.publish(self.telemetry)
+        self.telemetry.read_through(
+            self, ecocharge_scheduler_requests_total=self._outcome_readings
+        )
         self._lock = threading.Lock()
         self._completed: list[RankResponse] = []
         self._next_id = 0
@@ -703,9 +699,6 @@ class ShardedScheduler:
                 self.stats.widened += 1
             if response.epoch_degraded:
                 self.stats.epoch_degraded += 1
-            self.telemetry.inc(
-                "ecocharge_scheduler_requests_total", outcome=response.outcome.value
-            )
             self.telemetry.observe(
                 "ecocharge_scheduler_latency_seconds", response.latency_s
             )
@@ -743,6 +736,13 @@ class ShardedScheduler:
         return out
 
     # -- accounting ---------------------------------------------------------
+
+    def _outcome_readings(self) -> dict[tuple[str, ...], float]:
+        """Resolved requests per :class:`Outcome` value, read from the stats."""
+        return {
+            (outcome.value,): float(getattr(self.stats, counter))
+            for outcome, counter in _OUTCOME_COUNTERS.items()
+        }
 
     @property
     def pending(self) -> int:

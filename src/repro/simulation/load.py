@@ -3,8 +3,8 @@
 Feeds a :class:`~repro.server.scheduling.ShardedScheduler` a seeded
 arrival process over real fleet trips and reports what came back —
 latency percentiles, throughput, shed/brownout composition, and an
-exact reconciliation of the scheduler's accounting against the metrics
-registry.
+exact check of the responses delivered against the per-outcome counts
+the metrics registry reads from the scheduler's stats.
 
 Two modes, matching the scheduler's:
 
@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..observability import mirror_scheduler_stats, reconcile
 from ..observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
+    MetricsRegistry,
     histogram_quantile,
 )
 from ..server.scheduling import Outcome, Priority, RankResponse, ShardedScheduler
@@ -141,6 +141,24 @@ def percentile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
     return ordered[rank - 1]
+
+
+def outcome_drift(registry: MetricsRegistry, outcomes: Mapping[str, int]) -> list[str]:
+    """Each outcome whose ``ecocharge_scheduler_requests_total`` count
+    (read from ``SchedulerStats``) differs from the responses actually
+    delivered — two independent tallies of "one response per request"."""
+    problems: list[str] = []
+    for outcome in Outcome:
+        counted = registry.sample_value(
+            "ecocharge_scheduler_requests_total", {"outcome": outcome.value}
+        )
+        delivered = float(outcomes.get(outcome.value, 0))
+        if counted != delivered:
+            problems.append(
+                f"ecocharge_scheduler_requests_total{{outcome={outcome.value}}}: "
+                f"counted={counted} responses={delivered}"
+            )
+    return problems
 
 
 def _latency_quantiles(served_latencies: Sequence[float]) -> tuple[float, float]:
@@ -274,22 +292,11 @@ def _report(
         if response.outcome.is_served:
             served_latencies.append(response.latency_s)
     served = sum(1 for r in responses if r.outcome.is_served)
-    registry = scheduler.telemetry.registry
-    mirror_scheduler_stats(registry, scheduler.stats)
-    problems = list(reconcile(registry, scheduler_stats=scheduler.stats))
-    # The native per-outcome counter must agree with the exact stats too
-    # (when telemetry is live): one increment per resolution, no drift.
-    if scheduler.telemetry.enabled:
-        for outcome in Outcome:
-            native = registry.sample_value(
-                "ecocharge_scheduler_requests_total", {"outcome": outcome.value}
-            )
-            expected = float(outcomes.get(outcome.value, 0))
-            if (native or 0.0) != expected:
-                problems.append(
-                    f"ecocharge_scheduler_requests_total{{outcome={outcome.value}}}: "
-                    f"native={native} responses={expected}"
-                )
+    problems = (
+        outcome_drift(scheduler.telemetry.registry, outcomes)
+        if scheduler.telemetry.enabled
+        else []
+    )
     p50_latency_s, p99_latency_s = _latency_quantiles(served_latencies)
     return LoadReport(
         requests=scheduler.stats.submitted,

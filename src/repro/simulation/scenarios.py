@@ -404,8 +404,9 @@ class IncidentChaosSpec:
       yields bitwise-identical tables and zero cache invalidations;
     * **backend agreement** — after the full storm, both backends produce
       bitwise-identical Offering Tables on the final epoch;
-    * **exact accounting** — scheduler and epoch stats reconcile exactly
-      against the metrics registry.
+    * **exact accounting** — every submission resolves exactly once, and
+      the responses delivered match the per-outcome counts the metrics
+      registry reads from the scheduler's stats.
     """
 
     name: str = "incident-chaos"
@@ -517,15 +518,11 @@ def _drive_incident_storm(workload: Workload, spec: IncidentChaosSpec, backend: 
     from ..core.environment import ChargingEnvironment
     from ..durability import OfferingTableCodec, canonical_dumps
     from ..network.epochs import GraphEpochManager
-    from ..observability import (
-        mirror_epoch_stats,
-        mirror_scheduler_stats,
-        reconcile,
-    )
     from ..observability.recorder import Telemetry
     from ..resilience import FaultInjector, IncidentChaos
     from ..server.eis import EcoChargeInformationServer
     from ..server.scheduling import Outcome, SchedulerConfig, ShardedScheduler
+    from .load import outcome_drift
 
     network, registry, seed = workload.network, workload.registry, spec.seed
     config = EcoChargeConfig(k=spec.k, radius_km=spec.radius_km, engine=backend)
@@ -597,6 +594,7 @@ def _drive_incident_storm(workload: Workload, spec: IncidentChaosSpec, backend: 
     fresh_checks = fresh_divergences = 0
     noop_proofs = noop_divergences = noop_cache_invalidations = 0
     served = 0
+    outcomes: dict[str, int] = {}
     slack = spec.containment_slack
 
     def check_containment(response) -> None:
@@ -657,6 +655,8 @@ def _drive_incident_storm(workload: Workload, spec: IncidentChaosSpec, backend: 
                 scheduler.submit(tenant=f"tenant-{i}", trip=trip)
             scheduler.drain()
             for response in scheduler.drain_responses():
+                outcome = response.outcome.value
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
                 if not response.outcome.is_served:
                     continue
                 served += 1
@@ -674,11 +674,7 @@ def _drive_incident_storm(workload: Workload, spec: IncidentChaosSpec, backend: 
                 scheduler.epoch_cache_invalidations() - drops_before
             )
 
-    mirror_scheduler_stats(telemetry.registry, scheduler.stats)
-    mirror_epoch_stats(telemetry.registry, manager)
-    problems = reconcile(
-        telemetry.registry, scheduler_stats=scheduler.stats, epochs=manager
-    )
+    problems = outcome_drift(telemetry.registry, outcomes)
     final_tables = [encode(fresh_rank(trip)) for trip in trips]
     # Epoch-swap latency: the slowest post-fence re-customization sweep
     # any shard engine paid (CH backend; None when no sweep ran).

@@ -94,7 +94,7 @@ class TestTopology:
         assert unit_grid.degree(corner) == 2
         assert set(unit_grid.neighbours(corner)) == {1, 6}
 
-    def test_in_and_out_edges_mirror_for_roads(self, unit_grid):
+    def test_in_and_out_edges_match_for_roads(self, unit_grid):
         outs = {(e.source, e.target) for e in unit_grid.out_edges(7)}
         ins = {(e.target, e.source) for e in unit_grid.in_edges(7)}
         assert outs == ins  # every road is a directed pair

@@ -9,13 +9,15 @@ Covers the observability package in layers:
 3. the six-tier integration criterion: one durable trip produces one
    trace tree spanning server/gateway/ranker/engine/cache/journal under
    a single content-hashed trip correlation ID, with the registry
-   reconciling *exactly* against the legacy counters — including across
-   a crash/resume boundary (no double counting).
+   reading every stats object in place — counted once, including across
+   a crash/resume boundary and across shards sharing one registry.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.core.environment import ChargingEnvironment
 from repro.core.ranking import run_over_trip
 from repro.durability.session import DurabilityConfig
 from repro.network.builders import NetworkSpec, build_city_network
+from repro.network.graph import EdgeWeight
 from repro.network.path import Trip
 from repro.observability import (
     NOOP_TELEMETRY,
@@ -36,18 +39,19 @@ from repro.observability import (
     Tracer,
     canonical_json,
     iso_utc,
+    WindowedAggregator,
     json_round_trips,
-    mirror_all,
     parse_prometheus,
-    reconcile,
     render_json,
     render_prometheus,
 )
 from repro.observability.export import ExpositionError
+from repro.observability.metrics import MetricFamily, field_readings, hit_ratio
 from repro.observability.tracing import trip_correlation_id
 from repro.resilience.errors import TransientUpstreamError
 from repro.resilience.faults import CrashPoint, FaultInjector, SessionCrash
 from repro.server.eis import EcoChargeInformationServer
+from repro.server.scheduling import SchedulerConfig, ShardedScheduler
 from repro.server.sessions import DurableSessionService
 
 # ---------------------------------------------------------------------------
@@ -103,6 +107,60 @@ class TestMetricsRegistry:
         depth.dec(2.0)
         assert registry.sample_value("requests_total", {"route": "/rank"}) == 3.0
         assert registry.sample_value("queue_depth") == 5.0
+
+    def test_read_through_sources_sum_and_replace_by_owner(self):
+        registry = MetricsRegistry()
+        family = registry.counter("events_total", "events", labels=("event",))
+        first = {"hits": 2.0}
+        family.read_from("a", lambda: {("hits",): first["hits"]})
+        family.read_from("b", lambda: {("hits",): 5.0, ("misses",): 1.0})
+        family.labels(event="hits").inc()
+        assert registry.sample_value("events_total", {"event": "hits"}) == 8.0
+        first["hits"] = 4.0  # the owner counts on; no further call
+        assert registry.sample_value("events_total", {"event": "hits"}) == 10.0
+        family.read_from("b", lambda: {("hits",): 0.0})  # same owner replaces
+        assert registry.sample_value("events_total", {"event": "hits"}) == 5.0
+        assert registry.sample_value("events_total", {"event": "misses"}) is None
+
+    def test_freeze_keeps_the_reading_and_drops_the_reader(self):
+        registry = MetricsRegistry()
+        family = registry.counter("events_total", "events", labels=("event",))
+        counts = {"hits": 3.0}
+        family.read_from("owner", lambda: {("hits",): counts["hits"]})
+        registry.freeze("owner")
+        counts["hits"] = 99.0
+        assert registry.sample_value("events_total", {"event": "hits"}) == 3.0
+
+    def test_sources_are_seen_like_counted_children(self):
+        clock = SimulatedClock(start_s=0.0, tick_s=0.0)
+        registry = MetricsRegistry()
+        family = registry.counter("events_total", "events", labels=("event",))
+        counts = {"hits": 1.0}
+        family.read_from("owner", lambda: {("hits",): counts["hits"]})
+        windows = WindowedAggregator(registry, clock)
+        windows.sample()
+        clock.advance(10.0)
+        counts["hits"] = 4.0
+        windows.sample()
+        assert windows.counter_delta("events_total", {"event": "hits"}, 10.0) == 3.0
+        assert [(key, child.value) for key, child in family.children()] == [(("hits",), 4.0)]
+        assert registry.snapshot()["events_total"]["samples"] == [
+            {"labels": {"event": "hits"}, "value": 4.0}
+        ]
+        assert 'events_total{event="hits"} 4' in render_prometheus(registry)
+
+    def test_read_through_rejects_histograms_and_bad_keys(self):
+        registry = MetricsRegistry()
+        with pytest.raises(MetricError):
+            registry.histogram("h_seconds", "h").read_from("owner", dict)
+        family = registry.counter("events_total", "events", labels=("event",))
+        family.read_from("owner", lambda: {("a", "b"): 1.0})
+        with pytest.raises(MetricError):
+            family.values()
+
+    def test_hit_ratio(self):
+        assert hit_ratio(0, 0) == 0.0
+        assert hit_ratio(3, 1) == 0.75
 
     def test_counter_rejects_negative_increment(self):
         registry = MetricsRegistry()
@@ -586,7 +644,7 @@ class TestSixTierIntegration:
         assert ids == {trip_correlation_id(trip)}
         assert len(telemetry.tracer.traces) == 2
 
-    def test_reconciles_exactly_after_resume(self, tmp_path):
+    def test_resume_counts_cache_and_journal_once(self, tmp_path):
         telemetry = Telemetry.simulated()
         environment = _build_environment()
         environment.set_telemetry(telemetry)
@@ -613,27 +671,159 @@ class TestSixTierIntegration:
         finally:
             service2.close(session)
 
-        mirror_all(
-            telemetry.registry,
-            cache_stats=session.ranker.cache_stats,
-            engine_stats=environment2.engine.stats,
-            api_usage=server2.usage,
-            health=server2.health,
-            breaker_states=server2.gateway.breaker_states(),
-            journal_accounting=session.accounting,
+        # The resumed session restored its counters from the journal and
+        # replaced the crashed session's source (same session id), so the
+        # exported totals are the session's own — not crashed + resumed.
+        registry = telemetry.registry
+        for event, value in field_readings(session.ranker.cache_stats).items():
+            assert registry.sample_value("ecocharge_cache_events", {"event": event[0]}) == value
+        for event, value in field_readings(session.accounting).items():
+            assert (
+                registry.sample_value("ecocharge_journal_cache_events", {"event": event[0]})
+                == value
+            )
+        assert session.accounting.hits + session.accounting.misses > 0
+        assert server2.gateway.accounting_ok()
+        # Engines and gateways of both processes are distinct owners: they sum.
+        assert registry.sample_value(
+            "ecocharge_engine_events", {"event": "searches"}
+        ) == float(environment.engine.stats.searches + environment2.engine.stats.searches)
+        assert registry.sample_value("ecocharge_api_calls", {"endpoint": "busy"}) == float(
+            server.usage.busy_calls + server2.usage.busy_calls
         )
-        mismatches = reconcile(
-            telemetry.registry,
-            cache_stats=session.ranker.cache_stats,
-            engine_stats=environment2.engine.stats,
-            api_usage=server2.usage,
-            journal_accounting=session.accounting,
-        )
-        assert mismatches == []
 
         text = render_prometheus(telemetry.registry)
         parse_prometheus(text)
         assert json_round_trips(render_json(telemetry.registry))
+
+
+# ---------------------------------------------------------------------------
+# read-through: each stats object is the one store, read at collection
+# ---------------------------------------------------------------------------
+
+
+def _route_trip(environment: ChargingEnvironment, offset: int = 0) -> Trip:
+    nodes = sorted(environment.network.node_ids())
+    return Trip.route(
+        environment.network, nodes[offset], nodes[-1 - offset], departure_time_h=10.0
+    )
+
+
+class TestReadThrough:
+    def test_increment_after_registration_is_exported(self):
+        environment = _build_environment()
+        telemetry = Telemetry.simulated()
+        environment.set_telemetry(telemetry)
+        engine = environment.engine
+        nodes = sorted(environment.network.node_ids())
+        engine.one_to_many(nodes[0], nodes[1:5], EdgeWeight.DISTANCE_KM)
+        searches = engine.stats.searches
+        assert searches > 0
+        # A further search, then read: no call between count and export.
+        engine.one_to_many(nodes[7], nodes[1:5], EdgeWeight.DISTANCE_KM)
+        assert engine.stats.searches > searches
+        sample = telemetry.registry.sample_value(
+            "ecocharge_engine_events", {"event": "searches"}
+        )
+        assert sample == float(engine.stats.searches)
+        line = f'ecocharge_engine_events{{event="searches"}} {engine.stats.searches}'
+        assert line in render_prometheus(telemetry.registry).splitlines()
+
+    def test_two_shard_engines_on_one_registry_sum(self):
+        telemetry = Telemetry.simulated(tick_s=0.0)
+        base = _build_environment()
+
+        def factory() -> ChargingEnvironment:
+            return ChargingEnvironment(
+                base.network, base.registry, seed=5, telemetry=telemetry
+            )
+
+        scheduler = ShardedScheduler(
+            factory,
+            SchedulerConfig(shards=2, queue_capacity=8),
+            CONFIG,
+            clock=telemetry.clock,
+            telemetry=telemetry,
+        )
+        by_shard = {}
+        for offset in range(12):
+            trip = _route_trip(base, offset)
+            by_shard.setdefault(scheduler.shard_for(trip), trip)
+        assert len(by_shard) == 2
+        for trip in by_shard.values():
+            scheduler.submit("tenant", trip)
+        scheduler.drain()
+        per_shard = [shard.environment.engine.stats.searches for shard in scheduler.shards]
+        assert all(count > 0 for count in per_shard), per_shard
+        assert telemetry.registry.sample_value(
+            "ecocharge_engine_events", {"event": "searches"}
+        ) == float(sum(per_shard))
+
+    def test_closed_session_leaves_no_reference_and_keeps_counts(self, tmp_path):
+        environment = _build_environment()
+        telemetry = Telemetry.simulated()
+        environment.set_telemetry(telemetry)
+        server = EcoChargeInformationServer(environment)
+        service = DurableSessionService(
+            server, tmp_path, DurabilityConfig(snapshot_every=2, fsync=False)
+        )
+        session = service.open("s1", _trip_for(environment), CONFIG)
+        session.run()
+        service.close(session)
+        expected = field_readings(session.ranker.cache_stats)
+        journaled = field_readings(session.accounting)
+        assert expected[("hits",)] + expected[("misses",)] > 0
+
+        ref = weakref.ref(session)
+        del session
+        gc.collect()
+        assert ref() is None
+        registry = telemetry.registry
+        for (event,), value in expected.items():
+            assert registry.sample_value("ecocharge_cache_events", {"event": event}) == value
+        for (event,), value in journaled.items():
+            assert (
+                registry.sample_value("ecocharge_journal_cache_events", {"event": event})
+                == value
+            )
+
+    def test_noop_telemetry_registers_no_source(self, monkeypatch):
+        calls: list[str] = []
+        read_from = MetricFamily.read_from
+
+        def spy(family, owner, reader):
+            calls.append(family.name)
+            read_from(family, owner, reader)
+
+        monkeypatch.setattr(MetricFamily, "read_from", spy)
+        base = _build_environment()
+
+        def build(telemetry: Telemetry) -> None:
+            environment = ChargingEnvironment(
+                base.network, base.registry, seed=5, telemetry=telemetry
+            )
+            EcoChargeInformationServer(environment)
+            ShardedScheduler(
+                lambda: ChargingEnvironment(
+                    base.network, base.registry, seed=5, telemetry=telemetry
+                ),
+                SchedulerConfig(shards=2),
+                CONFIG,
+                telemetry=telemetry,
+            )
+
+        build(NOOP_TELEMETRY)
+        assert calls == []
+        assert list(NOOP_TELEMETRY.registry.families()) == []
+        # Control: the same build on a live recorder does register.
+        live = Telemetry.simulated()
+        calls.clear()
+        build(live)
+        assert {
+            "ecocharge_engine_events",
+            "ecocharge_gateway_ladder_total",
+            "ecocharge_scheduler_requests_total",
+        } <= set(calls)
 
 
 # ---------------------------------------------------------------------------

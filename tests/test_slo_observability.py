@@ -66,10 +66,17 @@ from repro.observability.slo import (
     EventRatioSLO,
     LatencyBucketSLO,
     SLOEngine,
+    SERVING_OUTCOMES,
     ZeroEventSLO,
     default_serving_slos,
 )
-from repro.server.scheduling import BrownoutController, BrownoutLevel
+from repro.server.scheduling import (
+    BrownoutController,
+    BrownoutLevel,
+    Outcome,
+    SchedulerConfig,
+    ShardedScheduler,
+)
 from repro.server.scheduling.brownout import floor_for_alert_severities
 from repro.simulation.load import percentile
 
@@ -216,6 +223,28 @@ def _ratio_fixture(good: int, bad: int, target: float = 0.9):
         target=target,
     )
     return slo, agg
+
+
+class TestServingOutcomes:
+    """The availability SLO's denominator spells the outcomes as literals
+    (observability may not import the server tier): a new ``Outcome``
+    must fail here rather than silently drop out of the denominator."""
+
+    def test_literals_equal_the_outcome_enum(self):
+        assert SERVING_OUTCOMES == tuple(outcome.value for outcome in Outcome)
+
+    def test_literals_equal_the_scheduler_reader_labels(self, small_network, small_registry):
+        from repro.core.environment import ChargingEnvironment
+
+        telemetry = Telemetry.simulated(tick_s=0.0)
+        ShardedScheduler(
+            lambda: ChargingEnvironment(small_network, small_registry, seed=5),
+            SchedulerConfig(shards=1),
+            telemetry=telemetry,
+        )
+        family = telemetry.registry.get("ecocharge_scheduler_requests_total")
+        exported = {key[0] for key in family.values()}
+        assert exported == set(SERVING_OUTCOMES)
 
 
 class TestBurnMath:
