@@ -41,17 +41,29 @@ class SolarProfile:
         if not 0.0 < self.peak_fraction <= 1.0:
             raise ValueError("peak_fraction must be in (0, 1]")
 
+    def bell(self, time_h: float) -> float | None:
+        """The clear-sky shape ``sin(pi * phase) ** 2`` at clock time
+        ``time_h``, or None outside the daylight window.
+
+        Independent of capacity, so one evaluation serves every site that
+        shares the regional sunrise and sunset.
+        """
+        hour = time_h % HOURS_PER_DAY
+        if hour <= self.sunrise_h or hour >= self.sunset_h:
+            return None
+        phase = (hour - self.sunrise_h) / (self.sunset_h - self.sunrise_h)
+        return math.sin(math.pi * phase) ** 2
+
     def clear_sky_kw(self, time_h: float) -> float:
         """Clear-sky production at clock time ``time_h`` (hours, any day).
 
         Zero outside the daylight window; a squared half-sine inside, which
         matches the flattened bell of measured PV output.
         """
-        hour = time_h % HOURS_PER_DAY
-        if hour <= self.sunrise_h or hour >= self.sunset_h:
+        shape = self.bell(time_h)
+        if shape is None:
             return 0.0
-        phase = (hour - self.sunrise_h) / (self.sunset_h - self.sunrise_h)
-        return self.capacity_kw * self.peak_fraction * math.sin(math.pi * phase) ** 2
+        return self.capacity_kw * self.peak_fraction * shape
 
     def daily_energy_kwh(self) -> float:
         """Clear-sky energy over one day, by quadrature on the 15-min grid."""

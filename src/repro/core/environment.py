@@ -30,7 +30,7 @@ from ..network.path import TripSegment
 from ..observability.deadline import NEVER_EXPIRES, CancellationToken
 from ..observability.metrics import field_readings
 from ..observability.recorder import NOOP_TELEMETRY, Telemetry
-from ..interval_array import ComponentArrays, IntervalArray
+from ..interval_array import ComponentArrays
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,6 +52,7 @@ class ChargingEnvironment:
         registry: ChargerRegistry,
         weather: WeatherModel | None = None,
         traffic: TrafficModel | None = None,
+        availability: AvailabilityEstimator | None = None,
         seed: int = 0,
         charging_window_h: float = 1.0,
         engine: str | DistanceEngine = "dijkstra",
@@ -59,10 +60,15 @@ class ChargingEnvironment:
     ) -> None:
         self.network = network
         self.registry = registry
+        self.seed = seed
         self.weather = weather if weather is not None else WeatherModel(seed=seed)
         self.traffic = traffic if traffic is not None else TrafficModel(seed=seed)
         self.sustainable = SustainableChargingEstimator(registry, self.weather)
-        self.availability = AvailabilityEstimator(registry, seed=seed)
+        self.availability = (
+            availability
+            if availability is not None
+            else AvailabilityEstimator(registry, seed=seed)
+        )
         #: One shared distance engine: every shortest-path query made on
         #: behalf of this environment (forecast pricing, oracle grading,
         #: chaos re-rankings) funnels through the same memoised instance.
@@ -80,6 +86,25 @@ class ChargingEnvironment:
         #: Live-graph epoch manager (None = static network).
         self.epochs: GraphEpochManager | None = None
         self.set_telemetry(telemetry)
+
+    def cold_copy(self) -> "ChargingEnvironment":
+        """A plain environment over the same network, catalog, seed and
+        models with every cache empty: fresh weather and traffic models
+        of the same parameters, fresh estimators, and a new engine on the
+        same backend.  The availability estimator holds only the busy
+        timetables, no cache, so it is shared.  The copy answers every
+        query as this one does; epochs, telemetry and cancellation are
+        not carried over."""
+        return ChargingEnvironment(
+            self.network,
+            self.registry,
+            weather=self.weather.cold_copy(),
+            traffic=self.traffic.cold_copy(),
+            availability=self.availability,
+            seed=self.seed,
+            charging_window_h=self.charging_window_h,
+            engine=self.engine.backend,
+        )
 
     def set_engine_backend(self, backend: str) -> None:
         """Switch the shared distance engine backend ("dijkstra" | "ch")."""
@@ -159,8 +184,8 @@ class ChargingEnvironment:
         Derouting is batch-priced (four shortest-path searches for the
         whole pool); ``search_budget_h`` bounds those searches — EcoCharge
         passes its ``R``-derived budget, Brute Force passes None (whole
-        environment).  Sustainable and availability come from the
-        memoised per-charger estimators, packed into arrays.
+        environment).  Sustainable and availability are array kernels
+        over the whole pool.
         """
         derouting = self.derouting.batch_estimate(
             segment,
@@ -170,21 +195,15 @@ class ChargingEnvironment:
             next_segment=next_segment,
             search_budget_h=search_budget_h,
         )
-        levels = []
-        avails = []
-        for charger in chargers:
-            # Per-charger deadline checkpoint: an expired request stops
-            # mid-pool rather than pricing the remaining candidates.
-            self.cancellation.checkpoint("pool")
-            level = self.sustainable.estimate(
-                charger, eta_h, now_h, window_h=self.charging_window_h
-            )
-            levels.append(level.normalised)
-            avails.append(self.availability.estimate(charger, eta_h, now_h))
+        # One deadline checkpoint per pool, before L and A are priced: an
+        # expired request stops here rather than pricing the pool.
+        self.cancellation.checkpoint("pool")
         return ComponentArrays(
             charger_ids=derouting.charger_ids,
-            sustainable=IntervalArray.from_intervals(levels),
-            availability=IntervalArray.from_intervals(avails),
+            sustainable=self.sustainable.batch_estimate(
+                chargers, eta_h, now_h, window_h=self.charging_window_h
+            ),
+            availability=self.availability.batch_estimate(chargers, eta_h, now_h),
             derouting=derouting.normalised,
         )
 

@@ -12,14 +12,15 @@ free) so that bigger is better in the weighted sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..chargers.charger import Charger
 from ..chargers.registry import ChargerRegistry
+from ..interval_array import IntervalArray
 from ..intervals import Interval
-from ..lru import LRU
-from .component import DEFAULT_CONFIDENCE, MEMO_ENTRIES_PER_CHARGER, ForecastConfidence
+from .component import DEFAULT_CONFIDENCE, ForecastConfidence
 
 HOURS_PER_WEEK = 168
 
@@ -96,40 +97,44 @@ class AvailabilityEstimator:
             charger.charger_id: BusyTimetable.generate(seed * 1_000_003 + charger.charger_id)
             for charger in registry
         }
-        # Deterministic model of (charger, eta, now) — continuous serving
-        # re-estimates the same triples every warm pass, so an LRU memo
-        # turns warm ``A`` into one probe.  Lives below the resilience
-        # proxies so fault injection still sees every logical call.
-        # Bounded per catalog charger (see ``MEMO_ENTRIES_PER_CHARGER``).
-        self._memo: LRU[tuple[int, float, float], Interval] = LRU(
-            MEMO_ENTRIES_PER_CHARGER * max(1, len(registry))
-        )
 
     def timetable(self, charger_id: int) -> BusyTimetable:
         """The weekly busy profile backing ``charger_id``."""
         return self._timetables[charger_id]
 
-    def true_availability(self, charger: Charger, time_h: float) -> float:
-        """Ground-truth availability in [0, 1] (oracle view).
+    def _free(self, chargers: Sequence[Charger], time_h: float) -> list[float]:
+        """True availability ``1 - busy ** plugs`` per charger at
+        ``time_h``, in pool order.
 
         Multi-plug sites stay available at higher busyness: the chance all
-        plugs are taken falls roughly geometrically with plug count.
+        plugs are taken falls roughly geometrically with plug count.  The
+        power is Python float ``**`` per row, not ``np.power``, whose SIMD
+        path may differ by an ulp.
         """
-        busy = self._timetables[charger.charger_id].busy_at(time_h)
-        all_taken = busy**charger.plugs
-        return 1.0 - all_taken
+        hour = int(time_h) % HOURS_PER_WEEK
+        return [
+            1.0 - self._timetables[c.charger_id].busyness[hour] ** c.plugs
+            for c in chargers
+        ]
 
-    def estimate(self, charger: Charger, eta_h: float, now_h: float) -> Interval:
-        """``[A_min, A_max]``: true availability widened by horizon."""
-        key = (charger.charger_id, eta_h, now_h)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        truth = self.true_availability(charger, eta_h)
+    def true_availability(self, charger: Charger, time_h: float) -> float:
+        """Ground-truth availability in [0, 1] (oracle view)."""
+        return self._free([charger], time_h)[0]
+
+    def batch_estimate(
+        self, chargers: Sequence[Charger], eta_h: float, now_h: float
+    ) -> IntervalArray:
+        """``[A_min, A_max]`` for every charger of a pool, in pool order:
+        true availability widened by the one horizon the pool shares."""
+        truth = np.array(self._free(chargers, eta_h), dtype=np.float64)
         horizon = eta_h - now_h
         if horizon <= 0:
-            result = Interval.exact(truth)
-        else:
-            result = self.confidence.interval_around(truth, horizon)
-        self._memo.put(key, result)
-        return result
+            return IntervalArray.exact(truth)
+        # ForecastConfidence.interval_around, one shared half-width.
+        half_width = self.confidence.half_width(horizon)
+        return IntervalArray(truth - half_width, truth + half_width).clamp(0.0, 1.0)
+
+    def estimate(self, charger: Charger, eta_h: float, now_h: float) -> Interval:
+        """``[A_min, A_max]`` for one charger (a one-row
+        :meth:`batch_estimate`)."""
+        return self.batch_estimate([charger], eta_h, now_h).at(0)

@@ -18,16 +18,6 @@ from ..intervals import Interval
 HOURS_12 = 12.0
 HOURS_3_DAYS = 72.0
 
-#: Entries per catalog charger in the ``L``/``A`` estimator memos.  A memo
-#: key is (charger, ETA, now): a fresh trip never hits, and only replays
-#: (continuous re-ranking of the same trips) do.  The commute-incidents
-#: benchmark replays a working set of 6,437 entries over 600 chargers
-#: (about 11 per charger), which 16 per charger holds without evicting;
-#: a fixed 65,536 let a fresh-trip workload fill both memos (about
-#: 650 B per ``L`` and ``A`` entry pair) for no hit.
-MEMO_ENTRIES_PER_CHARGER = 16
-
-
 @dataclass(frozen=True, slots=True)
 class ForecastConfidence:
     """Piecewise-linear forecast accuracy as a function of horizon.

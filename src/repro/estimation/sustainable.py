@@ -10,14 +10,16 @@ comparable with ``A`` and ``D`` in the weighted sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 from ..chargers.charger import Charger
 from ..chargers.registry import ChargerRegistry
 from ..chargers.solar import SolarProfile
+from ..interval_array import IntervalArray
 from ..intervals import Interval
-from ..lru import LRU
-from .component import MEMO_ENTRIES_PER_CHARGER
 from .weather import WeatherModel
 
 
@@ -54,19 +56,15 @@ class SustainableChargingEstimator:
     ):
         self._registry = registry
         self._weather = weather
-        self._sunrise_h = sunrise_h
-        self._sunset_h = sunset_h
-        self._peak_fraction = peak_fraction
-        self._profiles: dict[int, SolarProfile] = {}
-        #: Memoised estimates: the model is a deterministic function of
-        #: (charger, eta, now, window), and continuous serving re-asks the
-        #: same question every warm pass — a warm segment's ``L`` is one
-        #: LRU probe.  The memo sits *below* the resilience proxies, so
-        #: fault injection and the degradation ladder see every call.
-        #: Bounded per catalog charger (see ``MEMO_ENTRIES_PER_CHARGER``).
-        self._memo: LRU[tuple[int, float, float, float], SustainableLevel] = LRU(
-            MEMO_ENTRIES_PER_CHARGER * max(1, len(registry))
+        #: The regional clear-sky curve; a site's profile is this one at
+        #: the site's capacity.
+        self._sky = SolarProfile(
+            capacity_kw=0.0,
+            sunrise_h=sunrise_h,
+            sunset_h=sunset_h,
+            peak_fraction=peak_fraction,
         )
+        self._profiles: dict[int, SolarProfile] = {}
         # Environment maximum deliverable clean power: the best any charger
         # could do under clear sky, bounded by its rate.
         self._max_power_kw = max(
@@ -82,69 +80,89 @@ class SustainableChargingEstimator:
     def _profile(self, charger: Charger) -> SolarProfile:
         profile = self._profiles.get(charger.charger_id)
         if profile is None:
-            profile = SolarProfile(
-                capacity_kw=charger.solar_capacity_kw,
-                sunrise_h=self._sunrise_h,
-                sunset_h=self._sunset_h,
-                peak_fraction=self._peak_fraction,
-            )
+            profile = replace(self._sky, capacity_kw=charger.solar_capacity_kw)
             self._profiles[charger.charger_id] = profile
         return profile
 
-    def power_interval_kw(
-        self, charger: Charger, eta_h: float, now_h: float, window_h: float = 1.0
-    ) -> Interval:
-        """Deliverable clean power (kW interval) during the charging window
-        ``[eta_h, eta_h + window_h]`` as forecast from ``now_h``."""
-        attenuation = self._weather.window_attenuation(eta_h, eta_h + window_h, now_h)
-        return self.power_with_attenuation(charger, eta_h, window_h, attenuation)
-
-    def power_with_attenuation(
-        self, charger: Charger, eta_h: float, window_h: float, attenuation: Interval
-    ) -> Interval:
-        """Deliverable clean power for a *given* attenuation interval.
+    def power_kw(
+        self,
+        chargers: Sequence[Charger],
+        eta_h: float,
+        window_h: float,
+        attenuation: Interval | IntervalArray,
+    ) -> IntervalArray:
+        """Deliverable clean power (kW intervals, pool order) during the
+        charging window ``[eta_h, eta_h + window_h]`` for a given weather
+        attenuation: one interval for the whole pool, or one per row.
 
         The clear-sky envelope is pure local computation; only the
-        attenuation needs the weather provider — which is why the
-        resilient serving stack can keep the diurnal shape even when the
+        attenuation needs the weather provider, which is why the
+        resilient serving stack keeps the diurnal shape even when the
         weather endpoint is down and the attenuation degrades to its
         conservative bounds.
         """
         if window_h <= 0:
             raise ValueError("charging window must be positive")
-        profile = self._profile(charger)
-        # Clear-sky envelope over the window: min and max of the diurnal
-        # curve bound the achievable production regardless of weather.
-        samples = [
-            profile.clear_sky_kw(eta_h + window_h * i / 4.0) for i in range(5)
-        ]
-        clear_sky = Interval(min(samples), max(samples))
-        produced = clear_sky * attenuation
+        rows = len(chargers)
+        if isinstance(attenuation, Interval):
+            attenuation = IntervalArray(
+                np.full(rows, attenuation.lo), np.full(rows, attenuation.hi)
+            )
+        capacity = np.array([c.solar_capacity_kw for c in chargers], dtype=np.float64)
+        rate = np.array([c.rate_kw for c in chargers], dtype=np.float64)
+        # SolarProfile.clear_sky_kw's association: (capacity * peak) * bell,
+        # with the bell a Python scalar shared by every site (math.sin, not
+        # np.sin, whose SIMD paths may differ from libm by an ulp).
+        peak_kw = capacity * self._sky.peak_fraction
+        samples = []
+        for i in range(5):
+            bell = self._sky.bell(eta_h + window_h * i / 4.0)
+            samples.append(np.zeros(rows) if bell is None else peak_kw * bell)
+        # Clear-sky envelope over the window: the min and max of the
+        # samples (first wins ties, as builtin min/max) bound the
+        # achievable production regardless of weather.
+        lo = hi = samples[0]
+        for sample in samples[1:]:
+            lo = np.where(sample < lo, sample, lo)
+            hi = np.where(sample > hi, sample, hi)
+        produced = IntervalArray(lo, hi).mul(attenuation)
         # A charger can never push more than its rated power.
-        return Interval(
-            min(produced.lo, charger.rate_kw), min(produced.hi, charger.rate_kw)
-        )
+        return produced.capped_at(rate)
 
-    def normalised_level(self, charger: Charger, power: Interval) -> SustainableLevel:
-        """Assemble a :class:`SustainableLevel` from a power interval."""
+    def normalise(self, power: IntervalArray) -> IntervalArray:
+        """Power intervals scaled by the environment maximum into [0, 1]."""
+        return power.scaled_by_max(self._max_power_kw).clamp(0.0, 1.0)
+
+    def level(self, charger: Charger, power: IntervalArray) -> SustainableLevel:
+        """The :class:`SustainableLevel` of a one-row :meth:`power_kw`."""
         return SustainableLevel(
             charger_id=charger.charger_id,
-            power_kw=power,
-            normalised=power.scaled_by_max(self._max_power_kw).clamp(0.0, 1.0),
+            power_kw=power.at(0),
+            normalised=self.normalise(power).at(0),
         )
+
+    def batch_estimate(
+        self,
+        chargers: Sequence[Charger],
+        eta_h: float,
+        now_h: float,
+        window_h: float = 1.0,
+    ) -> IntervalArray:
+        """Normalised ``L`` for every charger of a pool, in pool order.
+
+        Every site shares the forecast, so the window attenuation is
+        fetched once per pool.
+        """
+        attenuation = self._weather.window_attenuation(eta_h, eta_h + window_h, now_h)
+        return self.normalise(self.power_kw(chargers, eta_h, window_h, attenuation))
 
     def estimate(
         self, charger: Charger, eta_h: float, now_h: float, window_h: float = 1.0
     ) -> SustainableLevel:
-        """Full ``L`` estimate: raw kW interval plus the normalised one."""
-        key = (charger.charger_id, eta_h, now_h, window_h)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        power = self.power_interval_kw(charger, eta_h, now_h, window_h)
-        level = self.normalised_level(charger, power)
-        self._memo.put(key, level)
-        return level
+        """Full ``L`` estimate for one charger: raw kW interval plus the
+        normalised one (a one-row :meth:`power_kw`)."""
+        attenuation = self._weather.window_attenuation(eta_h, eta_h + window_h, now_h)
+        return self.level(charger, self.power_kw([charger], eta_h, window_h, attenuation))
 
     def true_power_kw(self, charger: Charger, time_h: float) -> float:
         """Ground-truth deliverable clean power (no forecast error) —

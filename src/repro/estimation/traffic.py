@@ -88,6 +88,10 @@ class TrafficModel:
         #: one entry per hierarchy per epoch.
         self._factor_arrays: LRU[tuple[int, int], tuple[object, np.ndarray]] = LRU(16)
 
+    def cold_copy(self) -> "TrafficModel":
+        """The same congestion field with empty caches and no epochs."""
+        return TrafficModel(self.params, self._rng_seed, self.confidence)
+
     def set_epochs(self, epochs: GraphEpochManager | None) -> None:
         """Attach the live-graph epoch manager (``None`` detaches).
 

@@ -87,6 +87,10 @@ class WeatherModel:
         self.confidence = confidence
         self._days: dict[int, tuple[SkyState, ...]] = {}
 
+    def cold_copy(self) -> "WeatherModel":
+        """The same weather process with nothing generated yet."""
+        return WeatherModel(self._seed, self._initial, self.confidence)
+
     def _day_states(self, day: int) -> tuple[SkyState, ...]:
         """The 24 hourly states of ``day`` (generated deterministically)."""
         if day < 0:

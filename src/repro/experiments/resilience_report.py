@@ -7,7 +7,8 @@ continuous query through the degradation ladder, the delivered Offering
 Tables stay *interval-sound* (the oracle component value lies inside
 every served interval — the whole point of widening instead of guessing),
 and the ground-truth SC of the selections decays gracefully instead of
-collapsing.
+collapsing.  Any unsound row or unreconciled gateway books raise
+``SystemExit`` so a CI job can gate on the driver.
 """
 
 from __future__ import annotations
@@ -175,4 +176,16 @@ def main(config: HarnessConfig | None = None) -> str:
     )
     text = "\n".join(lines)
     print(text)
+    failures = []
+    for row in rows:
+        where = f"{row.dataset} at {row.error_rate * 100:.0f}% faults"
+        if not row.accounting_ok:
+            failures.append(f"{where}: gateway books do not reconcile")
+        if row.interval_soundness < 1.0:
+            failures.append(f"{where}: interval soundness {row.interval_soundness:.4f} < 1")
+    if failures:
+        print("\nFAILURES:")
+        for failure in failures:
+            print(f"  - {failure}")
+        raise SystemExit(1)
     return text

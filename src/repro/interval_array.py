@@ -223,6 +223,14 @@ class IntervalArray:
 
         return IntervalArray(clip(self.lo), clip(self.hi))
 
+    def capped_at(self, ceiling: np.ndarray) -> "IntervalArray":
+        """Per-row upper cap: ``min(endpoint, ceiling)`` on both endpoints,
+        the endpoint winning ties as with builtin ``min``."""
+        return IntervalArray(
+            np.where(ceiling < self.lo, ceiling, self.lo),
+            np.where(ceiling < self.hi, ceiling, self.hi),
+        )
+
     def scaled_by_max(self, maximum: float) -> "IntervalArray":
         """Normalise by the environment maximum (zero interval when the
         maximum is non-positive, mirroring :meth:`Interval.scaled_by_max`).

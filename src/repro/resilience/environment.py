@@ -24,7 +24,7 @@ evaluation grades against ground truth, which no outage can corrupt.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
@@ -46,20 +46,43 @@ if TYPE_CHECKING:
 
 
 class _ResilientSustainable:
-    """``L`` estimator fetching weather attenuation through the ladder."""
+    """``L`` estimator fetching weather attenuation through the ladder.
+
+    One gateway fetch per charger, in pool order, feeding per-row
+    attenuations into the inner estimator's array kernel.  Sharing one
+    fetch per weather cell would change answers under faults: the ladder
+    does not cache a failed fetch, so the next charger in the cell gets
+    its own upstream try.
+    """
 
     def __init__(self, inner: "SustainableChargingEstimator", gateway: ResilienceGateway):
         self._inner = inner
         self._gateway = gateway
 
+    def _power_kw(
+        self, chargers: "Sequence[Charger]", eta_h: float, now_h: float, window_h: float
+    ) -> IntervalArray:
+        attenuation = IntervalArray.from_intervals(
+            self._gateway.window_attenuation(
+                charger.point, eta_h, eta_h + window_h, now_h
+            ).value
+            for charger in chargers
+        )
+        return self._inner.power_kw(chargers, eta_h, window_h, attenuation)
+
+    def batch_estimate(
+        self,
+        chargers: "Sequence[Charger]",
+        eta_h: float,
+        now_h: float,
+        window_h: float = 1.0,
+    ) -> IntervalArray:
+        return self._inner.normalise(self._power_kw(chargers, eta_h, now_h, window_h))
+
     def estimate(
         self, charger: "Charger", eta_h: float, now_h: float, window_h: float = 1.0
     ) -> "SustainableLevel":
-        fetch = self._gateway.window_attenuation(
-            charger.point, eta_h, eta_h + window_h, now_h
-        )
-        power = self._inner.power_with_attenuation(charger, eta_h, window_h, fetch.value)
-        return self._inner.normalised_level(charger, power)
+        return self._inner.level(charger, self._power_kw([charger], eta_h, now_h, window_h))
 
     def __getattr__(self, name: str) -> Any:
         # Oracle methods and parameters (true_power_kw, max_power_kw, ...)
@@ -68,11 +91,20 @@ class _ResilientSustainable:
 
 
 class _ResilientAvailability:
-    """``A`` estimator fetching busy-times intervals through the ladder."""
+    """``A`` estimator fetching busy-times intervals through the ladder,
+    one fetch per charger in pool order."""
 
     def __init__(self, inner: "AvailabilityEstimator", gateway: ResilienceGateway):
         self._inner = inner
         self._gateway = gateway
+
+    def batch_estimate(
+        self, chargers: "Sequence[Charger]", eta_h: float, now_h: float
+    ) -> IntervalArray:
+        return IntervalArray.from_intervals(
+            self._gateway.availability(charger, eta_h, now_h).value
+            for charger in chargers
+        )
 
     def estimate(self, charger: "Charger", eta_h: float, now_h: float) -> Interval:
         return self._gateway.availability(charger, eta_h, now_h).value

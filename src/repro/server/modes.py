@@ -99,10 +99,15 @@ def simulate_mode(
     * EMBEDDED / EDGE: one region snapshot per *regenerated* table (cache
       hits are free — the whole point of Dynamic Caching on-device);
     * SERVER: one request + one table download per segment.
+
+    The ranking runs on a :meth:`~ChargingEnvironment.cold_copy` of
+    ``environment``, so every mode starts from the same cold caches and
+    none reads what an earlier mode warmed.
     """
     config = config if config is not None else EcoChargeConfig()
     latency = latency if latency is not None else LATENCY_MODELS[mode]
 
+    environment = environment.cold_copy()
     ranker = EcoChargeRanker(environment, config)
     started = clock.monotonic()
     run = run_over_trip(ranker, environment, trip, segment_km=config.segment_km)

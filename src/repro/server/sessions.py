@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..durability import DurabilityConfig, RankingSession, SessionManager
+from ..resilience.faults import SessionCrash
 
 if TYPE_CHECKING:
     from ..core.ecocharge import EcoChargeConfig
@@ -88,11 +89,7 @@ class DurableSessionService:
             trace_id=trip_correlation_id(trip),
             session_id=session_id,
         ):
-            session = self.open(session_id, trip, config)
-            try:
-                return session.run()
-            finally:
-                self.close(session)
+            return self._run_and_seal(self.open(session_id, trip, config))
 
     def resume_and_finish(self, session_id: str) -> "RankingRun":
         """One-call convenience: resume, finish the trip, seal."""
@@ -107,7 +104,22 @@ class DurableSessionService:
             trace_id=trip_correlation_id(session.trip),
             session_id=session_id,
         ):
-            try:
-                return session.run()
-            finally:
-                self.close(session)
+            return self._run_and_seal(session)
+
+    def _run_and_seal(self, session: RankingSession) -> "RankingRun":
+        """Run ``session`` to completion and seal it.
+
+        A :class:`~repro.resilience.faults.SessionCrash` leaves the
+        session unsealed, as the process death it models would: sealing
+        would snapshot cache stats that include the crashed segment's
+        unjournaled lookups.  Any other error still seals.
+        """
+        try:
+            run = session.run()
+        except SessionCrash:
+            raise
+        except BaseException:
+            self.close(session)
+            raise
+        self.close(session)
+        return run

@@ -5,11 +5,13 @@ Production prices, caches, adapts and ranks a candidate pool only as
 per-row form — one :class:`~repro.intervals.Interval` per component and
 charger — as an oracle: the same steps written with ``Interval`` and
 ``ComponentScores`` dataclasses, ``sc_score``, ``intersect_top_k`` and
-``build_table``.  Tests compare production output with it bit for bit.
+``build_table``, with ``L`` and ``A`` written out per charger from the
+models' inputs.  Tests compare production output with it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -78,6 +80,62 @@ def rows(arrays: ComponentArrays) -> list[ComponentScores]:
     ]
 
 
+def clear_sky_kw(
+    capacity_kw: float,
+    time_h: float,
+    sunrise_h: float = 6.0,
+    sunset_h: float = 20.0,
+    peak_fraction: float = 0.85,
+) -> float:
+    """A site's clear-sky production: a squared half-sine between sunrise
+    and sunset, exactly 0.0 outside."""
+    hour = time_h % 24
+    if hour <= sunrise_h or hour >= sunset_h:
+        return 0.0
+    phase = (hour - sunrise_h) / (sunset_h - sunrise_h)
+    return capacity_kw * peak_fraction * math.sin(math.pi * phase) ** 2
+
+
+def sustainable_row(
+    environment: ChargingEnvironment,
+    charger: Charger,
+    eta_h: float,
+    now_h: float,
+    attenuation: Interval | None = None,
+) -> Interval:
+    """Normalised ``L`` for one charger (Eq. 1): the clear-sky hull of
+    five samples over the charging window, times the forecast
+    attenuation, capped at the rated power, scaled by the environment
+    maximum and clamped.  ``attenuation`` defaults to the weather
+    model's forecast for the window."""
+    window_h = environment.charging_window_h
+    if attenuation is None:
+        attenuation = environment.weather.window_attenuation(eta_h, eta_h + window_h, now_h)
+    samples = [
+        clear_sky_kw(charger.solar_capacity_kw, eta_h + window_h * i / 4.0)
+        for i in range(5)
+    ]
+    produced = Interval(min(samples), max(samples)) * attenuation
+    power = Interval(min(produced.lo, charger.rate_kw), min(produced.hi, charger.rate_kw))
+    max_kw = max(min(c.rate_kw, c.solar_capacity_kw * 0.85) for c in environment.registry)
+    return power.scaled_by_max(max_kw).clamp(0.0, 1.0)
+
+
+def availability_row(
+    environment: ChargingEnvironment, charger: Charger, eta_h: float, now_h: float
+) -> Interval:
+    """``A`` for one charger (Eq. 2): ``1 - busy ** plugs`` at the ETA's
+    hour, exact at horizon <= 0, else widened by the horizon and
+    clamped."""
+    estimator = environment.availability
+    busy = estimator.timetable(charger.charger_id).busyness[int(eta_h) % 168]
+    truth = 1.0 - busy**charger.plugs
+    horizon = eta_h - now_h
+    if horizon <= 0:
+        return Interval.exact(truth)
+    return estimator.confidence.interval_around(truth, horizon)
+
+
 def _round_trip(
     node: int,
     outbound: Mapping[int, float],
@@ -117,14 +175,11 @@ def price_rows(
             hours = Interval.exact(max_h)
         else:
             hours = Interval(min(lo, hi), max(lo, hi))
-        level = environment.sustainable.estimate(
-            charger, eta_h, now_h, window_h=environment.charging_window_h
-        )
         priced.append(
             ComponentScores(
                 charger_id=charger.charger_id,
-                sustainable=level.normalised,
-                availability=environment.availability.estimate(charger, eta_h, now_h),
+                sustainable=sustainable_row(environment, charger, eta_h, now_h),
+                availability=availability_row(environment, charger, eta_h, now_h),
                 derouting=hours.scaled_by_max(max_h).clamp(0.0, 1.0),
             )
         )

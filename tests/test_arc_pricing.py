@@ -10,7 +10,7 @@ adjacency with the kernel CH search spaces use.  These tests pin:
   callable, on arbitrary small graphs in both kernel paths;
 * the "price once" contract itself, counted at the cost functions;
 * the fences that drop a priced vector with the rest of a key's state;
-* the catalog-derived bound of the ``L``/``A`` estimator memos.
+* that the ``L``/``A`` estimators keep no memo (they price whole pools).
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chargers.plugshare import CatalogSpec, generate_catalog
-from repro.core.ecocharge import EcoChargeConfig, EcoChargeRanker
 from repro.core.environment import ChargingEnvironment
-from repro.core.ranking import run_over_trip
-from repro.estimation.component import MEMO_ENTRIES_PER_CHARGER
+from repro.estimation import component
 from repro.estimation.derouting import DeroutingEstimator
 from repro.estimation.traffic import TrafficModel
 from repro.lru import LRU
@@ -242,52 +240,13 @@ class TestPriceOnce:
             DistanceEngine(city).one_to_many(10**9, [0], EdgeWeight.DISTANCE_KM)
 
 
-class CountingLRU(LRU):
-    """An LRU that counts its writes (a memo writes only after a miss)."""
-
-    __slots__ = ("puts",)
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self.puts = 0
-
-    def put(self, key, value) -> int:
-        self.puts += 1
-        return super().put(key, value)
-
-
-class TestEstimatorMemoBound:
-    def test_bound_is_sixteen_entries_per_charger(self, city):
+class TestEstimatorsKeepNoMemo:
+    def test_l_and_a_estimators_hold_no_memo(self, city):
+        """``L`` and ``A`` are priced per pool by array kernels; neither
+        estimator keeps a per-charger memo, and the memo bound is gone."""
         registry = generate_catalog(city, CatalogSpec(charger_count=37, seed=2))
         env = ChargingEnvironment(city, registry, seed=2)
-        assert MEMO_ENTRIES_PER_CHARGER == 16
-        assert env.sustainable._memo.capacity == 16 * 37
-        assert env.availability._memo.capacity == 16 * 37
-
-    def test_warm_commuter_replay_hits_every_entry(self, city):
-        registry = generate_catalog(city, CatalogSpec(charger_count=30, seed=6))
-        env = ChargingEnvironment(city, registry, seed=6)
-        memos = {
-            "L": CountingLRU(env.sustainable._memo.capacity),
-            "A": CountingLRU(env.availability._memo.capacity),
-        }
-        env.sustainable._memo = memos["L"]
-        env.availability._memo = memos["A"]
-        ranker = EcoChargeRanker(env, EcoChargeConfig(k=3, radius_km=4.0, range_km=1.0))
-        nodes = sorted(city.node_ids())
-        commuters = [
-            Trip.route(city, nodes[a], nodes[b], departure_time_h=h)
-            for a, b, h in ((0, -1, 7.5), (5, -8, 8.0), (-3, 2, 17.25))
-        ]
-
-        def commute_round() -> None:
-            for trip in commuters:
-                run_over_trip(ranker, env, trip, segment_km=2.0)
-
-        commute_round()
-        filled = {name: (len(memo), memo.puts) for name, memo in memos.items()}
-        assert all(size > 0 for size, _ in filled.values())
-        commute_round()
-        for name, memo in memos.items():
-            assert (len(memo), memo.puts) == filled[name], name  # no miss, no new entry
-            assert memo.evictions == 0, name
+        for estimator in (env.sustainable, env.availability):
+            assert not [name for name in vars(estimator) if "memo" in name]
+            assert not [v for v in vars(estimator).values() if isinstance(v, LRU)]
+        assert not hasattr(component, "MEMO_ENTRIES_PER_CHARGER")

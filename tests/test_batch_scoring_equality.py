@@ -130,6 +130,22 @@ class TestIntervalArrayOps:
         got = IntervalArray.from_intervals(rows).clamp(lo, hi)
         assert_interval_rows_match(got, [iv.clamp(lo, hi) for iv in rows])
 
+    @given(interval_lists(values=endpoint), st.lists(endpoint, min_size=12, max_size=12))
+    def test_capped_at_is_builtin_min(self, rows, ceilings):
+        cap = np.array(ceilings[: len(rows)], dtype=np.float64)
+        got = IntervalArray.from_intervals(rows).capped_at(cap)
+        expected = [
+            Interval(min(iv.lo, c), min(iv.hi, c)) for iv, c in zip(rows, cap.tolist())
+        ]
+        assert_interval_rows_match(got, expected)
+
+    def test_capped_at_signed_zero_tie_keeps_endpoint(self):
+        got = IntervalArray.from_intervals([Interval(-0.0, 0.0)]).capped_at(
+            np.array([0.0])
+        )
+        assert_bitequal(float(got.lo[0]), -0.0)
+        assert_bitequal(float(got.hi[0]), 0.0)
+
     @given(interval_lists(), finite)
     @example(rows=[Interval(0.0, 1.85e48)], maximum=1.0e-261)  # quotient overflows to inf
     def test_scaled_by_max(self, rows, maximum):

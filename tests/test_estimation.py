@@ -194,14 +194,14 @@ class TestSustainableEstimator:
 
     def test_truth_within_forecast_power(self, estimator, small_registry):
         for charger in small_registry.all()[:10]:
-            interval = estimator.power_interval_kw(charger, eta_h=13.0, now_h=11.0)
+            interval = estimator.estimate(charger, eta_h=13.0, now_h=11.0).power_kw
             truth = estimator.true_power_kw(charger, 13.0)
             # Truth at window start must lie within the window's envelope.
             assert interval.lo - 1e-9 <= truth <= interval.hi + 1e-9
 
     def test_rejects_empty_window(self, estimator, small_registry):
         with pytest.raises(ValueError):
-            estimator.power_interval_kw(small_registry.all()[0], 13.0, 11.0, window_h=0.0)
+            estimator.estimate(small_registry.all()[0], 13.0, 11.0, window_h=0.0)
 
     def test_midday_beats_morning(self, estimator, small_registry):
         charger = max(small_registry.all(), key=lambda c: c.solar_capacity_kw)

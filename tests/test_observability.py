@@ -670,6 +670,7 @@ class TestSixTierIntegration:
             session.run()
         finally:
             service2.close(session)
+        assert session.accounting_ok()
 
         # The resumed session restored its counters from the journal and
         # replaced the crashed session's source (same session id), so the
