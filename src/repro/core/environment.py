@@ -52,7 +52,6 @@ class ChargingEnvironment:
         registry: ChargerRegistry,
         weather: WeatherModel | None = None,
         traffic: TrafficModel | None = None,
-        availability: AvailabilityEstimator | None = None,
         seed: int = 0,
         charging_window_h: float = 1.0,
         engine: str | DistanceEngine = "dijkstra",
@@ -64,11 +63,7 @@ class ChargingEnvironment:
         self.weather = weather if weather is not None else WeatherModel(seed=seed)
         self.traffic = traffic if traffic is not None else TrafficModel(seed=seed)
         self.sustainable = SustainableChargingEstimator(registry, self.weather)
-        self.availability = (
-            availability
-            if availability is not None
-            else AvailabilityEstimator(registry, seed=seed)
-        )
+        self.availability = AvailabilityEstimator(registry, seed=seed)
         #: One shared distance engine: every shortest-path query made on
         #: behalf of this environment (forecast pricing, oracle grading,
         #: chaos re-rankings) funnels through the same memoised instance.
@@ -90,17 +85,15 @@ class ChargingEnvironment:
     def cold_copy(self) -> "ChargingEnvironment":
         """A plain environment over the same network, catalog, seed and
         models with every cache empty: fresh weather and traffic models
-        of the same parameters, fresh estimators, and a new engine on the
-        same backend.  The availability estimator holds only the busy
-        timetables, no cache, so it is shared.  The copy answers every
-        query as this one does; epochs, telemetry and cancellation are
-        not carried over."""
+        of the same parameters, fresh estimators (the busy timetables are
+        regenerated from the seed), and a new engine on the same backend.
+        The copy answers every query as this one does; epochs, telemetry
+        and cancellation are not carried over."""
         return ChargingEnvironment(
             self.network,
             self.registry,
             weather=self.weather.cold_copy(),
             traffic=self.traffic.cold_copy(),
-            availability=self.availability,
             seed=self.seed,
             charging_window_h=self.charging_window_h,
             engine=self.engine.backend,
@@ -198,12 +191,14 @@ class ChargingEnvironment:
         # One deadline checkpoint per pool, before L and A are priced: an
         # expired request stops here rather than pricing the pool.
         self.cancellation.checkpoint("pool")
+        sustainable = self.sustainable.batch_estimate(
+            chargers, eta_h, now_h, window_h=self.charging_window_h
+        )
+        availability = self.availability.batch_estimate(chargers, eta_h, now_h)
         return ComponentArrays(
             charger_ids=derouting.charger_ids,
-            sustainable=self.sustainable.batch_estimate(
-                chargers, eta_h, now_h, window_h=self.charging_window_h
-            ),
-            availability=self.availability.batch_estimate(chargers, eta_h, now_h),
+            sustainable=sustainable,
+            availability=availability,
             derouting=derouting.normalised,
         )
 

@@ -45,26 +45,41 @@ class BusyTimetable:
         return self.busyness[int(time_h) % HOURS_PER_WEEK]
 
     @classmethod
-    def generate(
+    def generate(cls, seed: int, **params: float) -> "BusyTimetable":
+        """Synthesise one site's weekly profile (a one-seed
+        :meth:`generate_many` with the same shape parameters)."""
+        return cls.generate_many([seed], **params)[0]
+
+    @classmethod
+    def generate_many(
         cls,
-        seed: int,
+        seeds: Sequence[int],
         base_load: float = 0.25,
         morning_peak: float = 0.5,
         midday_peak: float = 0.55,
         evening_peak: float = 0.65,
         weekend_scale: float = 0.8,
-    ) -> "BusyTimetable":
-        """Synthesise a realistic weekly profile.
+    ) -> list["BusyTimetable"]:
+        """Synthesise one realistic weekly profile per seed, in seed order.
 
         Weekday shape: low overnight, a commuter bump around 08:00, a
         commercial midday bump around 13:00 (shopping-centre chargers are
         busiest exactly when hoarding trips happen), and the strongest
         evening bump around 18:00.  Weekends flatten and shift later.
-        Per-site multiplicative noise differentiates sites.
+        Per-site multiplicative noise differentiates sites: each seed's
+        generator draws a site factor, then one noise value per hour.
+
+        The shape is shared by every site, so it is computed once per
+        call, one scalar ``np.exp`` per bump and hour (``math.exp``
+        differs from it in the last bit on some inputs).  Each seed's
+        generator fills one row of noise; the product and the clamp then
+        run in place over all rows at once.  Each hour's level is
+        ``shape * (site * noise)``, the association of the per-hour form,
+        and the clamp is the builtin ``min(1.0, max(0.0, level))``: first
+        wins on ties, so ``-0.0`` (a negative shape times a zero
+        ``weekend_scale``) becomes ``0.0``, which ``np.maximum`` would not do.
         """
-        rng = np.random.default_rng(seed)
-        site_factor = float(rng.uniform(0.5, 1.4))
-        values = []
+        shape = np.empty(HOURS_PER_WEEK)
         for hour in range(HOURS_PER_WEEK):
             day, hod = divmod(hour, 24)
             weekend = day >= 5
@@ -77,9 +92,19 @@ class BusyTimetable:
             level += evening_peak * np.exp(-((hod - evening_centre) ** 2) / (2 * 2.5**2))
             if weekend:
                 level *= weekend_scale
-            level *= site_factor * float(rng.uniform(0.85, 1.15))
-            values.append(min(1.0, max(0.0, level)))
-        return cls(tuple(values))
+            shape[hour] = level
+
+        site = np.empty((len(seeds), 1))
+        levels = np.empty((len(seeds), HOURS_PER_WEEK))
+        for row, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            site[row, 0] = rng.uniform(0.5, 1.4)
+            levels[row] = rng.uniform(0.85, 1.15, HOURS_PER_WEEK)
+        levels *= site
+        levels *= shape
+        np.copyto(levels, 0.0, where=~(levels > 0.0))
+        np.copyto(levels, 1.0, where=~(levels < 1.0))
+        return [cls(tuple(row.tolist())) for row in levels]
 
 
 class AvailabilityEstimator:
@@ -93,10 +118,10 @@ class AvailabilityEstimator:
     ):
         self._registry = registry
         self.confidence = confidence
-        self._timetables: dict[int, BusyTimetable] = {
-            charger.charger_id: BusyTimetable.generate(seed * 1_000_003 + charger.charger_id)
-            for charger in registry
-        }
+        ids = [charger.charger_id for charger in registry]
+        self._timetables: dict[int, BusyTimetable] = dict(
+            zip(ids, BusyTimetable.generate_many([seed * 1_000_003 + i for i in ids]))
+        )
 
     def timetable(self, charger_id: int) -> BusyTimetable:
         """The weekly busy profile backing ``charger_id``."""

@@ -6,7 +6,8 @@ per-row form — one :class:`~repro.intervals.Interval` per component and
 charger — as an oracle: the same steps written with ``Interval`` and
 ``ComponentScores`` dataclasses, ``sc_score``, ``intersect_top_k`` and
 ``build_table``, with ``L`` and ``A`` written out per charger from the
-models' inputs.  Tests compare production output with it bit for bit.
+models' inputs and each busy timetable written out hour by hour.  Tests
+compare production output with it bit for bit.
 """
 
 from __future__ import annotations
@@ -119,6 +120,38 @@ def sustainable_row(
     power = Interval(min(produced.lo, charger.rate_kw), min(produced.hi, charger.rate_kw))
     max_kw = max(min(c.rate_kw, c.solar_capacity_kw * 0.85) for c in environment.registry)
     return power.scaled_by_max(max_kw).clamp(0.0, 1.0)
+
+
+def busy_timetable_row(
+    seed: int,
+    base_load: float = 0.25,
+    morning_peak: float = 0.5,
+    midday_peak: float = 0.55,
+    evening_peak: float = 0.65,
+    weekend_scale: float = 0.8,
+) -> tuple[float, ...]:
+    """One charger's weekly busy profile, hour by hour: the shifted
+    commuter, midday and evening bumps over ``base_load`` (scaled on
+    weekends), times the site factor and one noise draw per hour, clamped
+    to [0, 1]."""
+    rng = np.random.default_rng(seed)
+    site_factor = float(rng.uniform(0.5, 1.4))
+    values = []
+    for hour in range(168):
+        day, hod = divmod(hour, 24)
+        weekend = day >= 5
+        morning_centre = 10.0 if weekend else 8.0
+        midday_centre = 14.0 if weekend else 13.0
+        evening_centre = 16.0 if weekend else 18.0
+        level = base_load
+        level += morning_peak * np.exp(-((hod - morning_centre) ** 2) / (2 * 2.0**2))
+        level += midday_peak * np.exp(-((hod - midday_centre) ** 2) / (2 * 2.0**2))
+        level += evening_peak * np.exp(-((hod - evening_centre) ** 2) / (2 * 2.5**2))
+        if weekend:
+            level *= weekend_scale
+        level *= site_factor * float(rng.uniform(0.85, 1.15))
+        values.append(min(1.0, max(0.0, level)))
+    return tuple(values)
 
 
 def availability_row(
