@@ -68,7 +68,7 @@ class EcoChargeConfig:
     #: Shortest-path backend for the environment's distance engine: None
     #: leaves the environment's current backend untouched, "dijkstra" the
     #: truncated-Dijkstra fallback, "ch" the contraction hierarchy (same
-    #: quantised distances, measured in benchmarks/bench_perf_trajectory).
+    #: quantised distances; see docs/performance.md).
     engine: str | None = None
     #: Install a live telemetry recorder (metrics registry + span tracer,
     #: see repro.observability) on the environment when this ranker is

@@ -22,7 +22,6 @@ from . import (
     incident_report,
     modes_report,
     observability_report,
-    perf_trajectory,
     resilience_report,
     serving_report,
     slo_report,
@@ -38,7 +37,6 @@ _DRIVERS: dict[str, Callable[[HarnessConfig], str]] = {
     "incidents": incident_report.main,
     "modes": modes_report.main,
     "observability": observability_report.main,
-    "perf": perf_trajectory.main,
     "resilience": resilience_report.main,
     "serving": serving_report.main,
     "slo": slo_report.main,
@@ -69,12 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--k", type=int, default=5, help="top-k table size (default 5)")
     parser.add_argument("--seed", type=int, default=0, help="harness seed (default 0)")
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="perf driver: re-serve each scenario's warm pass under a live "
-        "span tracer and print the top self-time spans",
-    )
     return parser
 
 
@@ -86,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         k=args.k,
         dataset_scale=args.scale,
         seed=args.seed,
-        profile=args.profile,
     )
     names = sorted(_DRIVERS) if args.experiment == "all" else [args.experiment]
     for name in names:

@@ -44,10 +44,6 @@ class HarnessConfig:
     segment_km: float = 4.0
     dataset_scale: float = 1.0
     seed: int = 0
-    #: Run the perf driver's extra profiled warm pass and print the top
-    #: self-time spans per scenario (``--profile``).  Ignored by the
-    #: other drivers.
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.trips_per_dataset < 1:

@@ -16,89 +16,17 @@ distance-engine backends and demands:
   delivered equal the per-outcome counts the registry reads from the
   scheduler's stats.
 
-It also wall-clock-times the **epoch swap** — the incremental CH
-re-customization sweep after an incident fences the engine — and appends
-the measurement to the ``BENCH_serving.json`` history, alongside the
-serving benchmark's scaling headline.
-
 The driver exits non-zero on any violation, which is what the
 ``incident-chaos`` CI job keys off.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Sequence
 
-from ..core.ecocharge import EcoChargeConfig
-from ..core.environment import ChargingEnvironment
-from ..network.epochs import GraphEpochManager, IncidentStream
-from ..observability.clock import SYSTEM_CLOCK, Clock, iso_utc
-from ..observability.recorder import Telemetry
-from ..server.eis import EcoChargeInformationServer
 from ..simulation.scenarios import IncidentChaosReport, IncidentChaosSpec, run_incident_chaos
 from ..trajectories.datasets import DATASET_ORDER
 from .harness import HarnessConfig, load_workloads
-from .serving_report import HISTORY_LIMIT, REPORT_FULL
-
-
-def measure_epoch_swap(
-    workload, config: HarnessConfig, clock: Clock = SYSTEM_CLOCK
-) -> float:
-    """Mean wall-clock seconds of the post-incident re-customization sweep.
-
-    Warm a CH customisation, land a real incident batch, and re-rank: the
-    first customisation sweep after the fence is the epoch swap, and the
-    engine reports its latency (``last_recustomize_s``).
-    """
-    samples: list[float] = []
-    eco = EcoChargeConfig(k=config.k, engine="ch")
-    trip = workload.trips[0]
-    for rep in range(config.repetitions):
-        telemetry = Telemetry(clock)
-        environment = ChargingEnvironment(
-            workload.network, workload.registry, seed=config.seed
-        )
-        environment.set_telemetry(telemetry)
-        manager = GraphEpochManager(workload.network)
-        environment.set_epochs(manager)
-        server = EcoChargeInformationServer(environment)
-        server.rank_trip(trip, eco)  # warm: builds + customises the CH
-        stream = IncidentStream(workload.network, seed=config.seed + rep)
-        manager.apply(stream.next_batch(3))
-        server.rank_trip(trip, eco)  # fenced: incremental re-customization
-        samples.append(environment.engine.last_recustomize_s or 0.0)
-    return sum(samples) / len(samples)
-
-
-def record_epoch_swap_history(
-    epoch_swap_s: float, clock: Clock = SYSTEM_CLOCK, path: Path | None = None
-) -> Path:
-    """Append the epoch-swap measurement to ``BENCH_serving.json``'s history.
-
-    The serving benchmark owns the file; this driver only merges one more
-    history entry (same ``at``/``at_iso`` shape, capped at the same
-    :data:`~repro.experiments.serving_report.HISTORY_LIMIT`), so trend
-    tooling sees swap latency next to the scaling headline.
-    """
-    path = path if path is not None else Path.cwd() / REPORT_FULL
-    report: dict = {}
-    if path.exists():
-        try:
-            report = json.loads(path.read_text())
-        except (OSError, ValueError):
-            report = {}
-    if not isinstance(report, dict):
-        report = {}
-    history = [h for h in report.get("history", []) if isinstance(h, dict)]
-    now_s = clock.now()
-    history.append(
-        {"at": now_s, "at_iso": iso_utc(now_s), "epoch_swap_s": round(epoch_swap_s, 6)}
-    )
-    report["history"] = history[-HISTORY_LIMIT:]
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def run_incidents(
@@ -134,7 +62,6 @@ def main(config: HarnessConfig | None = None) -> str:
         "-" * 100,
     ]
     violations = 0
-    swap_s = measure_epoch_swap(load_workloads([DATASET_ORDER[0]], config)[DATASET_ORDER[0]], config)
     for name, report in rows:
         if not report.completed_cleanly:
             violations += 1
@@ -151,11 +78,6 @@ def main(config: HarnessConfig | None = None) -> str:
             f"{'yes' if report.completed_cleanly else 'NO':>7}"
         )
     lines.append("-" * 100)
-    path = record_epoch_swap_history(swap_s)
-    lines.append(
-        f"epoch swap (post-incident CH re-customization): {swap_s * 1e3:.1f} ms "
-        f"mean over {config.repetitions} reps — appended to {path.name} history"
-    )
     lines.append(
         "contain = epoch-degraded derouting intervals containing the "
         "fresh-epoch recompute; fresh = unwidened serves bitwise-equal to a "

@@ -1,10 +1,10 @@
-"""Serving under overload — the concurrent-tier benchmark.
+"""Serving under overload — the concurrent-tier accounting check.
 
 Drives the :class:`~repro.server.scheduling.ShardedScheduler` with the
 :mod:`~repro.simulation.load` generator over a real workload's trips and
 writes ``BENCH_serving.json`` (CI smoke: ``BENCH_serving_smoke.json``).
 
-Two measurements:
+Two checks, both of which exit non-zero on inexact accounting:
 
 * **Deterministic matrix** — load levels x fault scenarios on a
   ``SimulatedClock``.  Every cell reports p50/p99 latency, throughput,
@@ -12,17 +12,12 @@ Two measurements:
   and every cell must reconcile its accounting exactly: requests in ==
   responses out, stats == registry.  This is where the overload story
   is graded — under a 4x burst the tier sheds and degrades instead of
-  queueing without bound.
-* **Scaling headline** — the same overload stream served at ``shards=1``
-  vs ``shards=N`` in deterministic mode; the headline is the measured
-  served-throughput ratio.  Sharding multiplies *service capacity* (one
-  request per shard per service tick, each shard owning its own engine
-  and caches), so the single-shard tier saturates, sheds, and stretches
-  its p99 where the sharded tier keeps serving — that capacity ratio is
-  what the report gates on.  A wall-clock threaded run rides along as a
-  liveness/contention check: CPython's GIL serialises the pure-Python
-  ranking work, so its numbers validate thread-safety (every request
-  resolves, accounting stays exact under real races), not CPU scaling.
+  queueing without bound.  Latencies and rates here are in *modelled*
+  service ticks, not wall-clock time; wall-clock serving speed is
+  measured by ``bench/`` (the ``serve-gateway`` workload).
+* **Threaded liveness** — the same tier on real worker threads: every
+  request must resolve and the accounting must stay exact under real
+  races.  Only the accounting is reported.
 """
 
 from __future__ import annotations
@@ -33,16 +28,13 @@ from pathlib import Path
 
 from ..core.ecocharge import EcoChargeConfig
 from ..core.environment import ChargingEnvironment
-from ..observability.clock import SYSTEM_CLOCK, Clock, iso_utc
+from ..observability.clock import SYSTEM_CLOCK, Clock
 from ..observability.recorder import Telemetry
 from ..resilience import FaultInjector, OverloadChaos
 from ..server.scheduling import SchedulerConfig, ShardedScheduler
-from ..simulation.load import LoadProfile, LoadReport, run_load, run_load_threaded
+from ..simulation.load import LoadProfile, run_load, run_load_threaded
 from ..trajectories.datasets import load_workload
 from .harness import HarnessConfig
-
-#: Most recent runs kept in the persistent report.
-HISTORY_LIMIT = 20
 
 REPORT_FULL = "BENCH_serving.json"
 REPORT_SMOKE = "BENCH_serving_smoke.json"
@@ -70,7 +62,7 @@ class FaultScenario:
 def load_levels(smoke: bool) -> list[LoadLevel]:
     # The 4-shard tier's service capacity is one request per shard per
     # 0.15 s tick (~26.7/s): "overload" alone saturates it, and the 4x
-    # burst window on top is the headline chaos condition.
+    # burst window on top is the main chaos condition.
     if smoke:
         return [LoadLevel("overload", arrival_rate_per_s=48.0, requests=32)]
     return [
@@ -103,7 +95,6 @@ def fault_scenarios(smoke: bool) -> list[FaultScenario]:
 
 def _scheduler(
     workload,
-    shards: int,
     telemetry: Telemetry,
     injector: FaultInjector | None,
     config: HarnessConfig,
@@ -119,7 +110,7 @@ def _scheduler(
         scheduler_config
         if scheduler_config is not None
         else SchedulerConfig(
-            shards=shards,
+            shards=4,
             queue_capacity=8,
             deadline_budget_s=3.0,
             tenant_rate_per_s=8.0,
@@ -143,8 +134,9 @@ def run_matrix(workload, config: HarnessConfig, smoke: bool) -> dict[str, dict]:
                 if fault.overload is not None
                 else None
             )
-            scheduler = _scheduler(workload, shards=4, telemetry=telemetry,
-                                   injector=injector, config=config)
+            scheduler = _scheduler(
+                workload, telemetry=telemetry, injector=injector, config=config
+            )
             report = run_load(
                 scheduler,
                 workload.trips,
@@ -163,48 +155,20 @@ def run_matrix(workload, config: HarnessConfig, smoke: bool) -> dict[str, dict]:
     return cells
 
 
-def run_scaling(workload, config: HarnessConfig, smoke: bool) -> dict:
-    """Deterministic capacity scaling: shards=1 vs shards=4 on the same
-    saturating stream (identical seed, arrivals, and service cadence)."""
-    level = load_levels(smoke)[-1]
-    shard_counts = (1, 4)
-    runs: dict[str, LoadReport] = {}
-    for shards in shard_counts:
-        telemetry = Telemetry.simulated(tick_s=0.0)
-        scheduler = _scheduler(
-            workload, shards=shards, telemetry=telemetry, injector=None, config=config
-        )
-        runs[f"shards_{shards}"] = run_load(
-            scheduler,
-            workload.trips,
-            LoadProfile(
-                requests=level.requests,
-                arrival_rate_per_s=level.arrival_rate_per_s,
-                seed=config.seed,
-            ),
-        )
-    base = runs[f"shards_{shard_counts[0]}"].served_per_s
-    top = runs[f"shards_{shard_counts[-1]}"].served_per_s
-    return {
-        "requests": level.requests,
-        "runs": {name: run.as_dict() for name, run in runs.items()},
-        "speedup": round(top / base, 3) if base > 0 else None,
-    }
-
-
 def run_threaded_check(
     workload, config: HarnessConfig, smoke: bool, clock: Clock = SYSTEM_CLOCK
 ) -> dict:
-    """Wall-clock threaded liveness check (GIL-bound, not a scaling claim).
+    """Threaded liveness check: accounting only, no timing.
 
     Capacity knobs are opened wide so every request is admitted; what is
     asserted is that under real thread races every request resolves and
-    the accounting stays exact.
+    the accounting stays exact.  Only the accounting fields are returned:
+    wall-clock numbers from a GIL-bound thread pool would make the
+    report nondeterministic, and ``bench/`` is where speed is measured.
     """
     requests = 12 if smoke else 32
     scheduler = _scheduler(
         workload,
-        shards=4,
         # A disabled recorder with its *own* registry (never the shared
         # no-op singleton) so threaded workers stay off the lock-free
         # metrics path entirely.
@@ -227,26 +191,19 @@ def run_threaded_check(
         raise SystemExit(
             f"serving: threaded run failed to reconcile: {report.reconciliation}"
         )
-    return report.as_dict()
-
-
-def _merge_history(path: Path, headline: float | None, clock: Clock) -> list[dict]:
-    history: list[dict] = []
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (OSError, ValueError):
-            previous = {}
-        history = [h for h in previous.get("history", []) if isinstance(h, dict)]
-    now_s = clock.now()
-    history.append({"at": now_s, "at_iso": iso_utc(now_s), "scaling": headline})
-    return history[-HISTORY_LIMIT:]
+    summary = report.as_dict()
+    return {
+        key: summary[key]
+        for key in (
+            "requests", "outcomes", "served", "shed", "accounting_exact", "reconciliation"
+        )
+    }
 
 
 def run_serving(
     config: HarnessConfig | None = None, clock: Clock = SYSTEM_CLOCK
 ) -> dict:
-    """Run matrix + scaling and write the persistent JSON report."""
+    """Run the matrix and the threaded check, and write the JSON report."""
     config = config if config is not None else HarnessConfig()
     smoke = config.dataset_scale < 1.0
     workload = load_workload(
@@ -255,19 +212,14 @@ def run_serving(
         environment_seed=config.seed,
     )
     matrix = run_matrix(workload, config, smoke)
-    scaling = run_scaling(workload, config, smoke)
     threaded = run_threaded_check(workload, config, smoke, clock=clock)
-    headline = scaling["speedup"]
     path = Path.cwd() / (REPORT_SMOKE if smoke else REPORT_FULL)
     report = {
         "report": "serving",
         "smoke": smoke,
         "dataset": DATASET,
         "matrix": matrix,
-        "scaling": scaling,
         "threaded": threaded,
-        "headline_scaling": headline,
-        "history": _merge_history(path, headline, clock),
     }
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
@@ -275,13 +227,8 @@ def run_serving(
 
 def _format_report(report: dict) -> str:
     lines = [
-        "Serving under overload — sharded scheduler, admission + brownout",
-        (
-            f"  headline: shards=4 vs shards=1 throughput x"
-            f"{report['headline_scaling']:.2f}"
-            if report["headline_scaling"]
-            else "  headline: scaling not measured"
-        ),
+        "Serving under overload — sharded scheduler, admission + brownout "
+        "(modelled service ticks)",
         f"  {'cell':<20} {'p50':>8} {'p99':>8} {'served':>7} "
         f"{'stale':>6} {'shed':>5} {'widened':>8}",
     ]
@@ -292,15 +239,10 @@ def _format_report(report: dict) -> str:
             f"{cell['outcomes'].get('stale', 0):>6} {cell['shed']:>5} "
             f"{cell['widened']:>8}"
         )
-    for name, run in sorted(report["scaling"]["runs"].items()):
-        lines.append(
-            f"  scaling {name:<12} {run['served_per_s']:>8.1f} served/s "
-            f"(p99 {run['p99_latency_s']*1000:.0f}ms, shed {run['shed']})"
-        )
     threaded = report["threaded"]
     lines.append(
-        f"  threaded check      {threaded['served_per_s']:>8.1f} served/s "
-        f"wall-clock, accounting exact={threaded['accounting_exact']}"
+        f"  threaded check      {threaded['served']}/{threaded['requests']} "
+        f"served, accounting exact={threaded['accounting_exact']}"
     )
     return "\n".join(lines)
 

@@ -284,9 +284,6 @@ class DistanceEngine:
         #: Set by a fence that dropped live-metric state; the next CH
         #: customisation is the *re*-customization and reports its latency.
         self._epoch_dirty = False
-        #: Duration of the most recent post-fence re-customization sweep
-        #: (telemetry-clocked; ``None`` until one happens).
-        self.last_recustomize_s: float | None = None
         #: Installed by the owning environment's ``set_telemetry``; the
         #: no-op default keeps cache hits span-free and searches unguarded.
         self.telemetry: Telemetry = NOOP_TELEMETRY
@@ -632,11 +629,9 @@ class DistanceEngine:
                 # whose latency degraded serving is hiding.
                 self._epoch_dirty = False
                 if timed:
-                    elapsed = telemetry.clock.monotonic() - started_s
-                    self.last_recustomize_s = elapsed
                     telemetry.observe(
                         "ecocharge_engine_recustomize_seconds",
-                        elapsed,
+                        telemetry.clock.monotonic() - started_s,
                         backend=self._backend,
                     )
             for p, custom in zip(group, customs):

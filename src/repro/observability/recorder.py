@@ -256,7 +256,7 @@ class Telemetry:
         reg.histogram(
             "ecocharge_engine_recustomize_seconds",
             "Seconds per incremental re-customization after a live-graph "
-            "epoch fence (the epoch-swap latency of docs/live_graph.md).",
+            "epoch fence (see docs/live_graph.md).",
             labels=("backend",),
             buckets=DEFAULT_LATENCY_BUCKETS,
         )

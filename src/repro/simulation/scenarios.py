@@ -459,9 +459,6 @@ class IncidentChaosReport:
     backend_divergences: int
     reconciliation: tuple[str, ...]
     accounting_failures: int
-    #: Slowest post-fence CH re-customization sweep observed across the
-    #: storm (seconds; None when no backend ran a sweep).
-    epoch_swap_s: float | None = None
 
     @property
     def sound(self) -> bool:
@@ -500,7 +497,6 @@ class IncidentChaosReport:
             "backend_divergences": self.backend_divergences,
             "reconciliation": list(self.reconciliation),
             "accounting_failures": self.accounting_failures,
-            "epoch_swap_s": self.epoch_swap_s,
             "sound": self.sound,
             "completed_cleanly": self.completed_cleanly,
         }
@@ -538,8 +534,8 @@ def _drive_incident_storm(workload: Workload, spec: IncidentChaosSpec, backend: 
         ),
     )
     def shard_environment() -> ChargingEnvironment:
-        # Live telemetry on the shard environments so CH re-customization
-        # sweeps report their latency (the epoch-swap measurement);
+        # Live telemetry on the shard environments so engine events (CH
+        # re-customization sweeps included) land in the shared registry;
         # deterministic mode is single-threaded, so one shared registry
         # stays single-writer.
         env = ChargingEnvironment(network, registry, seed=seed)
@@ -676,13 +672,6 @@ def _drive_incident_storm(workload: Workload, spec: IncidentChaosSpec, backend: 
 
     problems = outcome_drift(telemetry.registry, outcomes)
     final_tables = [encode(fresh_rank(trip)) for trip in trips]
-    # Epoch-swap latency: the slowest post-fence re-customization sweep
-    # any shard engine paid (CH backend; None when no sweep ran).
-    swap_samples = [
-        shard.environment.engine.last_recustomize_s
-        for shard in scheduler.shards
-        if shard.environment.engine.last_recustomize_s is not None
-    ]
     return {
         "backend": backend,
         "epoch_stats": manager.stats.as_dict(),
@@ -699,7 +688,6 @@ def _drive_incident_storm(workload: Workload, spec: IncidentChaosSpec, backend: 
         "reconciliation": problems,
         "accounting_ok": scheduler.accounting_ok(),
         "final_tables": final_tables,
-        "epoch_swap_s": max(swap_samples) if swap_samples else None,
     }
 
 
@@ -751,8 +739,4 @@ def run_incident_chaos(
         backend_divergences=backend_divergences,
         reconciliation=tuple(problems),
         accounting_failures=sum(0 if run["accounting_ok"] else 1 for run in runs),
-        epoch_swap_s=max(
-            (run["epoch_swap_s"] for run in runs if run["epoch_swap_s"] is not None),
-            default=None,
-        ),
     )

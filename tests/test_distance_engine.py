@@ -218,24 +218,6 @@ class TestStatsCounting:
         assert warm_probes == len(pool)
         assert warm_hits == warm_probes
 
-    def test_per_phase_driver_stats_split_cold_and_warm(self, grid):
-        from repro.experiments.perf_trajectory import _phase_stats
-        from repro.network.distance_engine import EngineStats
-
-        engine = DistanceEngine(grid)
-        for src in range(3):
-            engine.one_to_many(src, [12], EdgeWeight.DISTANCE_KM, max_cost=8.0)
-        cold = {f: getattr(engine.stats, f) for f in EngineStats.COUNTER_FIELDS}
-        for src in range(3):
-            engine.one_to_many(src, [12], EdgeWeight.DISTANCE_KM, max_cost=8.0)
-        warm = {
-            f: getattr(engine.stats, f) - cold[f] for f in EngineStats.COUNTER_FIELDS
-        }
-        assert _phase_stats(cold)["hit_rate"] == 0.0
-        assert _phase_stats(warm)["hit_rate"] == 1.0
-        # ...while the aggregate (the old, buggy report) sits at 0.5.
-        assert engine.stats.hit_rate == 0.5
-
 
 class TestPrepare:
     """engine.prepare(): stacked customisation of several metrics at once."""
@@ -345,6 +327,15 @@ class TestBackendEquality:
                     assert batch[arc] == spec.fn(edge)  # bitwise, not approx
 
 
+def _assert_bitwise_equal(cost_d, cost_c):
+    assert cost_d.charger_ids.tolist() == cost_c.charger_ids.tolist()
+    # Bitwise equality of the interval endpoints, not approx.
+    assert cost_d.hours.lo.tobytes() == cost_c.hours.lo.tobytes()
+    assert cost_d.hours.hi.tobytes() == cost_c.hours.hi.tobytes()
+    assert cost_d.normalised.lo.tobytes() == cost_c.normalised.lo.tobytes()
+    assert cost_d.normalised.hi.tobytes() == cost_c.normalised.hi.tobytes()
+
+
 class TestDeroutingIntervalEquality:
     """Acceptance: identical D intervals across backends on seeded worlds."""
 
@@ -367,13 +358,7 @@ class TestDeroutingIntervalEquality:
             results[backend] = estimator.batch_estimate(
                 segment, chargers, time_h=8.4, now_h=8.0
             )
-        cost_d, cost_c = results["dijkstra"], results["ch"]
-        assert cost_d.charger_ids.tolist() == cost_c.charger_ids.tolist()
-        # Bitwise equality of the interval endpoints, not approx.
-        assert cost_d.hours.lo.tobytes() == cost_c.hours.lo.tobytes()
-        assert cost_d.hours.hi.tobytes() == cost_c.hours.hi.tobytes()
-        assert cost_d.normalised.lo.tobytes() == cost_c.normalised.lo.tobytes()
-        assert cost_d.normalised.hi.tobytes() == cost_c.normalised.hi.tobytes()
+        _assert_bitwise_equal(results["dijkstra"], results["ch"])
 
     def test_full_environment_true_components_identical(self):
         net = build_city_network(
@@ -388,6 +373,30 @@ class TestDeroutingIntervalEquality:
             segment = trip.segments(segment_km=2.0)[0]
             pools[backend] = env.true_components_pool(segment, registry.all(), 9.2)
         assert pools["dijkstra"] == pools["ch"]
+
+    def test_grid_trip_probes_identical(self):
+        """A regular grid, where many shortest paths tie: two segments of
+        a corner-to-corner trip, priced at two ETAs."""
+        net = build_grid_network(10, 10, block_km=1.0, speed_kmh=50.0)
+        registry = generate_catalog(net, CatalogSpec(charger_count=4, seed=7))
+        nodes = sorted(net.node_ids())
+        trip = Trip.route(net, nodes[0], nodes[-1], departure_time_h=8.0)
+        segments = trip.segments(3.0)
+        probes = [segments[0], segments[len(segments) // 2]]
+        results = {}
+        for backend in BACKENDS:
+            env = ChargingEnvironment(net, registry, seed=0, engine=backend)
+            results[backend] = [
+                env.derouting.batch_estimate(
+                    segment,
+                    registry.all(),
+                    time_h=trip.departure_time_h + 0.2 * (i + 1),
+                    now_h=trip.departure_time_h,
+                )
+                for i, segment in enumerate(probes)
+            ]
+        for cost_d, cost_c in zip(results["dijkstra"], results["ch"]):
+            _assert_bitwise_equal(cost_d, cost_c)
 
 
 class TestEnvironmentWiring:

@@ -5,6 +5,7 @@ dataset, one repetition) — the full-scale numbers live in EXPERIMENTS.md;
 these tests assert the *machinery* and the expected qualitative shape.
 """
 
+import json
 import math
 
 import pytest
@@ -212,3 +213,29 @@ class TestFigureDrivers:
 
         args = _build_parser().parse_args(["figure6", "--trips", "2", "--reps", "1"])
         assert args.experiment == "figure6" and args.trips == 2
+
+    def test_cli_has_no_perf_driver(self):
+        from repro.experiments.__main__ import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["perf"])
+
+
+class TestServingDriver:
+    def test_smoke_report_shape_and_accounting(self, tmp_path, monkeypatch):
+        from repro.experiments.serving_report import run_serving
+
+        monkeypatch.chdir(tmp_path)
+        report = run_serving(HarnessConfig(dataset_scale=0.3, repetitions=1))
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_serving_smoke.json"]
+        written = json.loads((tmp_path / "BENCH_serving_smoke.json").read_text())
+        assert written == report
+        assert set(report) == {"report", "smoke", "dataset", "matrix", "threaded"}
+        assert report["matrix"]
+        for name, cell in report["matrix"].items():
+            assert cell["accounting_exact"], name
+            assert cell["reconciliation"] == [], name
+            assert sum(cell["outcomes"].values()) == cell["requests"], name
+        threaded = report["threaded"]
+        assert threaded["accounting_exact"] and threaded["reconciliation"] == []
+        assert threaded["served"] == threaded["requests"]

@@ -825,35 +825,3 @@ class TestReadThrough:
             "ecocharge_gateway_ladder_total",
             "ecocharge_scheduler_requests_total",
         } <= set(calls)
-
-
-# ---------------------------------------------------------------------------
-# perf history timestamps ride the injected clock (the satellite bug fix)
-# ---------------------------------------------------------------------------
-
-
-class TestPerfHistoryClock:
-    def test_merge_history_stamps_via_injected_clock(self, tmp_path):
-        from repro.experiments.perf_trajectory import _merge_history
-
-        clock = SimulatedClock(start_s=1700000000.0, tick_s=0.0)
-        path = tmp_path / "BENCH_perf.json"
-        history = _merge_history(path, 2.5, 1.2, clock=clock)
-        assert history[-1] == {
-            "at": 1700000000.0,
-            "at_iso": "2023-11-14T22:13:20.000Z",
-            "speedup": 2.5,
-            "speedup_warm": 1.2,
-        }
-
-    def test_merge_history_appends_to_existing_report(self, tmp_path):
-        from repro.experiments.perf_trajectory import _merge_history
-
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(
-            json.dumps({"history": [{"at": 1.0, "at_iso": iso_utc(1.0), "speedup": 1.5}]})
-        )
-        clock = SimulatedClock(start_s=2.0, tick_s=0.0)
-        history = _merge_history(path, 3.0, 1.1, clock=clock)
-        assert [entry["speedup"] for entry in history] == [1.5, 3.0]
-        assert history[-1]["at_iso"] == iso_utc(2.0)
