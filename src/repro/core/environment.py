@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from ..chargers.charger import Charger
 from ..chargers.registry import ChargerRegistry
 from ..estimation.availability import AvailabilityEstimator
-from ..estimation.derouting import DeroutingEstimator
+from ..estimation.derouting import DeroutingEstimator, rejoin_nodes
 from ..estimation.eta import EtaEstimator
 from ..estimation.sustainable import SustainableChargingEstimator
 from ..estimation.traffic import TrafficModel
@@ -233,13 +233,9 @@ class ChargingEnvironment:
         max_h = self.derouting.max_derouting_h
         nodes = {charger.node_id for charger in pool}
         out = self.engine.one_to_many(segment.anchor_node, nodes, spec, max_cost=max_h)
-        back_same = self.engine.many_to_one(nodes, segment.node_ids[-1], spec, max_cost=max_h)
-        if next_segment is not None and next_segment.node_ids[-1] != segment.node_ids[-1]:
-            back_next = self.engine.many_to_one(
-                nodes, next_segment.node_ids[-1], spec, max_cost=max_h
-            )
-        else:
-            back_next = back_same
+        back = self.engine.many_to_one(
+            nodes, rejoin_nodes(segment, next_segment), spec, max_cost=max_h
+        )
 
         results: dict[int, TrueComponents] = {}
         for charger in pool:
@@ -247,15 +243,11 @@ class ChargingEnvironment:
             sustainable = min(1.0, power / self.sustainable.max_power_kw)
             availability = self.availability.true_availability(charger, time_h)
             cost_out = out.get(charger.node_id)
-            returns = [
-                c
-                for c in (back_same.get(charger.node_id), back_next.get(charger.node_id))
-                if c is not None
-            ]
-            if cost_out is None or not returns:
+            cost_back = back.get(charger.node_id)
+            if cost_out is None or cost_back is None:
                 hours = max_h
             else:
-                hours = min(max_h, cost_out + min(returns))
+                hours = min(max_h, cost_out + cost_back)
             results[charger.charger_id] = TrueComponents(
                 charger.charger_id,
                 sustainable,

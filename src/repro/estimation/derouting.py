@@ -34,6 +34,15 @@ from .traffic import TrafficModel
 REFERENCE_SPEED_KMH = 40.0
 
 
+def rejoin_nodes(segment: TripSegment, next_segment: TripSegment | None) -> tuple[int, ...]:
+    """Where a deroute may rejoin the trip: the end of its own segment or,
+    when there is one, the end of the next (Section III-C)."""
+    same = segment.node_ids[-1]
+    if next_segment is None or next_segment.node_ids[-1] == same:
+        return (same,)
+    return (same, next_segment.node_ids[-1])
+
+
 @dataclass(frozen=True, slots=True)
 class DeroutingArrays:
     """A pool's raw and normalised ``D`` in flat form: row ``i`` belongs
@@ -48,10 +57,11 @@ class DeroutingEstimator:
     """Batch derouting estimator for a candidate pool.
 
     A naive implementation runs two shortest-path searches per charger;
-    this one prices an entire pool with four single-source searches per
-    segment (optimistic and pessimistic, outbound and return), which is
-    what keeps the Brute-Force baseline's per-point cost linear in |B|
-    rather than |B| x Dijkstra.  The searches themselves ride the shared
+    this one prices an entire pool with four searches per segment
+    (optimistic and pessimistic, outbound and return, each return search
+    seeded at both rejoin points at once), which is what keeps the
+    Brute-Force baseline's per-point cost linear in |B| rather than
+    |B| x Dijkstra.  The searches themselves ride the shared
     :class:`DistanceEngine`, so repeated pricings of the same segment time
     (by other query modes, the oracle grader, or chaos re-runs) are cache
     hits rather than new searches.
@@ -98,23 +108,16 @@ class DeroutingEstimator:
         paper's treatment of chargers "outside the initial scheduled trip".
 
         Missing distance-map entries become ``inf``, so any unreachable
-        leg makes ``out + min(back_same, back_next)`` infinite, and
-        ``inf`` rows collapse to the saturated ``max_derouting_h`` cost.
-        Whichever rejoin point costs less is taken (Section III-C).
+        leg makes ``out + back`` infinite, and ``inf`` rows collapse to the
+        saturated ``max_derouting_h`` cost.  ``back`` is already the cheaper
+        of the two rejoin points (Section III-C).
         """
         pool = list(chargers)
         ids = np.array([charger.charger_id for charger in pool], dtype=np.int64)
         if not pool:
             empty = IntervalArray.exact(np.empty(0, dtype=np.float64))
             return DeroutingArrays(charger_ids=ids, hours=empty, normalised=empty)
-        (
-            out_low,
-            out_high,
-            back_same_low,
-            back_same_high,
-            back_next_low,
-            back_next_high,
-        ) = self._query_round_trip_maps(
+        out_low, out_high, back_low, back_high = self._query_round_trip_maps(
             segment, pool, time_h, now_h, next_segment, search_budget_h
         )
 
@@ -124,12 +127,8 @@ class DeroutingEstimator:
         def gather(dist: Mapping[int, float]) -> np.ndarray:
             return np.array([dist.get(node, inf) for node in nodes], dtype=np.float64)
 
-        total_lo = gather(out_low) + np.minimum(
-            gather(back_same_low), gather(back_next_low)
-        )
-        total_hi = gather(out_high) + np.minimum(
-            gather(back_same_high), gather(back_next_high)
-        )
+        total_lo = gather(out_low) + gather(back_low)
+        total_hi = gather(out_high) + gather(back_high)
         unreachable = np.isinf(total_lo) | np.isinf(total_hi)
         max_h = self.max_derouting_h
         hours = IntervalArray(
@@ -150,46 +149,26 @@ class DeroutingEstimator:
         now_h: float,
         next_segment: TripSegment | None,
         search_budget_h: float | None,
-    ) -> tuple[
-        Mapping[int, float],
-        Mapping[int, float],
-        Mapping[int, float],
-        Mapping[int, float],
-        Mapping[int, float],
-        Mapping[int, float],
-    ]:
-        """The six distance maps a pool's pricing needs: optimistic and
-        pessimistic bounds for outbound, return-to-same-segment, and
-        return-to-next-segment legs (four engine searches per bound pair
-        when the rejoin points coincide)."""
+    ) -> tuple[Mapping[int, float], Mapping[int, float], Mapping[int, float], Mapping[int, float]]:
+        """The four distance maps a pool's pricing needs: optimistic and
+        pessimistic bounds for the outbound leg and for the return leg,
+        where one search to both rejoin points (the segment's own end and
+        the next segment's) gives each charger the cheaper of the two."""
         budget = search_budget_h if search_budget_h is not None else self.max_derouting_h
         spec_low, spec_high = self._traffic.travel_time_bound_specs(time_h, now_h)
         # One stacked sweep customises both bound metrics (CH backend).
         self._engine.prepare(spec_low, spec_high)
 
         origin = segment.anchor_node
-        rejoin_same = segment.node_ids[-1]
-        rejoin_next = next_segment.node_ids[-1] if next_segment is not None else None
+        rejoins = rejoin_nodes(segment, next_segment)
         nodes = {charger.node_id for charger in pool}
 
         engine = self._engine
-        out_low = engine.one_to_many(origin, nodes, spec_low, max_cost=budget)
-        out_high = engine.one_to_many(origin, nodes, spec_high, max_cost=budget)
-        back_same_low = engine.many_to_one(nodes, rejoin_same, spec_low, max_cost=budget)
-        back_same_high = engine.many_to_one(nodes, rejoin_same, spec_high, max_cost=budget)
-        if rejoin_next is not None and rejoin_next != rejoin_same:
-            back_next_low = engine.many_to_one(nodes, rejoin_next, spec_low, max_cost=budget)
-            back_next_high = engine.many_to_one(nodes, rejoin_next, spec_high, max_cost=budget)
-        else:
-            back_next_low = back_same_low
-            back_next_high = back_same_high
         return (
-            out_low,
-            out_high,
-            back_same_low,
-            back_same_high,
-            back_next_low,
-            back_next_high,
+            engine.one_to_many(origin, nodes, spec_low, max_cost=budget),
+            engine.one_to_many(origin, nodes, spec_high, max_cost=budget),
+            engine.many_to_one(nodes, rejoins, spec_low, max_cost=budget),
+            engine.many_to_one(nodes, rejoins, spec_high, max_cost=budget),
         )
 
     def true_cost_h(
@@ -208,9 +187,7 @@ class DeroutingEstimator:
         cost_out = out.get(charger.node_id)
         if cost_out is None:
             return max_h
-        rejoins = {segment.node_ids[-1]}
-        if next_segment is not None:
-            rejoins.add(next_segment.node_ids[-1])
+        rejoins = rejoin_nodes(segment, next_segment)
         back = self._engine.one_to_many(charger.node_id, rejoins, spec, max_cost=max_h)
         if not back:
             return max_h

@@ -5,7 +5,8 @@ chaos re-rankings) prices derouting with single-source searches over the
 *same static network* under a small set of recurring cost functions.  The
 :class:`DistanceEngine` is the one place those searches happen:
 
-* results are memoised per ``(weight key, node, direction)`` in an LRU
+* results are memoised per ``(weight key, node, direction)`` (``node``
+  may be a sorted tuple: one search seeded at several nodes) in an LRU
   bounded by total settled nodes (64 per network node by default) and
   shared across trip segments and across methods, so the Brute-Force
   grader and EcoCharge stop paying for the same ball twice;
@@ -180,6 +181,36 @@ def _quantize(value: float) -> float:
     return round(value, DISTANCE_DECIMALS)
 
 
+_SCALE = 10.0**DISTANCE_DECIMALS
+#: Below this magnitude ``x * _SCALE`` is under 2**43, so its rounding
+#: error (half an ulp, at most 2**-10) stays inside :data:`_TIE_MARGIN`.
+_FAST_LIMIT = 2.0**43 / _SCALE
+_TIE_MARGIN = 1e-3
+
+
+def quantize_array(values: np.ndarray) -> np.ndarray:
+    """:func:`round` to :data:`DISTANCE_DECIMALS` over a float64 array,
+    bit for bit, in one pass.
+
+    ``rint(x * 1e9) / 1e9`` is exact wherever the scaled value lands
+    clearly off a half-integer: its rounding error then cannot move it
+    across the tie, ``rint`` picks the integer ``round`` picks (half to
+    even on the exact value), and one IEEE division by the exact ``1e9``
+    is the nearest double to that decimal, as ``round`` returns.  Values
+    within :data:`_TIE_MARGIN` of a tie, values past :data:`_FAST_LIMIT`
+    and non-finite values go through ``round`` itself; no input raises a
+    floating-point warning.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    fast = np.abs(x) < _FAST_LIMIT  # False for inf and nan
+    scaled = np.where(fast, x, 0.0) * _SCALE
+    out = np.rint(scaled) / _SCALE
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > _TIE_MARGIN
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = round(float(x[i]), DISTANCE_DECIMALS)
+    return out
+
+
 def _arc_costs(
     spec: WeightSpec, edges: Sequence[RoadEdge | None]
 ) -> np.ndarray:
@@ -203,6 +234,18 @@ def _arc_costs(
 #: metrics (its lower and upper travel-time bound), so a few cover the
 #: segments in flight; each vector holds one float per network arc.
 PRICED_METRICS = 8
+
+
+def _anchor(target: int | tuple[int, ...]) -> int | tuple[int, ...]:
+    """A query's target as a settled-map key: one node, or the sorted
+    distinct nodes of a tuple (a single one collapses to the node itself,
+    so it shares the single-target map)."""
+    if not isinstance(target, tuple):
+        return target
+    nodes = tuple(sorted(set(target)))
+    if not nodes:
+        raise ValueError("empty target tuple")
+    return nodes[0] if len(nodes) == 1 else nodes
 
 
 #: Sentinel distinguishing "key never seen" from the valid version
@@ -471,25 +514,43 @@ class DistanceEngine:
             self._observe_epoch()
             self._note_spec(spec)
             if self._backend == "ch":
-                return self._ch_bipartite(spec, [source], targets, max_cost, forward=True)
+                return self._ch_bipartite(spec, source, targets, max_cost, forward=True)
             ball = self._map(spec, source, "f", max_cost)
             return self._subset(ball, targets, max_cost)
 
     def many_to_one(
         self,
         sources: Iterable[int],
-        target: int,
+        target: int | tuple[int, ...],
         weight: EdgeWeight | WeightSpec,
         max_cost: float = math.inf,
     ) -> dict[int, float]:
-        """Quantised distances ``source -> target`` keyed by source."""
+        """Quantised distances ``source -> target`` keyed by source.
+
+        A tuple ``target`` answers each source's distance to the *nearest*
+        of its nodes, bitwise equal to the elementwise minimum of the
+        single-target queries.  On Dijkstra that is one search seeded at
+        every target, cached under the sorted tuple; on CH each target
+        keeps its own bipartite join.
+        """
         spec = WeightSpec.of(weight)
+        anchor = _anchor(target)
         with self._lock:
             self._observe_epoch()
             self._note_spec(spec)
             if self._backend == "ch":
-                return self._ch_bipartite(spec, [target], sources, max_cost, forward=False)
-            ball = self._map(spec, target, "b", max_cost)
+                if not isinstance(anchor, tuple):
+                    return self._ch_bipartite(spec, anchor, sources, max_cost, forward=False)
+                pool = list(sources)
+                out: dict[int, float] = {}
+                for node in anchor:
+                    for source, d in self._ch_bipartite(
+                        spec, node, pool, max_cost, forward=False
+                    ).items():
+                        if d < out.get(source, math.inf):
+                            out[source] = d
+                return out
+            ball = self._map(spec, anchor, "b", max_cost)
             return self._subset(ball, sources, max_cost)
 
     def many_to_many(
@@ -509,9 +570,10 @@ class DistanceEngine:
     # -- dijkstra backend ---------------------------------------------------
 
     def _map(
-        self, spec: WeightSpec, node: int, direction: str, max_cost: float
+        self, spec: WeightSpec, node: int | tuple[int, ...], direction: str, max_cost: float
     ) -> dict[int, float]:
-        """The settled map for (spec, node, direction), cached and budgeted."""
+        """The settled map for (spec, node, direction), cached and budgeted;
+        a tuple ``node`` is one search from all of its nodes at once."""
         key = (spec.key, node, direction)
         budget = max_cost if math.isinf(max_cost) else max_cost + DISTANCE_QUANTUM
         with self._lock:
@@ -549,7 +611,7 @@ class DistanceEngine:
             return raw
 
     def _search(
-        self, spec: WeightSpec, node: int, direction: str, budget: float
+        self, spec: WeightSpec, node: int | tuple[int, ...], direction: str, budget: float
     ) -> dict[int, float]:
         """The uncached settled-map computation behind :meth:`_map`."""
         if self._backend == "ch":
@@ -560,8 +622,9 @@ class DistanceEngine:
                 else custom.backward_space(node, budget)
             )
         network = self._network
-        if not network.has_node(node):
-            raise KeyError(node)
+        for origin in node if isinstance(node, tuple) else (node,):
+            if not network.has_node(origin):
+                raise KeyError(origin)
         arcs = self._arcs
         if arcs is None or arcs.shape != (network.node_count, network.edge_count):
             # First search, or the network grew: arc ids changed, so every
@@ -579,18 +642,16 @@ class DistanceEngine:
     def _subset(
         ball: dict[int, float], nodes: Iterable[int], max_cost: float
     ) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for node in nodes:
-            d = ball.get(node)
-            if d is None:
-                continue
-            q = _quantize(d)
-            # The isinf guard keeps closed-off nodes (infinite cost under
-            # a live-graph closure) out of an unbudgeted query's result:
-            # "unreachable" means absent, never a served infinity.
-            if q <= max_cost and not math.isinf(q):
-                out[node] = q
-        return out
+        """``ball`` restricted to ``nodes``, quantised and budgeted."""
+        present = [node for node in nodes if node in ball]
+        if not present:
+            return {}
+        q = quantize_array(np.fromiter(map(ball.__getitem__, present), np.float64, len(present)))
+        # The isfinite mask keeps closed-off nodes (infinite cost under a
+        # live-graph closure) out of an unbudgeted query's result:
+        # "unreachable" means absent, never a served infinity.
+        keep = ((q <= max_cost) & np.isfinite(q)).tolist()
+        return {node: d for node, d, k in zip(present, q.tolist(), keep) if k}
 
     # -- CH backend ---------------------------------------------------------
 
@@ -642,7 +703,7 @@ class DistanceEngine:
     def _ch_bipartite(
         self,
         spec: WeightSpec,
-        anchors: Sequence[int],
+        anchor: int,
         pool: Iterable[int],
         max_cost: float,
         forward: bool,
@@ -656,7 +717,6 @@ class DistanceEngine:
         (each independently cached in the settled-map LRU) are only
         touched on a pair miss.
         """
-        anchor = anchors[0]
         budget = max_cost if math.isinf(max_cost) else max_cost + DISTANCE_QUANTUM
         with self._lock:
             stats = self.stats

@@ -49,7 +49,7 @@ def dense_span(node_ids: Collection[int]) -> int:
 
 
 def settle_arcs(
-    origin: int,
+    origin: int | tuple[int, ...],
     adjacency: ArcAdjacency,
     weights: Sequence[float],
     max_cost: float = math.inf,
@@ -65,16 +65,24 @@ def settle_arcs(
     skips a settled node, and the sums are the same.  With ``span > 0``
     (see :func:`dense_span`) distances live in a flat list indexed by node
     id; otherwise in a dict.  Both paths relax in the same order.
+
+    A tuple ``origin`` seeds every node in it at ``0.0``: each settled
+    value is then the distance from the *nearest* origin, bitwise equal
+    to the minimum of the single-origin maps, because every label is the
+    least left-to-right float sum over its paths and ``fl(a + w)`` is
+    monotone in ``a``.
     """
     inf = math.inf
     push, pop = heapq.heappush, heapq.heappop
-    heap: list[tuple[float, int]] = [(0.0, origin)]
+    origins = origin if isinstance(origin, tuple) else (origin,)
+    heap: list[tuple[float, int]] = sorted((0.0, node) for node in origins)
     if span:
         if max_cost < 0.0:
-            return {}  # as on the dict path: even the origin is over budget
+            return {}  # as on the dict path: even the origins are over budget
         dist = [inf] * span
-        dist[origin] = 0.0
-        reached = [origin]
+        for node in origins:
+            dist[node] = 0.0
+        reached = list(origins)
         while heap:
             d, node = pop(heap)
             if d > dist[node]:
@@ -87,12 +95,12 @@ def settle_arcs(
                     dist[neighbour] = nd
                     push(heap, (nd, neighbour))
         return {node: dist[node] for node in reached}
-    best: dict[int, float] = {origin: 0.0}
+    best: dict[int, float] = dict.fromkeys(origins, 0.0)
     get = best.get
     while heap:
         d, node = pop(heap)
         if d > max_cost:
-            return {}  # only the origin is ever queued over budget
+            return {}  # only the origins are ever queued over budget
         if d > best[node]:
             continue  # stale queue entry, node already settled closer
         for neighbour, arc_id in adjacency[node]:

@@ -17,8 +17,8 @@ Two modes, matching the scheduler's:
   queues fill, brownout engages, and the run replays identically for a
   given seed.
 * :func:`run_load_threaded` — wall-clock.  Workers are real threads;
-  arrivals are submitted back-to-back and the report measures actual
-  contended throughput (the shards=1 vs shards=N scaling headline).
+  arrivals are submitted back-to-back, so the run checks liveness and
+  exact accounting under real thread races.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..observability.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    histogram_quantile,
-)
+from ..observability.metrics import MetricsRegistry
 from ..server.scheduling import Outcome, Priority, RankResponse, ShardedScheduler
 
 if TYPE_CHECKING:
@@ -79,6 +74,7 @@ class LoadReport:
     requests: int
     elapsed_s: float
     outcomes: dict[str, int]
+    #: Nearest-rank (:func:`percentile`) quantiles of served latencies.
     p50_latency_s: float
     p99_latency_s: float
     served_per_s: float
@@ -128,11 +124,12 @@ class LoadReport:
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (deterministic; no interpolation).
 
-    The exact-rank reference the bucket-interpolated
+    Load reports take their p50/p99 from it over the served latencies,
+    so a reported quantile is an observed latency.  It is also the
+    exact-rank reference the bucket-interpolated
     :func:`repro.observability.histogram_quantile` is property-tested
-    against; load reports now flow through the histogram path (one
-    percentile implementation serving-wide), while this stays the
-    raw-sample oracle for tests and ad-hoc analysis.
+    against: with a few dozen samples the p99 rank is the top one, which
+    the histogram path can only place at its bucket's upper bound.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
@@ -159,20 +156,6 @@ def outcome_drift(registry: MetricsRegistry, outcomes: Mapping[str, int]) -> lis
                 f"counted={counted} responses={delivered}"
             )
     return problems
-
-
-def _latency_quantiles(served_latencies: Sequence[float]) -> tuple[float, float]:
-    """(p50, p99) of served latencies via the shared histogram-quantile
-    path — the same math an operator's dashboard would run over the
-    ``ecocharge_scheduler_latency_seconds`` buckets."""
-    histogram = Histogram(DEFAULT_LATENCY_BUCKETS)
-    for latency_s in served_latencies:
-        histogram.observe(latency_s)
-    cumulative = histogram.cumulative()
-    return (
-        histogram_quantile(histogram.bounds, cumulative, 0.5),
-        histogram_quantile(histogram.bounds, cumulative, 0.99),
-    )
 
 
 def _priority_for(rng: random.Random, profile: LoadProfile) -> Priority:
@@ -297,13 +280,12 @@ def _report(
         if scheduler.telemetry.enabled
         else []
     )
-    p50_latency_s, p99_latency_s = _latency_quantiles(served_latencies)
     return LoadReport(
         requests=scheduler.stats.submitted,
         elapsed_s=elapsed_s,
         outcomes=outcomes,
-        p50_latency_s=p50_latency_s,
-        p99_latency_s=p99_latency_s,
+        p50_latency_s=percentile(served_latencies, 0.5),
+        p99_latency_s=percentile(served_latencies, 0.99),
         served_per_s=served / elapsed_s if elapsed_s > 0 else 0.0,
         widened=scheduler.stats.widened,
         peak_depths=scheduler.peak_depths(),

@@ -194,12 +194,23 @@ def price_rows(
     search_budget_h: float | None = None,
 ) -> list[ComponentScores]:
     """Interval L/A/D per charger: the derouting round trip priced one
-    charger at a time from the estimator's six distance maps."""
+    charger at a time from six single-target distance maps (outbound,
+    back to this segment's end, back to the next one's, per bound)."""
     derouting = environment.derouting
-    out_lo, out_hi, same_lo, same_hi, next_lo, next_hi = derouting._query_round_trip_maps(
-        segment, list(pool), eta_h, now_h, next_segment, search_budget_h
-    )
     max_h = derouting.max_derouting_h
+    budget = search_budget_h if search_budget_h is not None else max_h
+    engine = derouting.engine
+    nodes = {charger.node_id for charger in pool}
+    rejoin_same = segment.node_ids[-1]
+    rejoin_next = next_segment.node_ids[-1] if next_segment is not None else rejoin_same
+    (out_lo, same_lo, next_lo), (out_hi, same_hi, next_hi) = (
+        (
+            engine.one_to_many(segment.anchor_node, nodes, spec, max_cost=budget),
+            engine.many_to_one(nodes, rejoin_same, spec, max_cost=budget),
+            engine.many_to_one(nodes, rejoin_next, spec, max_cost=budget),
+        )
+        for spec in environment.traffic.travel_time_bound_specs(eta_h, now_h)
+    )
     priced = []
     for charger in pool:
         lo = _round_trip(charger.node_id, out_lo, same_lo, next_lo)

@@ -8,6 +8,8 @@ adjacency with the kernel CH search spaces use.  These tests pin:
 * bitwise equality of the raw (unquantised) settled maps with
   ``dijkstra_all``/``dijkstra_all_backward`` under the spec's own
   callable, on arbitrary small graphs in both kernel paths;
+* that a search seeded at two nodes (a segment's two rejoin points)
+  equals the elementwise minimum of the two single-node searches;
 * the "price once" contract itself, counted at the cost functions;
 * the fences that drop a priced vector with the rest of a key's state;
 * that the ``L``/``A`` estimators keep no memo (they price whole pools).
@@ -32,7 +34,12 @@ from repro.network.distance_engine import DISTANCE_QUANTUM, DistanceEngine, Weig
 from repro.network.epochs import GraphEpochManager, Incident
 from repro.network.graph import EdgeWeight, RoadEdge, RoadNetwork
 from repro.network.path import Trip
-from repro.network.shortest_path import dijkstra_all, dijkstra_all_backward
+from repro.network.shortest_path import (
+    ArcGraph,
+    dijkstra_all,
+    dijkstra_all_backward,
+    settle_arcs,
+)
 from repro.spatial.geometry import Point
 
 INF = float("inf")
@@ -129,6 +136,62 @@ class TestSettledMapsMatchRawDijkstra:
         assert ball[1] == ball[2] + spec.fn(network.edge(2, 1))
 
 
+def nearest(first: dict[int, float], second: dict[int, float]) -> dict[int, float]:
+    """Elementwise minimum of two distance maps (absent means unreachable)."""
+    return {
+        node: min(first.get(node, INF), second.get(node, INF)) for node in first.keys() | second
+    }
+
+
+class TestFusedReturns:
+    """One search to both rejoin points equals the min of two, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=small_networks(), data=st.data())
+    def test_two_origin_search_is_min_of_single_searches(self, case, data):
+        network, closed, first = case
+        ids = sorted(network.node_ids())
+        second = data.draw(st.sampled_from(ids), label="second")  # may equal first
+        manager = GraphEpochManager(network)
+        traffic = TrafficModel(seed=3)
+        traffic.set_epochs(manager)
+        if closed:
+            manager.apply([Incident.closure(s, t) for s, t in closed])
+        spec = data.draw(st.sampled_from(traffic.travel_time_bound_specs(9.0, 8.0)), label="spec")
+        arcs = ArcGraph.of(network)
+        weights = [spec.fn(edge) for edge in arcs.edges]
+        # Dense ids run both kernel paths (a list adjacency indexes either way).
+        spans = {arcs.span, 0}
+        for adjacency in (arcs.out_arcs, arcs.in_arcs):
+            full = nearest(
+                settle_arcs(first, adjacency, weights), settle_arcs(second, adjacency, weights)
+            )
+            # Unbudgeted, and a budget exactly equal to one node's distance.
+            for budget in (INF, data.draw(st.sampled_from(sorted(full.values())), label="budget")):
+                expected = nearest(
+                    settle_arcs(first, adjacency, weights, budget),
+                    settle_arcs(second, adjacency, weights, budget),
+                )
+                for span in spans:
+                    fused = settle_arcs((first, second), adjacency, weights, budget, span)
+                    assert bits(fused) == bits(expected)
+        # ``full`` is now the backward pair, the distances many_to_one serves.
+        budget = data.draw(st.sampled_from([INF, *full.values()]), label="engine budget")
+        for backend in ("dijkstra", "ch"):
+
+            def engine() -> DistanceEngine:
+                fresh = DistanceEngine(network, backend=backend)
+                fresh.attach_epochs(manager)
+                return fresh
+
+            got = engine().many_to_one(ids, (first, second), spec, max_cost=budget)
+            expected = nearest(
+                engine().many_to_one(ids, first, spec, max_cost=budget),
+                engine().many_to_one(ids, second, spec, max_cost=budget),
+            )
+            assert bits(got) == bits(expected)
+
+
 @pytest.fixture(scope="module")
 def city():
     return build_city_network(NetworkSpec(width_km=8.0, height_km=6.0, block_km=1.2, seed=4))
@@ -161,15 +224,22 @@ class TestPriceOnce:
             "travel_time_bound_specs",
             lambda time_h, now_h: tuple(counted(s) for s in original(time_h, now_h)),
         )
-        engine = DistanceEngine(city)
-        estimator = DeroutingEstimator(city, traffic, engine=engine)
         registry = generate_catalog(city, CatalogSpec(charger_count=20, seed=4))
         nodes = sorted(city.node_ids())
         trip = Trip.route(city, nodes[0], nodes[-1], departure_time_h=8.0)
-        first, second = trip.segments(segment_km=2.0)[:2]
-        estimator.batch_estimate(first, registry.all(), time_h=8.3, now_h=8.0, next_segment=second)
-        assert engine.stats.searches == 6
-        assert calls == Counter(batch=2)  # one pricing per metric, zero fn calls
+        segments = trip.segments(segment_km=2.0)
+        # A segment with a next one: both rejoin points share one return
+        # search per bound, so 2 outbound + 2 return; the last segment
+        # rejoins only its own end and pays the same 4.
+        for segment, next_segment in ((segments[0], segments[1]), (segments[-1], None)):
+            calls.clear()
+            engine = DistanceEngine(city)
+            estimator = DeroutingEstimator(city, traffic, engine=engine)
+            estimator.batch_estimate(
+                segment, registry.all(), time_h=8.3, now_h=8.0, next_segment=next_segment
+            )
+            assert engine.stats.searches == 4
+            assert calls == Counter(batch=2)  # one pricing per metric, zero fn calls
 
     def test_raw_edge_weight_calls_fn_once_per_arc_per_metric(self, city, monkeypatch):
         calls: Counter[EdgeWeight] = Counter()

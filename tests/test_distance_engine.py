@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chargers.plugshare import CatalogSpec, generate_catalog
 from repro.core.environment import ChargingEnvironment
@@ -26,9 +29,11 @@ from repro.network.builders import (
 )
 from repro.network.distance_engine import (
     BACKENDS,
+    DISTANCE_DECIMALS,
     DISTANCE_QUANTUM,
     DistanceEngine,
     WeightSpec,
+    quantize_array,
 )
 from repro.network.graph import EdgeWeight
 from repro.network.path import Trip
@@ -409,3 +414,48 @@ class TestEnvironmentWiring:
 
     def test_quantum_is_sane(self):
         assert DISTANCE_QUANTUM == pytest.approx(1e-9)
+
+
+def _assert_quantizes_like_round(values):
+    with np.errstate(all="raise"):
+        got = quantize_array(np.array(values, dtype=np.float64)).tolist()
+    assert [q.hex() for q in got] == [round(v, DISTANCE_DECIMALS).hex() for v in values]
+
+
+def _neighbours(value, ulps=4):
+    """``value`` and the floats up to ``ulps`` steps either side of it."""
+    out = [value]
+    up = down = value
+    for _ in range(ulps):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+class TestQuantizeArray:
+    """The array kernel behind ``_subset`` equals ``round(x, 9)`` bit for bit."""
+
+    def test_near_ties(self):
+        # k/1e9 + 0.5e-9 lands within an ulp or two of a decimal tie, where
+        # rint(x * 1e9) can round the other way from round().
+        rng = random.Random(5)
+        # Up to 1e15 reaches past the fast path's 2**43 bound on x * 1e9.
+        ks = list(range(200)) + [rng.randrange(10 ** rng.randrange(6, 16)) for _ in range(400)]
+        values = [v for k in ks for v in _neighbours(k / 1e9 + 0.5e-9)]
+        # Exact binary ties (x * 1e9 is exactly k + 0.5): round half to even.
+        values += [m * 2.0**-10 for m in range(1, 64, 2)] + [1e9 * 2.0**-10 + 0.5e-9]
+        _assert_quantizes_like_round(values + [-v for v in values])
+
+    def test_special_and_out_of_range_values(self):
+        limit = 2.0**43 / 1e9
+        values = [
+            math.inf, -math.inf, 0.0, -0.0,
+            1e-12, -1e-12, 4e-10, 5e-10, 6e-10, 5e-324, -5e-324,
+            *_neighbours(limit), 1e4, 123456.7890123455, 1e15, 1e300, -1e300,
+        ]
+        _assert_quantizes_like_round(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 50.0), st.floats(allow_nan=False)), max_size=40))
+    def test_matches_round(self, values):
+        _assert_quantizes_like_round(values)

@@ -27,6 +27,7 @@ from repro.core.ecocharge import EcoChargeConfig
 from repro.core.environment import ChargingEnvironment
 from repro.observability.clock import SYSTEM_CLOCK, SimulatedClock
 from repro.observability.deadline import NEVER_EXPIRES, Deadline, DeadlineExpired
+from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.observability.recorder import Telemetry
 from repro.resilience import FaultInjector, OverloadChaos
 from repro.server.cache import ResponseCache
@@ -651,6 +652,17 @@ class TestBurstOverloadChaos:
         assert report.accounting_exact
         assert report.reconciliation == ()
         assert len(report.responses) == report.requests == 32
+
+    def test_report_quantiles_are_observed_latencies(
+        self, small_network, small_registry, trips
+    ):
+        _, report = _chaos_run(small_network, small_registry, trips)
+        served = [r.latency_s for r in report.responses if r.outcome.is_served]
+        assert len(served) > 1
+        assert report.p50_latency_s == percentile(served, 0.5)
+        assert report.p99_latency_s == percentile(served, 0.99)
+        # Not a histogram bucket's upper bound standing in for a latency.
+        assert report.p99_latency_s not in DEFAULT_LATENCY_BUCKETS
 
     def test_chaos_run_replays_identically(self, small_network, small_registry, trips):
         _, first = _chaos_run(small_network, small_registry, trips)
