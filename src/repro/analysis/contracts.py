@@ -2,7 +2,7 @@
 
 ``@require``/``@ensure`` decorators attach executable pre/postconditions
 to the functions that carry the paper's invariants (``Interval``
-operations, ``sc_score``, the CkNN-EC ranking loop, the dynamic cache's
+operations, Eq. 4-6 scoring, the CkNN-EC ranking loop, the dynamic cache's
 ``Q``/``t`` admission check).  They are **off by default**: unless the
 environment variable ``REPRO_CONTRACTS`` is ``1`` at import time, the
 decorators return the function unchanged, so production hot paths pay

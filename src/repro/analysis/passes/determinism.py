@@ -88,7 +88,7 @@ _SEED_KEYWORDS = frozenset({"seed", "x"})  # random.Random(x=...) keyword is "x"
 
 _SINK_CTORS = {
     "OfferingTable": "Offering Table construction",
-    "build_table": "Offering Table construction",
+    "build_table_from_arrays": "Offering Table construction",
     "SessionSnapshot": "snapshot state",
     "write_snapshot": "snapshot write",
     "JournalRecord": "journal record",

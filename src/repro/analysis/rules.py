@@ -207,7 +207,7 @@ class MetricConsistencyRule(RuleProtocol):
 # --------------------------------------------------------------------------
 
 #: Packages whose dataclasses sit on the per-segment hot path — millions
-#: of Interval / ComponentScores / candidate instances per experiment run.
+#: of Interval / OfferingEntry / candidate instances per experiment run.
 _R3_PACKAGES = ("core/", "spatial/", "estimation/")
 
 

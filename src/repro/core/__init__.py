@@ -20,18 +20,9 @@ from .cknn import (
 )
 from .ecocharge import EcoCharge, EcoChargeConfig, EcoChargeRanker
 from .environment import ChargingEnvironment, TrueComponents
-from .offering import OfferingEntry, OfferingTable, build_table
+from .offering import OfferingEntry, OfferingTable
 from .ranking import RankingRun, SegmentRanker, refine_pool, run_over_trip
-from .scoring import (
-    ABLATION_CONFIGS,
-    ComponentScores,
-    ScScore,
-    Weights,
-    intersect_top_k,
-    rank_by_midpoint,
-    sc_exact,
-    sc_score,
-)
+from .scoring import ABLATION_CONFIGS, ScScore, Weights, sc_exact
 
 __all__ = [
     "ABLATION_CONFIGS",
@@ -42,7 +33,6 @@ __all__ = [
     "CachedSolution",
     "ChargerLoadBalancer",
     "ChargingEnvironment",
-    "ComponentScores",
     "DynamicCache",
     "EcoCharge",
     "EcoChargeConfig",
@@ -64,18 +54,14 @@ __all__ = [
     "VehicleConstraints",
     "Weights",
     "aknn_self_join",
-    "build_table",
     "coverage_is_complete",
     "filter_feasible",
     "hull_of",
-    "intersect_top_k",
     "knn_graph_edges",
     "knn_timeline",
-    "rank_by_midpoint",
     "refine_pool",
     "run_over_trip",
     "sc_exact",
-    "sc_score",
     "split_points_1nn",
     "split_points_knn_sampled",
     "uncertain_knn",

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..chargers.charger import Charger
-from ..intervals import Interval
+from ..interval_array import ComponentArrays, IntervalArray
 from ..network.path import Trip, TripSegment
 from .environment import ChargingEnvironment
-from .offering import OfferingTable, build_table
+from .offering import OfferingTable, build_table_from_arrays
 from .ranking import refine_pool
-from .scoring import ScScore, Weights
+from .scoring import Weights
 
 
 class BruteForceRanker:
@@ -128,9 +127,10 @@ class QuadtreeRanker:
 class RandomRanker:
     """Random Offering Tables within radius ``R`` (objectives ignored).
 
-    The scores recorded in the table are placeholders (zero-width unknown
-    intervals); the evaluation grades the *selection* against ground
-    truth, which is where this method collapses to its ~35-40 % SC.
+    The scores recorded in the table are placeholders (zero scores and
+    the vacuous ``[0, 1]`` interval for every component); the evaluation
+    grades the *selection* against ground truth, which is where this
+    method collapses to its ~35-40 % SC.
     """
 
     name = "random"
@@ -169,17 +169,25 @@ class RandomRanker:
         picks = list(pool)
         self._rng.shuffle(picks)
         picks = picks[: self.k]
-        unknown = Interval(0.0, 1.0)
-        rows = [
-            (ScScore(charger.charger_id, 0.0, 0.0), charger, unknown, unknown, unknown, eta_h)
-            for charger in picks
-        ]
-        return build_table(
+        n = len(picks)
+        unknown = IntervalArray(np.zeros(n), np.ones(n))
+        placeholder = np.zeros(n)
+        return build_table_from_arrays(
             segment_index=segment.index,
             origin=segment.midpoint,
             generated_at_h=now_h,
             radius_km=self.radius_km,
-            ranked=rows,
+            components=ComponentArrays(
+                np.array([charger.charger_id for charger in picks], dtype=np.int64),
+                unknown,
+                unknown,
+                unknown,
+            ),
+            sc_min=placeholder,
+            sc_max=placeholder,
+            chosen_rows=range(n),
+            chargers_by_id={charger.charger_id: charger for charger in picks},
+            eta_h=eta_h,
         )
 
     def reset(self) -> None:

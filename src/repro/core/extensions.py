@@ -21,16 +21,20 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 from ..chargers.charger import Charger
 from ..estimation.tariff import TariffEstimator
+from ..interval_array import ComponentArrays, IntervalArray
 from ..intervals import Interval
 from ..network.path import Trip, TripSegment
 from .caching import CacheStats
 from .ecocharge import EcoChargeConfig, EcoChargeRanker
 from .environment import ChargingEnvironment
-from .offering import OfferingTable, build_table
-from .scoring import ComponentScores, ScScore, Weights, intersect_top_k
+from .offering import OfferingTable, rebuild_table
+from .scoring import Weights, intersect_top_k_batch, sc_score_batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,39 +117,21 @@ class TariffAwareRanker:
         wide = self._inner.rank_segment(trip, segment, eta_h, now_h, next_segment)
         cost = self.tariff.estimate(eta_h, now_h)
         w = self.weights
-        rescored: list[ScScore] = []
-        by_id = {}
-        for entry in wide:
-            sc_min = (
-                entry.sustainable.lo * w.sustainable
-                + entry.availability.lo * w.availability
-                + (1.0 - entry.derouting.lo) * w.derouting
-                + (1.0 - cost.lo) * w.cost
-            )
-            sc_max = (
-                entry.sustainable.hi * w.sustainable
-                + entry.availability.hi * w.availability
-                + (1.0 - entry.derouting.hi) * w.derouting
-                + (1.0 - cost.hi) * w.cost
-            )
-            rescored.append(ScScore(entry.charger_id, sc_min, sc_max))
-            by_id[entry.charger_id] = entry
-        chosen = intersect_top_k(rescored, self._final_k)
-        rows = []
-        for score in chosen:
-            entry = by_id[score.charger_id]
-            rows.append(
-                (score, entry.charger, entry.sustainable, entry.availability,
-                 entry.derouting, eta_h)
-            )
-        return build_table(
-            segment_index=segment.index,
-            origin=segment.midpoint,
-            generated_at_h=wide.generated_at_h,
-            radius_km=wide.radius_km,
-            ranked=rows,
-            adapted_from=wide.adapted_from,
+        rows = ComponentArrays.from_scores(wide.entries)
+        sc_min = (
+            rows.sustainable.lo * w.sustainable
+            + rows.availability.lo * w.availability
+            + (1.0 - rows.derouting.lo) * w.derouting
+            + (1.0 - cost.lo) * w.cost
         )
+        sc_max = (
+            rows.sustainable.hi * w.sustainable
+            + rows.availability.hi * w.availability
+            + (1.0 - rows.derouting.hi) * w.derouting
+            + (1.0 - cost.hi) * w.cost
+        )
+        chosen = intersect_top_k_batch(rows.charger_ids, sc_min, sc_max, self._final_k)
+        return rebuild_table(wide, rows, sc_min, sc_max, chosen)
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -183,34 +169,37 @@ class ChargerLoadBalancer:
         """Vehicles already steered to ``charger_id`` in the ETA slot."""
         return self._assignments.get((charger_id, self._slot(eta_h)), 0)
 
+    def _crowding_factor(self, charger: Charger, eta_h: float) -> float:
+        """The damping applied to ``charger``'s availability at the ETA
+        slot: 1.0 while nobody is steered there, else shrinking by
+        ``penalty_per_vehicle`` per assignment per plug, never below 0."""
+        queued = self.load(charger.charger_id, eta_h)
+        if queued == 0:
+            return 1.0
+        return max(0.0, 1.0 - self.penalty_per_vehicle * queued / charger.plugs)
+
     def adjusted_availability(
         self, charger: Charger, availability: Interval, eta_h: float
     ) -> Interval:
         """Availability damped by expected crowding at the ETA slot."""
-        queued = self.load(charger.charger_id, eta_h)
-        if queued == 0:
-            return availability
-        factor = max(0.0, 1.0 - self.penalty_per_vehicle * queued / charger.plugs)
-        return Interval(availability.lo * factor, availability.hi * factor)
+        return availability * self._crowding_factor(charger, eta_h)
 
     def adjust_components(
         self,
-        chargers: list[Charger],
-        components: list[ComponentScores],
+        chargers: Sequence[Charger],
+        components: ComponentArrays,
         eta_h: float,
-    ) -> list[ComponentScores]:
-        """Apply crowding penalties to a scored pool."""
-        adjusted = []
-        for charger, comp in zip(chargers, components):
-            adjusted.append(
-                replace(
-                    comp,
-                    availability=self.adjusted_availability(
-                        charger, comp.availability, eta_h
-                    ),
-                )
-            )
-        return adjusted
+    ) -> ComponentArrays:
+        """Apply crowding penalties to a scored pool (``chargers[i]`` owns
+        row ``i``)."""
+        factors = np.array([self._crowding_factor(c, eta_h) for c in chargers])
+        availability = components.availability
+        return replace(
+            components,
+            availability=IntervalArray(
+                availability.lo * factors, availability.hi * factors
+            ),
+        )
 
     def clear(self) -> None:
         """Forget all registered assignments (new planning epoch)."""
@@ -249,36 +238,16 @@ class BalancedEcoChargeRanker:
         """Rank under crowding penalties and register the top pick."""
         table = self._inner.rank_segment(trip, segment, eta_h, now_h, next_segment)
         # Re-rank the offered entries under current crowding.
-        chargers = [entry.charger for entry in table]
-        components = [
-            ComponentScores(
-                entry.charger_id, entry.sustainable, entry.availability, entry.derouting
-            )
-            for entry in table
-        ]
-        adjusted = self.balancer.adjust_components(chargers, components, eta_h)
-        scores = []
-        by_id = {}
-        from .scoring import sc_score
-
-        for charger, comp in zip(chargers, adjusted):
-            scores.append(sc_score(comp, self.config.weights))
-            by_id[comp.charger_id] = (charger, comp)
-        chosen = intersect_top_k(scores, min(self.config.k, len(scores)))
-        rows = []
-        for score in chosen:
-            charger, comp = by_id[score.charger_id]
-            rows.append(
-                (score, charger, comp.sustainable, comp.availability, comp.derouting, eta_h)
-            )
-        rebalanced = build_table(
-            segment_index=segment.index,
-            origin=segment.midpoint,
-            generated_at_h=table.generated_at_h,
-            radius_km=table.radius_km,
-            ranked=rows,
-            adapted_from=table.adapted_from,
+        adjusted = self.balancer.adjust_components(
+            [entry.charger for entry in table],
+            ComponentArrays.from_scores(table.entries),
+            eta_h,
         )
+        sc_min, sc_max = sc_score_batch(adjusted, self.config.weights)
+        chosen = intersect_top_k_batch(
+            adjusted.charger_ids, sc_min, sc_max, min(self.config.k, len(adjusted))
+        )
+        rebalanced = rebuild_table(table, adjusted, sc_min, sc_max, chosen)
         if rebalanced.best is not None:
             self.balancer.register(rebalanced.best.charger_id, eta_h)
         return rebalanced

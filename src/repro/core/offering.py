@@ -96,41 +96,6 @@ class OfferingTable:
         return None
 
 
-def build_table(
-    segment_index: int,
-    origin: Point,
-    generated_at_h: float,
-    radius_km: float,
-    ranked: list[tuple[ScScore, Charger, Interval, Interval, Interval, float]],
-    adapted_from: int | None = None,
-) -> OfferingTable:
-    """Assemble an :class:`OfferingTable` from ranked scoring output.
-
-    ``ranked`` rows are ``(score, charger, L, A, D, eta_h)`` in final rank
-    order.
-    """
-    entries = tuple(
-        OfferingEntry(
-            rank=i + 1,
-            charger=charger,
-            score=score,
-            sustainable=l_iv,
-            availability=a_iv,
-            derouting=d_iv,
-            eta_h=eta_h,
-        )
-        for i, (score, charger, l_iv, a_iv, d_iv, eta_h) in enumerate(ranked)
-    )
-    return OfferingTable(
-        segment_index=segment_index,
-        origin=origin,
-        generated_at_h=generated_at_h,
-        radius_km=radius_km,
-        entries=entries,
-        adapted_from=adapted_from,
-    )
-
-
 def build_table_from_arrays(
     segment_index: int,
     origin: Point,
@@ -151,8 +116,8 @@ def build_table_from_arrays(
     boundary of the batched scoring path: :class:`ScScore` and
     :class:`~repro.intervals.Interval` dataclasses exist only for
     the ``<= k`` chosen rows, never for the whole pool.  Values are
-    passed through ``float()`` untouched, so the table is bitwise equal
-    to :func:`build_table` over the scalar pipeline.
+    passed through ``float()`` untouched, so the table carries the
+    arrays' exact bits.
     """
     sustainable = components.sustainable
     availability = components.availability
@@ -177,4 +142,35 @@ def build_table_from_arrays(
         radius_km=radius_km,
         entries=entries,
         adapted_from=adapted_from,
+    )
+
+
+def rebuild_table(
+    table: OfferingTable,
+    components: "ComponentArrays",
+    sc_min: np.ndarray,
+    sc_max: np.ndarray,
+    chosen_rows: Sequence[int] | np.ndarray,
+) -> OfferingTable:
+    """``table`` re-scored: the same segment, origin, timestamps and
+    chargers over new component rows and scores, in ``chosen_rows``
+    order.
+
+    ``components`` holds rows for (a subset of) ``table``'s chargers —
+    typically ``ComponentArrays.from_scores(table.entries)`` after a
+    widening or a re-weighting.  A table's entries all carry the ETA it
+    was ranked for, which the rebuilt entries keep.
+    """
+    return build_table_from_arrays(
+        segment_index=table.segment_index,
+        origin=table.origin,
+        generated_at_h=table.generated_at_h,
+        radius_km=table.radius_km,
+        components=components,
+        sc_min=sc_min,
+        sc_max=sc_max,
+        chosen_rows=chosen_rows,
+        chargers_by_id={entry.charger_id: entry.charger for entry in table.entries},
+        eta_h=table.entries[0].eta_h if table.entries else table.generated_at_h,
+        adapted_from=table.adapted_from,
     )

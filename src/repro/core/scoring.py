@@ -23,7 +23,6 @@ import numpy as np
 
 from ..analysis.contracts import ensure, require
 from ..interval_array import ComponentArrays
-from ..intervals import Interval
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,29 +79,6 @@ ABLATION_CONFIGS: dict[str, Weights] = {
 
 
 @dataclass(frozen=True, slots=True)
-class ComponentScores:
-    """The three normalised EC intervals for one charger at one ETA.
-
-    All three live in [0, 1]; for ``L`` and ``A`` bigger is better, for
-    ``D`` smaller is better (the score flips it via ``1 - D``).
-    """
-
-    charger_id: int
-    sustainable: Interval
-    availability: Interval
-    derouting: Interval
-
-    def __post_init__(self) -> None:
-        for name, interval in (
-            ("sustainable", self.sustainable),
-            ("availability", self.availability),
-            ("derouting", self.derouting),
-        ):
-            if not interval.within_bounds(0.0, 1.0, tol=1e-9):
-                raise ValueError(f"{name} interval {interval} not normalised to [0, 1]")
-
-
-@dataclass(frozen=True, slots=True)
 class ScScore:
     """The two scenario scores of Eq. 4-5 plus derived ranking keys."""
 
@@ -120,34 +96,6 @@ class ScScore:
         return min(self.sc_min, self.sc_max)
 
 
-@require(
-    lambda components: all(
-        interval.within_bounds(0.0, 1.0, tol=1e-9)
-        for interval in (components.sustainable, components.availability, components.derouting)
-    ),
-    "Eq. 4-5 need all three EC intervals normalised into [0, 1]",
-)
-@ensure(
-    lambda result: -1e-9 <= result.sc_min <= 1.0 + 1e-9
-    and -1e-9 <= result.sc_max <= 1.0 + 1e-9,
-    "scenario scores must stay in [0, 1] for normalised weights",
-)
-def sc_score(components: ComponentScores, weights: Weights) -> ScScore:
-    """Evaluate Eq. 4 and Eq. 5 for one charger."""
-    w1, w2, w3 = weights.as_tuple()
-    sc_min = (
-        components.sustainable.lo * w1
-        + components.availability.lo * w2
-        + (1.0 - components.derouting.lo) * w3
-    )
-    sc_max = (
-        components.sustainable.hi * w1
-        + components.availability.hi * w2
-        + (1.0 - components.derouting.hi) * w3
-    )
-    return ScScore(components.charger_id, sc_min, sc_max)
-
-
 def sc_exact(
     sustainable: float, availability: float, derouting: float, weights: Weights
 ) -> float:
@@ -157,54 +105,51 @@ def sc_exact(
     return sustainable * w1 + availability * w2 + (1.0 - derouting) * w3
 
 
-@ensure(
-    lambda result, scores, k, pad: len(result) <= k
-    and len({s.charger_id for s in result}) == len(result)
-    and all(
-        (a.sc_max, a.sc_min) >= (b.sc_max, b.sc_min)
-        for a, b in zip(result, result[1:])
-    )
-    and (not pad or len(result) == min(k, len(scores))),
-    "Eq. 6 must return at most k unique chargers sorted highest-to-lowest",
-)
-def intersect_top_k(
-    scores: list[ScScore], k: int, pad: bool = True
-) -> list[ScScore]:
-    """Eq. 6: intersect the SC_min top-k with the SC_max top-k.
-
-    The paper states the intersection "contains k chargers"; with noisy
-    intervals it can contain fewer, so with ``pad=True`` (the default, and
-    what EcoCharge uses) the result is topped up with the best remaining
-    chargers by midpoint score until ``k`` entries are reached.  The
-    result is sorted by descending SC_max, tie-broken by SC_min then id —
-    "highest to lowest rank" per Algorithm 1 line 17.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    by_min = sorted(scores, key=lambda s: (-s.sc_min, s.charger_id))[:k]
-    by_max = sorted(scores, key=lambda s: (-s.sc_max, s.charger_id))[:k]
-    min_ids = {s.charger_id for s in by_min}
-    chosen = [s for s in by_max if s.charger_id in min_ids]
-    if pad and len(chosen) < k:
-        chosen_ids = {s.charger_id for s in chosen}
-        leftovers = sorted(
-            (s for s in scores if s.charger_id not in chosen_ids),
-            key=lambda s: (-s.midpoint, s.charger_id),
+def _scores_normalised(components: ComponentArrays) -> bool:
+    return all(
+        bool(component.within_bounds(0.0, 1.0, tol=1e-9).all())
+        for component in (
+            components.sustainable,
+            components.availability,
+            components.derouting,
         )
-        chosen.extend(leftovers[: k - len(chosen)])
-    chosen.sort(key=lambda s: (-s.sc_max, -s.sc_min, s.charger_id))
-    return chosen[:k]
+    )
 
 
+def _ranked_top_k(
+    result: np.ndarray,
+    charger_ids: np.ndarray,
+    sc_min: np.ndarray,
+    sc_max: np.ndarray,
+    k: int,
+    pad: bool,
+) -> bool:
+    ids = charger_ids[result].tolist()
+    keys = list(zip(sc_max[result].tolist(), sc_min[result].tolist()))
+    return (
+        len(ids) <= k
+        and len(set(ids)) == len(ids)
+        and all(a >= b for a, b in zip(keys, keys[1:]))
+        and (not pad or len(ids) == min(k, len(charger_ids)))
+    )
+
+
+@require(_scores_normalised, "Eq. 4-5 need all three EC intervals normalised into [0, 1]")
+@ensure(
+    lambda result: all(
+        bool(((scores >= -1e-9) & (scores <= 1.0 + 1e-9)).all()) for scores in result
+    ),
+    "scenario scores must stay in [0, 1] for normalised weights",
+)
 def sc_score_batch(
     components: ComponentArrays, weights: Weights
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eq. 4 and Eq. 5 over a whole pool in six elementwise operations.
 
     Returns ``(sc_min, sc_max)`` float64 arrays aligned with
-    ``components.charger_ids``.  The expressions repeat :func:`sc_score`'s
-    arithmetic with identical association (``(a*w1 + b*w2) + (1-d)*w3``),
-    so every element is bitwise equal to the scalar result — asserted by
+    ``components.charger_ids``.  Each element is evaluated with the
+    association ``(a*w1 + b*w2) + (1-d)*w3``, so it is bitwise equal to
+    the per-charger reference in ``tests/scalar_oracle.py`` — asserted by
     the property tests.
     """
     w1, w2, w3 = weights.as_tuple()
@@ -221,6 +166,10 @@ def sc_score_batch(
     return sc_min, sc_max
 
 
+@ensure(
+    _ranked_top_k,
+    "Eq. 6 must return at most k unique chargers sorted highest-to-lowest",
+)
 def intersect_top_k_batch(
     charger_ids: np.ndarray,
     sc_min: np.ndarray,
@@ -228,13 +177,18 @@ def intersect_top_k_batch(
     k: int,
     pad: bool = True,
 ) -> np.ndarray:
-    """Eq. 6 on flat score arrays; returns *row indices* in final order.
+    """Eq. 6: intersect the SC_min top-k with the SC_max top-k; returns
+    *row indices* in final order.
 
-    Exactly replicates :func:`intersect_top_k` including every tie-break:
-    each ``sorted(key=(-score, id))`` becomes a stable
-    ``np.lexsort((ids, -score))`` (lexsort keys are listed last-primary),
-    and ids are unique within a pool, so ordering is fully determined.
-    The caller materialises :class:`ScScore` dataclasses only for the
+    The paper states the intersection "contains k chargers"; with noisy
+    intervals it can contain fewer, so with ``pad=True`` (the default, and
+    what EcoCharge uses) the result is topped up with the best remaining
+    chargers by midpoint score until ``k`` entries are reached.  The
+    result is sorted by descending SC_max, tie-broken by SC_min then id —
+    "highest to lowest rank" per Algorithm 1 line 17.  Every sort is a
+    stable ``np.lexsort`` with the charger id as the last key, and ids
+    are unique within a pool, so the order is fully determined.  The
+    caller materialises :class:`ScScore` dataclasses only for the
     ``<= k`` selected rows.
     """
     if k < 1:
@@ -256,11 +210,3 @@ def intersect_top_k_batch(
     rows = np.array(chosen, dtype=np.int64)
     order = np.lexsort((charger_ids[rows], -sc_min[rows], -sc_max[rows]))
     return rows[order][:k]
-
-
-def rank_by_midpoint(scores: list[ScScore], k: int) -> list[ScScore]:
-    """Alternative ranking used by the intersection ablation: ignore the
-    two-scenario structure and sort by midpoint score."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return sorted(scores, key=lambda s: (-s.midpoint, s.charger_id))[:k]

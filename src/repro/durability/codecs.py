@@ -25,12 +25,14 @@ import json
 import math
 from typing import Any, Mapping
 
+import numpy as np
+
 from ..chargers.charger import Charger, PlugType, RenewableSource
 from ..core.caching import CachedSolution, CacheStats
 from ..core.moving import MovingQuery
 from ..core.offering import OfferingEntry, OfferingTable
-from ..core.scoring import ComponentScores, ScScore, Weights
-from ..interval_array import ComponentArrays
+from ..core.scoring import ScScore, Weights
+from ..interval_array import ComponentArrays, IntervalArray
 from ..intervals import Interval
 from ..network.path import Trip
 from ..spatial.geometry import Point, Segment
@@ -183,35 +185,47 @@ class ChargerCodec:
 
 
 class ComponentScoresCodec:
-    """``ComponentScores`` ⇄ the three EC intervals."""
+    """A scored pool's rows ⇄ one object per charger: its id and three EC
+    intervals.
+
+    Encodes row by row straight from the :class:`ComponentArrays`, and
+    decodes through the validating constructors (``Interval`` and
+    ``ComponentArrays``), so a journal row whose interval is NaN,
+    inverted or outside ``[0, 1]`` is refused.
+    """
 
     tag = "component-scores"
     version = 1
 
-    @staticmethod
-    def encode(value: ComponentScores) -> dict[str, Any]:
-        return {
-            "charger_id": value.charger_id,
-            "sustainable": IntervalCodec.encode(value.sustainable),
-            "availability": IntervalCodec.encode(value.availability),
-            "derouting": IntervalCodec.encode(value.derouting),
-        }
+    COMPONENTS = ("sustainable", "availability", "derouting")
 
     @staticmethod
-    def decode(payload: Any) -> ComponentScores:
-        data = _expect_mapping(payload, ComponentScoresCodec.tag)
-        return ComponentScores(
-            charger_id=int(_field(data, "charger_id", ComponentScoresCodec.tag)),
-            sustainable=IntervalCodec.decode(
-                _field(data, "sustainable", ComponentScoresCodec.tag)
-            ),
-            availability=IntervalCodec.decode(
-                _field(data, "availability", ComponentScoresCodec.tag)
-            ),
-            derouting=IntervalCodec.decode(
-                _field(data, "derouting", ComponentScoresCodec.tag)
-            ),
-        )
+    def encode(value: ComponentArrays) -> list[dict[str, Any]]:
+        return [
+            {
+                "charger_id": charger_id,
+                **{
+                    name: IntervalCodec.encode(getattr(value, name).at(row))
+                    for name in ComponentScoresCodec.COMPONENTS
+                },
+            }
+            for row, charger_id in enumerate(value.charger_ids.tolist())
+        ]
+
+    @staticmethod
+    def decode(payload: Any) -> ComponentArrays:
+        tag = ComponentScoresCodec.tag
+        if not isinstance(payload, list):
+            raise CodecError(f"{tag}: expected a list of rows")
+        rows = [_expect_mapping(row, tag) for row in payload]
+        columns = {
+            name: IntervalArray.from_intervals(
+                [IntervalCodec.decode(_field(row, name, tag)) for row in rows]
+            )
+            for name in ComponentScoresCodec.COMPONENTS
+        }
+        ids = [int(_field(row, "charger_id", tag)) for row in rows]
+        return ComponentArrays(np.array(ids, dtype=np.int64), **columns)
 
 
 class ScScoreCodec:
@@ -341,16 +355,6 @@ class OfferingTableCodec:
         )
 
 
-def _component_row(components: ComponentArrays, row: int) -> ComponentScores:
-    """Row ``row`` of a cached pool as the dataclass its codec encodes."""
-    return ComponentScores(
-        charger_id=int(components.charger_ids[row]),
-        sustainable=components.sustainable.at(row),
-        availability=components.availability.at(row),
-        derouting=components.derouting.at(row),
-    )
-
-
 class CachedSolutionCodec:
     """``CachedSolution`` ⇄ the scored pool behind one Offering Table.
 
@@ -373,10 +377,7 @@ class CachedSolutionCodec:
             "eta_h": encode_float(value.eta_h),
             "radius_km": encode_float(value.radius_km),
             "pool": [ChargerCodec.encode(charger) for charger in value.pool],
-            "components": [
-                ComponentScoresCodec.encode(_component_row(value.components, row))
-                for row in range(len(value.components))
-            ],
+            "components": ComponentScoresCodec.encode(value.components),
             "epoch": value.epoch,
         }
 
@@ -396,9 +397,7 @@ class CachedSolutionCodec:
             eta_h=decode_float(_field(data, "eta_h", CachedSolutionCodec.tag)),
             radius_km=decode_float(_field(data, "radius_km", CachedSolutionCodec.tag)),
             pool=tuple(ChargerCodec.decode(charger) for charger in pool),
-            components=ComponentArrays.from_scores(
-                [ComponentScoresCodec.decode(comp) for comp in components]
-            ),
+            components=ComponentScoresCodec.decode(components),
             # Absent from v1 payloads (static network): epoch 0.
             epoch=int(data.get("epoch", 0)),
         )

@@ -12,11 +12,9 @@ results are bitwise equal to the scalar :class:`Interval`, not merely
 close.  The scalar class stays as the oracle the property tests check
 this module against.
 
-Dataclasses (:class:`~repro.intervals.Interval`,
-:class:`~repro.core.scoring.ComponentScores`) are materialised only at
+:class:`~repro.intervals.Interval` dataclasses are materialised only at
 the API boundary — see
-:func:`~repro.core.offering.build_table_from_arrays` and the durable
-codecs.
+:func:`~repro.core.offering.build_table_from_arrays`.
 """
 
 from __future__ import annotations
@@ -277,8 +275,7 @@ class IntervalArray:
 class ComponentArrays:
     """A pool's normalised L/A/D component intervals in flat form.
 
-    The array counterpart of ``list[ComponentScores]``: ``charger_ids[i]``
-    owns row ``i`` of each component.  Produced by
+    ``charger_ids[i]`` owns row ``i`` of each component.  Produced by
     :meth:`~repro.core.environment.ChargingEnvironment.score_pool`, kept
     in the dynamic cache, and consumed by
     :func:`~repro.core.scoring.sc_score_batch`.
@@ -325,12 +322,14 @@ class ComponentArrays:
 
     @classmethod
     def from_scores(cls, scores: Sequence["object"]) -> "ComponentArrays":
-        """Pack ``ComponentScores`` dataclasses (decoded journal rows, or a
-        scalar reference pipeline in the tests) into flat form.
+        """Pack per-charger rows — an Offering Table's entries, or the
+        tests' scalar reference rows — into flat form.
 
-        Skips the [0, 1] re-validation: every ``ComponentScores`` row
-        already proved it in its own ``__post_init__``.  Typed loosely to avoid a
-        circular import with :mod:`repro.core.scoring`; rows must expose
+        Skips the [0, 1] re-validation: a table's entries carry the
+        intervals of the validated pool they were ranked from.  Rows that
+        come from outside the program (journal contents) go through the
+        validating constructor instead.  Typed loosely to avoid a circular
+        import with :mod:`repro.core.offering`; rows must expose
         ``charger_id`` / ``sustainable`` / ``availability`` /
         ``derouting``.
         """

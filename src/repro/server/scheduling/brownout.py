@@ -23,11 +23,14 @@ burst replays the exact same brownout trajectory every run.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from enum import IntEnum
 
-from ...core.offering import OfferingTable, build_table
-from ...core.scoring import ComponentScores, Weights, sc_score
-from ...intervals import Interval
+import numpy as np
+
+from ...core.offering import OfferingTable, rebuild_table
+from ...core.scoring import Weights, sc_score_batch
+from ...interval_array import ComponentArrays, IntervalArray
 
 
 class BrownoutLevel(IntEnum):
@@ -65,8 +68,8 @@ class BrownoutController:
             raise ValueError(
                 "brownout thresholds must satisfy 0 < serve_stale <= widen <= shed <= 1"
             )
-        if widen_factor < 0:
-            raise ValueError("widen_factor must be non-negative")
+        if not 0.0 <= widen_factor < math.inf:
+            raise ValueError("widen_factor must be finite and non-negative")
         self.serve_stale_at = serve_stale_at
         self.widen_at = widen_at
         self.shed_refresh_at = shed_refresh_at
@@ -113,8 +116,8 @@ def floor_for_alert_severities(severities: "list[str] | tuple[str, ...]") -> Bro
 def widen_table(table: OfferingTable, factor: float, weights: Weights) -> OfferingTable:
     """``table`` with every component interval widened by ``factor``.
 
-    Each entry's L/A/D interval grows via ``Interval.widened`` (which
-    contains the original by contract) and is clamped back into the
+    Each entry's L/A/D interval grows via ``IntervalArray.widened`` (which
+    contains the original) and is clamped back into the
     admissible ``[0, 1]`` range; the ground truth lay inside both the
     original interval and ``[0, 1]``, so it lies inside the widened
     clamp too — interval soundness survives brownout.  Scores are
@@ -123,31 +126,15 @@ def widen_table(table: OfferingTable, factor: float, weights: Weights) -> Offeri
     while the *ordering* of entries is preserved: the ranking decision
     was made at compute time and widening must not quietly re-rank.
     """
-    rows = []
-    for entry in table.entries:
-        sustainable = entry.sustainable.widened(factor).clamp(0.0, 1.0)
-        availability = entry.availability.widened(factor).clamp(0.0, 1.0)
-        derouting = entry.derouting.widened(factor).clamp(0.0, 1.0)
-        score = sc_score(
-            ComponentScores(
-                charger_id=entry.charger_id,
-                sustainable=sustainable,
-                availability=availability,
-                derouting=derouting,
-            ),
-            weights,
-        )
-        rows.append(
-            (score, entry.charger, sustainable, availability, derouting, entry.eta_h)
-        )
-    return build_table(
-        segment_index=table.segment_index,
-        origin=table.origin,
-        generated_at_h=table.generated_at_h,
-        radius_km=table.radius_km,
-        ranked=rows,
-        adapted_from=table.adapted_from,
+    packed = ComponentArrays.from_scores(table.entries)
+    widened = replace(
+        packed,
+        sustainable=packed.sustainable.widened(factor).clamp(0.0, 1.0),
+        availability=packed.availability.widened(factor).clamp(0.0, 1.0),
+        derouting=packed.derouting.widened(factor).clamp(0.0, 1.0),
     )
+    sc_min, sc_max = sc_score_batch(widened, weights)
+    return rebuild_table(table, widened, sc_min, sc_max, range(len(widened)))
 
 
 def widen_table_for_epoch(
@@ -190,30 +177,13 @@ def widen_table_for_epoch(
         raise ValueError("epoch ratio bounds must bracket 1.0 with ratio_lo >= 0")
     if table.adapted_from is not None and (ratio_lo, ratio_hi) != (1.0, 1.0):
         ratio_lo, ratio_hi = 0.0, math.inf
-    rows = []
-    for entry in table.entries:
-        lo = entry.derouting.lo * ratio_lo
-        hi = entry.derouting.hi * ratio_hi
-        if math.isinf(hi) or math.isnan(hi):  # inf * 0 -> nan; saturate
-            hi = 1.0
-        derouting = Interval(lo, hi).clamp(0.0, 1.0)
-        score = sc_score(
-            ComponentScores(
-                charger_id=entry.charger_id,
-                sustainable=entry.sustainable,
-                availability=entry.availability,
-                derouting=derouting,
-            ),
-            weights,
-        )
-        rows.append(
-            (score, entry.charger, entry.sustainable, entry.availability, derouting, entry.eta_h)
-        )
-    return build_table(
-        segment_index=table.segment_index,
-        origin=table.origin,
-        generated_at_h=table.generated_at_h,
-        radius_km=table.radius_km,
-        ranked=rows,
-        adapted_from=table.adapted_from,
-    )
+    packed = ComponentArrays.from_scores(table.entries)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 -> nan
+        hi = packed.derouting.hi * ratio_hi
+    derouting = IntervalArray(
+        packed.derouting.lo * ratio_lo,
+        np.where(np.isfinite(hi), hi, 1.0),  # saturate, as for a closure
+    ).clamp(0.0, 1.0)
+    rescaled = replace(packed, derouting=derouting)
+    sc_min, sc_max = sc_score_batch(rescaled, weights)
+    return rebuild_table(table, rescaled, sc_min, sc_max, range(len(rescaled)))

@@ -1,13 +1,14 @@
 """The scalar reference pipeline the array code is checked against.
 
-Production prices, caches, adapts and ranks a candidate pool only as
-:class:`~repro.interval_array.ComponentArrays`.  This module keeps the
-per-row form — one :class:`~repro.intervals.Interval` per component and
-charger — as an oracle: the same steps written with ``Interval`` and
-``ComponentScores`` dataclasses, ``sc_score``, ``intersect_top_k`` and
-``build_table``, with ``L`` and ``A`` written out per charger from the
-models' inputs and each busy timetable written out hour by hour.  Tests
-compare production output with it bit for bit.
+Production prices, caches, adapts, ranks and re-scores a candidate pool
+only as :class:`~repro.interval_array.ComponentArrays`.  This module
+keeps the per-row form — one :class:`~repro.intervals.Interval` per
+component and charger — as an oracle: the same steps written with
+``Interval`` and ``ComponentScores`` dataclasses, Eq. 4-6 one charger at
+a time (``sc_score``, ``intersect_top_k``) and ``build_table``, with
+``L`` and ``A`` written out per charger from the models' inputs and each
+busy timetable written out hour by hour.  Tests compare production
+output with it bit for bit.
 """
 
 from __future__ import annotations
@@ -21,13 +22,113 @@ import numpy as np
 from repro.chargers.charger import Charger
 from repro.core.ecocharge import EcoChargeConfig
 from repro.core.environment import ChargingEnvironment
-from repro.core.offering import OfferingTable, build_table
-from repro.core.scoring import ComponentScores, Weights, intersect_top_k, sc_score
+from repro.core.extensions import ChargerLoadBalancer, ExtendedWeights
+from repro.core.offering import OfferingEntry, OfferingTable
+from repro.core.scoring import ScScore, Weights
 from repro.estimation.derouting import REFERENCE_SPEED_KMH
 from repro.interval_array import ComponentArrays
 from repro.intervals import Interval
 from repro.network.path import Trip, TripSegment
 from repro.spatial.geometry import Point
+
+
+@dataclass(frozen=True, slots=True)
+class ComponentScores:
+    """The three normalised EC intervals for one charger at one ETA.
+
+    All three live in [0, 1]; for ``L`` and ``A`` bigger is better, for
+    ``D`` smaller is better (the score flips it via ``1 - D``).
+    """
+
+    charger_id: int
+    sustainable: Interval
+    availability: Interval
+    derouting: Interval
+
+    def __post_init__(self) -> None:
+        for name, interval in (
+            ("sustainable", self.sustainable),
+            ("availability", self.availability),
+            ("derouting", self.derouting),
+        ):
+            if not interval.within_bounds(0.0, 1.0, tol=1e-9):
+                raise ValueError(f"{name} interval {interval} not normalised to [0, 1]")
+
+
+def sc_score(components: ComponentScores, weights: Weights) -> ScScore:
+    """Eq. 4 and Eq. 5 for one charger."""
+    w1, w2, w3 = weights.as_tuple()
+    sc_min = (
+        components.sustainable.lo * w1
+        + components.availability.lo * w2
+        + (1.0 - components.derouting.lo) * w3
+    )
+    sc_max = (
+        components.sustainable.hi * w1
+        + components.availability.hi * w2
+        + (1.0 - components.derouting.hi) * w3
+    )
+    return ScScore(components.charger_id, sc_min, sc_max)
+
+
+def intersect_top_k(scores: list[ScScore], k: int, pad: bool = True) -> list[ScScore]:
+    """Eq. 6: intersect the SC_min top-k with the SC_max top-k, pad with
+    the best remaining chargers by midpoint, and sort by descending
+    SC_max, then SC_min, then id."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    by_min = sorted(scores, key=lambda s: (-s.sc_min, s.charger_id))[:k]
+    by_max = sorted(scores, key=lambda s: (-s.sc_max, s.charger_id))[:k]
+    min_ids = {s.charger_id for s in by_min}
+    chosen = [s for s in by_max if s.charger_id in min_ids]
+    if pad and len(chosen) < k:
+        chosen_ids = {s.charger_id for s in chosen}
+        leftovers = sorted(
+            (s for s in scores if s.charger_id not in chosen_ids),
+            key=lambda s: (-s.midpoint, s.charger_id),
+        )
+        chosen.extend(leftovers[: k - len(chosen)])
+    chosen.sort(key=lambda s: (-s.sc_max, -s.sc_min, s.charger_id))
+    return chosen[:k]
+
+
+def rank_by_midpoint(scores: list[ScScore], k: int) -> list[ScScore]:
+    """The intersection ablation's alternative: sort by midpoint score."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return sorted(scores, key=lambda s: (-s.midpoint, s.charger_id))[:k]
+
+
+def build_table(
+    segment_index: int,
+    origin: Point,
+    generated_at_h: float,
+    radius_km: float,
+    ranked: list[tuple[ScScore, Charger, Interval, Interval, Interval, float]],
+    adapted_from: int | None = None,
+) -> OfferingTable:
+    """An :class:`OfferingTable` from ``(score, charger, L, A, D, eta_h)``
+    rows in final rank order."""
+    entries = tuple(
+        OfferingEntry(
+            rank=i + 1,
+            charger=charger,
+            score=score,
+            sustainable=l_iv,
+            availability=a_iv,
+            derouting=d_iv,
+            eta_h=eta_h,
+        )
+        for i, (score, charger, l_iv, a_iv, d_iv, eta_h) in enumerate(ranked)
+    )
+    return OfferingTable(
+        segment_index=segment_index,
+        origin=origin,
+        generated_at_h=generated_at_h,
+        radius_km=radius_km,
+        entries=entries,
+        adapted_from=adapted_from,
+    )
 
 
 def bits(value: float) -> bytes:
@@ -401,3 +502,184 @@ class ScalarEcoCharge:
             pad=self.config.pad_intersection,
             adapted_from=adapted_from,
         )
+
+
+# -- the table re-scorers, one entry at a time ------------------------------
+
+
+def widen_table_rows(table: OfferingTable, factor: float, weights: Weights) -> OfferingTable:
+    """Brownout widening: every interval widened by ``factor`` and
+    clamped, re-scored, entry order kept."""
+    rows = []
+    for entry in table.entries:
+        sustainable = entry.sustainable.widened(factor).clamp(0.0, 1.0)
+        availability = entry.availability.widened(factor).clamp(0.0, 1.0)
+        derouting = entry.derouting.widened(factor).clamp(0.0, 1.0)
+        score = sc_score(
+            ComponentScores(entry.charger_id, sustainable, availability, derouting), weights
+        )
+        rows.append((score, entry.charger, sustainable, availability, derouting, entry.eta_h))
+    return build_table(
+        table.segment_index,
+        table.origin,
+        table.generated_at_h,
+        table.radius_km,
+        rows,
+        adapted_from=table.adapted_from,
+    )
+
+
+def widen_table_for_epoch_rows(
+    table: OfferingTable, ratio_lo: float, ratio_hi: float, weights: Weights
+) -> OfferingTable:
+    """Epoch widening: ``D`` scaled by the ratio bracket (the vacuous
+    ``[0, inf]`` bracket for an adapted table), a non-finite upper end
+    saturated to 1, clamped, re-scored, entry order kept."""
+    if table.adapted_from is not None and (ratio_lo, ratio_hi) != (1.0, 1.0):
+        ratio_lo, ratio_hi = 0.0, math.inf
+    rows = []
+    for entry in table.entries:
+        lo = entry.derouting.lo * ratio_lo
+        hi = entry.derouting.hi * ratio_hi
+        if math.isinf(hi) or math.isnan(hi):
+            hi = 1.0
+        derouting = Interval(lo, hi).clamp(0.0, 1.0)
+        score = sc_score(
+            ComponentScores(entry.charger_id, entry.sustainable, entry.availability, derouting),
+            weights,
+        )
+        rows.append(
+            (score, entry.charger, entry.sustainable, entry.availability, derouting, entry.eta_h)
+        )
+    return build_table(
+        table.segment_index,
+        table.origin,
+        table.generated_at_h,
+        table.radius_km,
+        rows,
+        adapted_from=table.adapted_from,
+    )
+
+
+def tariff_rows(
+    wide: OfferingTable,
+    segment: TripSegment,
+    eta_h: float,
+    cost: Interval,
+    weights: ExtendedWeights,
+    k: int,
+) -> OfferingTable:
+    """``TariffAwareRanker``'s re-ranking of its inner table under the
+    four-term score, summed left to right."""
+    rescored = []
+    by_id = {}
+    for entry in wide:
+        sc_min = (
+            entry.sustainable.lo * weights.sustainable
+            + entry.availability.lo * weights.availability
+            + (1.0 - entry.derouting.lo) * weights.derouting
+            + (1.0 - cost.lo) * weights.cost
+        )
+        sc_max = (
+            entry.sustainable.hi * weights.sustainable
+            + entry.availability.hi * weights.availability
+            + (1.0 - entry.derouting.hi) * weights.derouting
+            + (1.0 - cost.hi) * weights.cost
+        )
+        rescored.append(ScScore(entry.charger_id, sc_min, sc_max))
+        by_id[entry.charger_id] = entry
+    rows = []
+    for score in intersect_top_k(rescored, k):
+        entry = by_id[score.charger_id]
+        rows.append(
+            (score, entry.charger, entry.sustainable, entry.availability, entry.derouting, eta_h)
+        )
+    return build_table(
+        segment.index,
+        segment.midpoint,
+        wide.generated_at_h,
+        wide.radius_km,
+        rows,
+        adapted_from=wide.adapted_from,
+    )
+
+
+def balanced_rows(
+    table: OfferingTable,
+    segment: TripSegment,
+    eta_h: float,
+    balancer: ChargerLoadBalancer,
+    weights: Weights,
+    k: int,
+) -> OfferingTable:
+    """``BalancedEcoChargeRanker``'s re-ranking of its inner table with
+    each availability damped by the crowding at the ETA slot."""
+    by_id = {}
+    scores = []
+    for entry in table:
+        availability = entry.availability
+        queued = balancer.load(entry.charger_id, eta_h)
+        if queued:
+            factor = max(
+                0.0, 1.0 - balancer.penalty_per_vehicle * queued / entry.charger.plugs
+            )
+            availability = Interval(availability.lo * factor, availability.hi * factor)
+        comp = ComponentScores(
+            entry.charger_id, entry.sustainable, availability, entry.derouting
+        )
+        scores.append(sc_score(comp, weights))
+        by_id[entry.charger_id] = (entry.charger, comp)
+    rows = []
+    for score in intersect_top_k(scores, min(k, len(scores))):
+        charger, comp = by_id[score.charger_id]
+        rows.append(
+            (score, charger, comp.sustainable, comp.availability, comp.derouting, eta_h)
+        )
+    return build_table(
+        segment.index,
+        segment.midpoint,
+        table.generated_at_h,
+        table.radius_km,
+        rows,
+        adapted_from=table.adapted_from,
+    )
+
+
+class ScalarRandomRanker:
+    """``RandomRanker``: ``k`` shuffled chargers inside the radius, each
+    with zero scores and the vacuous ``[0, 1]`` interval per component."""
+
+    name = "scalar-random"
+
+    def __init__(
+        self, environment: ChargingEnvironment, k: int, radius_km: float, seed: int
+    ) -> None:
+        self._env = environment
+        self.k = k
+        self.radius_km = radius_km
+        self._seed = seed
+        self._rng = np.random.default_rng(seed)
+
+    def reset(self) -> None:
+        self._rng = np.random.default_rng(self._seed)
+
+    def rank_segment(
+        self,
+        trip: Trip,
+        segment: TripSegment,
+        eta_h: float,
+        now_h: float,
+        next_segment: TripSegment | None = None,
+    ) -> OfferingTable:
+        registry = self._env.registry
+        pool = registry.within_radius(segment.midpoint, self.radius_km, kind="grid")
+        if not pool:
+            pool = registry.nearest(segment.midpoint, k=self.k)
+        picks = list(pool)
+        self._rng.shuffle(picks)
+        unknown = Interval(0.0, 1.0)
+        rows = [
+            (ScScore(charger.charger_id, 0.0, 0.0), charger, unknown, unknown, unknown, eta_h)
+            for charger in picks[: self.k]
+        ]
+        return build_table(segment.index, segment.midpoint, now_h, self.radius_km, rows)

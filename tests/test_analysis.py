@@ -598,6 +598,41 @@ class TestR10ClockBypass:
 
 
 # ---------------------------------------------------------------------------
+# R11 — the array table builder is an Offering Table sink
+# ---------------------------------------------------------------------------
+
+
+class TestR11TableBuilderSink:
+    """Every ranked and re-scored table is built by
+    ``build_table_from_arrays``, so a wall-clock value passed to it must
+    be flagged even when the builder's own module is not analysed."""
+
+    PATH = "src/repro/core/planted.py"
+
+    @staticmethod
+    def _planted(generated_at_h: str) -> str:
+        return (
+            "import time\n"
+            "from .offering import build_table_from_arrays\n"
+            "def planted(origin, components, sc_min, sc_max, rows, chargers):\n"
+            f"    stamp = {generated_at_h}\n"
+            "    return build_table_from_arrays(\n"
+            "        segment_index=0, origin=origin, generated_at_h=stamp,\n"
+            "        radius_km=1.0, components=components, sc_min=sc_min,\n"
+            "        sc_max=sc_max, chosen_rows=rows, chargers_by_id=chargers,\n"
+            "        eta_h=0.0)\n"
+        )
+
+    def test_clock_value_into_table_builder_fires(self):
+        violations = check_source(self._planted("time.time()"), self.PATH, ["R11"])
+        assert rule_ids(violations) == ["R11"]
+        assert "Offering Table construction" in violations[0].message
+
+    def test_deterministic_timestamp_is_clean(self):
+        assert check_source(self._planted("9.5"), self.PATH, ["R11"]) == []
+
+
+# ---------------------------------------------------------------------------
 # R15 — backpressure bypass in the serving tier
 # ---------------------------------------------------------------------------
 
@@ -1034,17 +1069,19 @@ class TestContracts:
 
     def test_domain_contracts_hold_on_happy_paths(self):
         code = (
+            "import numpy as np\n"
             "from repro.intervals import Interval\n"
-            "from repro.core.scoring import ComponentScores, Weights, sc_score, "
-            "intersect_top_k\n"
+            "from repro.interval_array import ComponentArrays, IntervalArray\n"
+            "from repro.core.scoring import Weights, sc_score_batch, "
+            "intersect_top_k_batch\n"
             "iv = Interval(0.2, 1.4).clamp(0.0, 1.0)\n"
             "assert iv.within_bounds(0.0, 1.0)\n"
             "wide = Interval(0.2, 0.4).widened(0.5)\n"
-            "comp = ComponentScores(7, Interval(0.1, 0.4), Interval(0.2, 0.9), "
-            "Interval(0.0, 0.3))\n"
-            "score = sc_score(comp, Weights.equal())\n"
-            "top = intersect_top_k([score], 3)\n"
-            "assert top[0].charger_id == 7\n"
+            "comp = ComponentArrays(np.array([7]), IntervalArray([0.1], [0.4]), "
+            "IntervalArray([0.2], [0.9]), IntervalArray([0.0], [0.3]))\n"
+            "sc_min, sc_max = sc_score_batch(comp, Weights.equal())\n"
+            "top = intersect_top_k_batch(comp.charger_ids, sc_min, sc_max, 3)\n"
+            "assert comp.charger_ids[top].tolist() == [7]\n"
         )
         proc = _run_python(code, contracts=True)
         assert proc.returncode == 0, proc.stderr

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.baselines import BruteForceRanker, QuadtreeRanker, RandomRanker
 from repro.core.ranking import RankingRun, run_over_trip
-from repro.core.scoring import Weights, sc_score
+from repro.core.scoring import Weights
 
-from .scalar_oracle import rows
+from .scalar_oracle import rows, sc_score
 
 
 class TestBruteForce:

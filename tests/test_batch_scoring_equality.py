@@ -2,41 +2,60 @@
 
 The vectorised modules (:mod:`repro.interval_array`,
 :func:`repro.core.scoring.sc_score_batch`,
-:func:`repro.core.scoring.intersect_top_k_batch`, and the flat-array
-table build) promise results *bitwise identical* to the per-row
-``Interval`` pipeline kept in :mod:`tests.scalar_oracle` — the same
-contract the engine backends keep with each other.  These property
-tests drive both over generated inputs (including ``-0.0``,
-infinities, and quantisation edges) and compare raw float bit
-patterns, not ``==`` (which would let ``-0.0 == 0.0`` slide).
+:func:`repro.core.scoring.intersect_top_k_batch`, the flat-array
+table build, and the table re-scorers: brownout and epoch widening, the
+tariff and load-balancing re-rankings, the random baseline) promise
+results *bitwise identical* to the per-row ``Interval`` pipeline kept in
+:mod:`tests.scalar_oracle` — the same contract the engine backends keep
+with each other.  These property tests drive both over generated inputs
+(including ``-0.0``, infinities, and quantisation edges) and compare raw
+float bit patterns, not ``==`` (which would let ``-0.0 == 0.0`` slide);
+re-scored tables are compared by their ``OfferingTableCodec`` bytes.
 """
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.scoring import (
-    ComponentScores,
-    Weights,
-    intersect_top_k,
-    intersect_top_k_batch,
-    sc_score,
-    sc_score_batch,
+from repro.chargers.charger import Charger
+from repro.core.baselines import RandomRanker
+from repro.core.ecocharge import EcoChargeConfig
+from repro.core.extensions import (
+    BalancedEcoChargeRanker,
+    ChargerLoadBalancer,
+    ExtendedWeights,
+    TariffAwareRanker,
 )
+from repro.core.offering import OfferingTable
+from repro.core.ranking import run_over_trip
+from repro.core.scoring import ScScore, Weights, intersect_top_k_batch, sc_score_batch
+from repro.durability.codecs import OfferingTableCodec, canonical_dumps
 from repro.interval_array import ComponentArrays, IntervalArray, quantize
 from repro.intervals import Interval
 from repro.network.distance_engine import DISTANCE_DECIMALS
+from repro.server.scheduling.brownout import widen_table, widen_table_for_epoch
+from repro.spatial.geometry import Point
 
 from .scalar_oracle import (
+    ComponentScores,
     ScalarEcoCharge,
+    ScalarRandomRanker,
     assert_tables_bitequal,
+    balanced_rows,
     bits,
+    build_table,
+    intersect_top_k,
     price_rows,
     refine_rows,
+    sc_score,
+    tariff_rows,
+    widen_table_for_epoch_rows,
+    widen_table_rows,
 )
 
 
@@ -381,3 +400,247 @@ class TestEndToEndTables:
             next_segment=segments[1],
         )
         assert_tables_bitequal([scalar], [batch])
+
+
+# ---------------------------------------------------------------------------
+# table re-scorers: brownout/epoch widening, tariff, balancing, random
+# ---------------------------------------------------------------------------
+
+
+def table_bytes(table: OfferingTable) -> str:
+    return canonical_dumps(OfferingTableCodec.encode(table))
+
+
+def assert_same_bytes(expected: OfferingTable, got: OfferingTable) -> None:
+    assert table_bytes(got) == table_bytes(expected)
+
+
+@st.composite
+def unit_intervals(draw):
+    a, b = draw(unit), draw(unit)
+    return Interval(min(a, b), max(a, b))
+
+
+@st.composite
+def offering_tables(draw, min_size=0, max_size=6):
+    """Tables the way rankers emit them: unique chargers, [0, 1]
+    components, one ETA for every entry."""
+    ids = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=10_000),
+            min_size=min_size,
+            max_size=max_size,
+            unique=True,
+        )
+    )
+    eta_h = draw(st.floats(min_value=0.0, max_value=200.0))
+    rows = [
+        (
+            ScScore(cid, draw(unit), draw(unit)),
+            Charger(
+                charger_id=cid,
+                point=Point(float(cid), 0.5),
+                node_id=cid,
+                rate_kw=22.0,
+                plugs=draw(st.integers(min_value=1, max_value=4)),
+            ),
+            draw(unit_intervals()),
+            draw(unit_intervals()),
+            draw(unit_intervals()),
+            eta_h,
+        )
+        for cid in ids
+    ]
+    return build_table(
+        segment_index=draw(st.integers(min_value=0, max_value=50)),
+        origin=Point(draw(finite), draw(finite)),
+        generated_at_h=draw(st.floats(min_value=0.0, max_value=200.0)),
+        radius_km=draw(st.floats(min_value=0.1, max_value=100.0)),
+        ranked=rows,
+        adapted_from=draw(st.none() | st.integers(min_value=0, max_value=50)),
+    )
+
+
+@st.composite
+def extended_weights(draw):
+    cuts = sorted(draw(unit) for __ in range(3))
+    return ExtendedWeights(cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], 1.0 - cuts[2])
+
+
+def _eta(table: OfferingTable) -> float:
+    return table.entries[0].eta_h if table.entries else table.generated_at_h
+
+
+def _segment_of(table: OfferingTable) -> SimpleNamespace:
+    """The segment a ranker built ``table`` for, as far as a wrapper's
+    re-ranking reads it."""
+    return SimpleNamespace(index=table.segment_index, midpoint=table.origin)
+
+
+class _FixedInner:
+    """Stands in for a wrapper's inner EcoCharge ranker."""
+
+    def __init__(self, table: OfferingTable) -> None:
+        self.table = table
+
+    def rank_segment(self, trip, segment, eta_h, now_h, next_segment=None):
+        return self.table
+
+
+class _RecordingInner:
+    """Delegates to the real inner ranker and, as each table is handed
+    to the wrapper, records what the scalar re-ranking makes of it."""
+
+    def __init__(self, inner, expect) -> None:
+        self.inner = inner
+        self.expect = expect
+        self.expected: list[OfferingTable] = []
+
+    def reset(self) -> None:
+        self.inner.reset()
+
+    def rank_segment(self, trip, segment, eta_h, now_h, next_segment=None):
+        table = self.inner.rank_segment(trip, segment, eta_h, now_h, next_segment)
+        self.expected.append(self.expect(table, segment, eta_h, now_h))
+        return table
+
+
+class TestWidenTable:
+    @settings(max_examples=150, deadline=None)
+    @given(offering_tables(), st.floats(min_value=0.0, max_value=1e3), weight_triples())
+    def test_bitwise_equal_to_scalar(self, table, factor, weights):
+        assert_same_bytes(
+            widen_table_rows(table, factor, weights), widen_table(table, factor, weights)
+        )
+
+
+class TestWidenTableForEpoch:
+    ratios_hi = st.floats(min_value=1.0, max_value=1e6) | st.just(math.inf)
+
+    @settings(max_examples=150, deadline=None)
+    @given(offering_tables(), unit, ratios_hi, weight_triples())
+    def test_bitwise_equal_to_scalar(self, table, ratio_lo, ratio_hi, weights):
+        assert_same_bytes(
+            widen_table_for_epoch_rows(table, ratio_lo, ratio_hi, weights),
+            widen_table_for_epoch(table, ratio_lo, ratio_hi, weights),
+        )
+
+    @staticmethod
+    def _table(derouting: Interval, adapted_from: int | None) -> OfferingTable:
+        charger = Charger(charger_id=4, point=Point(1.0, 2.0), node_id=9, rate_kw=11.0)
+        row = (ScScore(4, 0.4, 0.6), charger, Interval(0.2, 0.5), Interval(0.3, 0.9), derouting, 9.5)
+        return build_table(3, Point(0.0, 0.0), 9.0, 20.0, [row], adapted_from=adapted_from)
+
+    def test_zero_derouting_under_a_closure(self):
+        # 0 * inf is NaN (and a numpy RuntimeWarning): saturates to 1.
+        table = self._table(Interval(0.0, 0.0), adapted_from=None)
+        widened = widen_table_for_epoch(table, 0.5, math.inf, Weights.equal())
+        assert widened.entries[0].derouting == Interval(0.0, 1.0)
+        assert_same_bytes(
+            widen_table_for_epoch_rows(table, 0.5, math.inf, Weights.equal()), widened
+        )
+
+    @pytest.mark.parametrize("ratios", [(0.8, 1.25), (1.0, 1.0)])
+    def test_adapted_table(self, ratios):
+        # Any real bracket gives an adapted table the vacuous [0, 1] D.
+        table = self._table(Interval(0.25, 0.5), adapted_from=2)
+        widened = widen_table_for_epoch(table, *ratios, Weights.equal())
+        expected_d = Interval(0.25, 0.5) if ratios == (1.0, 1.0) else Interval(0.0, 1.0)
+        assert widened.entries[0].derouting == expected_d
+        assert_same_bytes(
+            widen_table_for_epoch_rows(table, *ratios, Weights.equal()), widened
+        )
+
+
+class TestTariffAwareRanker:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        offering_tables(),
+        extended_weights(),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    def test_bitwise_equal_to_scalar(self, small_environment, table, weights, k, lead_h):
+        ranker = TariffAwareRanker(small_environment, EcoChargeConfig(k=k), weights=weights)
+        ranker._inner = _FixedInner(table)
+        eta_h = _eta(table)
+        segment = _segment_of(table)
+        expected = tariff_rows(
+            table, segment, eta_h, ranker.tariff.estimate(eta_h, eta_h - lead_h), weights, k
+        )
+        assert_same_bytes(expected, ranker.rank_segment(None, segment, eta_h, eta_h - lead_h))
+
+    def test_trip_bitwise_equal_to_scalar(self, small_environment, sample_trip):
+        weights = ExtendedWeights(0.3, 0.2, 0.3, 0.2)
+        ranker = TariffAwareRanker(
+            small_environment, EcoChargeConfig(k=3, radius_km=12.0), weights=weights
+        )
+        recorder = _RecordingInner(
+            ranker._inner,
+            lambda table, segment, eta_h, now_h: tariff_rows(
+                table, segment, eta_h, ranker.tariff.estimate(eta_h, now_h), weights, 3
+            ),
+        )
+        ranker._inner = recorder
+        run = run_over_trip(ranker, small_environment, sample_trip)
+        assert len(recorder.expected) == len(run.tables) > 1
+        for expected, got in zip(recorder.expected, run.tables):
+            assert_same_bytes(expected, got)
+
+
+class TestBalancedEcoChargeRanker:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        offering_tables(min_size=1),
+        weight_triples(),
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=0, max_value=5), max_size=12),
+        st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_bitwise_equal_to_scalar(
+        self, small_environment, table, weights, k, steered, penalty
+    ):
+        balancer = ChargerLoadBalancer(slot_h=0.5, penalty_per_vehicle=penalty)
+        eta_h = _eta(table)
+        for index in steered:
+            balancer.register(table.entries[index % len(table)].charger_id, eta_h)
+        ranker = BalancedEcoChargeRanker(
+            small_environment, balancer, EcoChargeConfig(k=k, weights=weights)
+        )
+        ranker._inner = _FixedInner(table)
+        segment = _segment_of(table)
+        expected = balanced_rows(table, segment, eta_h, balancer, weights, k)
+        assert_same_bytes(expected, ranker.rank_segment(None, segment, eta_h, eta_h))
+
+    def test_trip_bitwise_equal_to_scalar(self, small_environment, sample_trip):
+        balancer = ChargerLoadBalancer(slot_h=1.0, penalty_per_vehicle=0.5)
+        config = EcoChargeConfig(k=3, radius_km=12.0)
+        for __ in range(3):  # later vehicles see the earlier ones' load
+            ranker = BalancedEcoChargeRanker(small_environment, balancer, config)
+            recorder = _RecordingInner(
+                ranker._inner,
+                lambda table, segment, eta_h, now_h: balanced_rows(
+                    table, segment, eta_h, balancer, config.weights, config.k
+                ),
+            )
+            ranker._inner = recorder
+            run = run_over_trip(ranker, small_environment, sample_trip)
+            assert len(recorder.expected) == len(run.tables) > 1
+            for want, got in zip(recorder.expected, run.tables):
+                assert_same_bytes(want, got)
+
+
+class TestRandomRanker:
+    @pytest.mark.parametrize("radius_km", [12.0, 0.01])  # 0.01 km: nearest fallback
+    def test_trip_bitwise_equal_to_scalar(self, small_environment, sample_trip, radius_km):
+        tables = [
+            run_over_trip(
+                cls(small_environment, k=4, radius_km=radius_km, seed=13),
+                small_environment,
+                sample_trip,
+            ).tables
+            for cls in (ScalarRandomRanker, RandomRanker)
+        ]
+        assert len(tables[0]) == len(tables[1]) > 1
+        for expected, got in zip(*tables):
+            assert_same_bytes(expected, got)

@@ -17,6 +17,7 @@ Four claims are proven here, matching ``docs/durability.md``:
 
 from __future__ import annotations
 
+import json
 import struct
 
 import pytest
@@ -29,9 +30,9 @@ from repro.core.caching import CachedSolution, CacheState, CacheStats, DynamicCa
 from repro.core.ecocharge import EcoChargeConfig, EcoChargeRanker
 from repro.core.environment import ChargingEnvironment
 from repro.core.moving import MovingQuery
-from repro.core.offering import OfferingTable, build_table
+from repro.core.offering import OfferingTable
 from repro.core.ranking import run_over_trip
-from repro.core.scoring import ComponentScores, ScScore, Weights
+from repro.core.scoring import ScScore, Weights
 from repro.durability import (
     CODEC_VERSIONS,
     CacheEventDelta,
@@ -74,6 +75,8 @@ from repro.network.path import Trip
 from repro.resilience.errors import TransientUpstreamError, UpstreamError
 from repro.resilience.faults import CrashPoint, FaultInjector, SessionCrash
 from repro.spatial.geometry import Point, Segment
+
+from .scalar_oracle import ComponentScores, build_table
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -146,6 +149,7 @@ component_scores = st.builds(
     availability=unit_intervals(),
     derouting=unit_intervals(),
 )
+component_pools = st.lists(component_scores, max_size=4).map(ComponentArrays.from_scores)
 
 
 @st.composite
@@ -236,6 +240,35 @@ def cached_solutions(draw):
     )
 
 
+#: ``CachedSolutionCodec`` output for a three-charger pool with signed
+#: zeros, a subnormal and endpoints 1e-10 past 1.0, as canonical JSON.
+CACHED_SOLUTION_RECORD = (
+    '{"components":[{"availability":{"hi":"0x1.6666666666666p-1","lo":"0x1.'
+    '3333333333334p-2"},"charger_id":11,"derouting":{"hi":"0x1.000000000000'
+    '0p+0","lo":"0x0.0000000000001p-1022"},"sustainable":{"hi":"0x0.0p+0","'
+    'lo":"-0x0.0p+0"}},{"availability":{"hi":"0x1.0000000000000p+0","lo":"0'
+    'x0.0p+0"},"charger_id":3,"derouting":{"hi":"0x1.0000000000000p-2","lo"'
+    ':"0x1.0000000000000p-2"},"sustainable":{"hi":"0x1.5555555555555p-1","l'
+    'o":"0x1.5555555555555p-2"}},{"availability":{"hi":"0x1.0000000000000p-'
+    '1","lo":"0x1.56e1fc2f8f359p-997"},"charger_id":42,"derouting":{"hi":"0'
+    'x1.999999999999ap-4","lo":"0x0.0p+0"},"sustainable":{"hi":"0x1.0000000'
+    '06df38p+0","lo":"0x1.fffffff768fa1p-1"}}],"epoch":3,"eta_h":"0x1.2e666'
+    '66666666p+3","generated_at_h":"0x1.2666666666666p+3","origin":{"x":"0x'
+    '1.4000000000000p+1","y":"-0x1.5555555555555p-2"},"pool":[{"charger_id"'
+    ':11,"node_id":4,"plug_type":"ac_type2","plugs":2,"point":{"x":"0x1.400'
+    '0000000000p+0","y":"-0x1.c000000000000p+1"},"rate_kw":"0x1.60000000000'
+    '00p+4","solar_capacity_kw":"0x1.4000000000000p+4","source":"local_sola'
+    'r"},{"charger_id":3,"node_id":17,"plug_type":"ccs","plugs":4,"point":{'
+    '"x":"0x1.999999999999ap-4","y":"0x1.999999999999ap-3"},"rate_kw":"0x1.'
+    '2c00000000000p+7","solar_capacity_kw":"0x0.0p+0","source":"net_metered'
+    '_farm"},{"charger_id":42,"node_id":0,"plug_type":"chademo","plugs":1,"'
+    'point":{"x":"-0x1.c000000000000p+2","y":"0x1.3800000000000p+3"},"rate_'
+    'kw":"0x1.d99999999999ap+2","solar_capacity_kw":"0x1.a666666666666p+1",'
+    '"source":"local_solar"}],"radius_km":"0x1.9000000000000p+5","segment_i'
+    'ndex":7}'
+)
+
+
 def assert_byte_stable(codec, value):
     """encode → decode → encode must yield identical canonical JSON."""
     first = codec.encode(value)
@@ -304,7 +337,7 @@ class TestCodecRoundTrips:
         assert ChargerCodec.decode(ChargerCodec.encode(value)) == value
         assert_byte_stable(ChargerCodec, value)
 
-    @given(component_scores)
+    @given(component_pools)
     def test_component_scores(self, value):
         assert_byte_stable(ComponentScoresCodec, value)
 
@@ -366,6 +399,23 @@ class TestCodecRoundTrips:
             components=ComponentArrays.from_scores(()),
         )
         assert_byte_stable(CachedSolutionCodec, empty)
+
+    def test_cached_solution_record_from_before_the_array_codec(self):
+        """A record written when rows were encoded through per-row
+        dataclasses decodes and re-encodes to the same bytes."""
+        decoded = CachedSolutionCodec.decode(json.loads(CACHED_SOLUTION_RECORD))
+        assert decoded.components.charger_ids.tolist() == [11, 3, 42]
+        assert bits(float(decoded.components.sustainable.lo[0])) == bits(-0.0)
+        assert canonical_dumps(CachedSolutionCodec.encode(decoded)) == CACHED_SOLUTION_RECORD
+
+    def test_component_rows_outside_unit_range_are_refused(self):
+        payload = json.loads(CACHED_SOLUTION_RECORD)
+        payload["components"][1]["sustainable"]["hi"] = (1.125).hex()
+        with pytest.raises(ValueError, match="not normalised"):
+            CachedSolutionCodec.decode(payload)
+        payload["components"][1]["sustainable"]["hi"] = "nan"
+        with pytest.raises(ValueError, match="NaN"):
+            CachedSolutionCodec.decode(payload)
 
     def test_decode_rejects_wrong_shape(self):
         with pytest.raises(CodecError):

@@ -6,11 +6,12 @@ from repro.core.baselines import BruteForceRanker
 from repro.core.ecocharge import EcoCharge, EcoChargeConfig, EcoChargeRanker
 from repro.core.environment import ChargingEnvironment
 from repro.core.ranking import run_over_trip
-from repro.core.scoring import ComponentScores, Weights
+from repro.core.scoring import Weights
 from repro.interval_array import ComponentArrays
 from repro.intervals import Interval
 
 from .scalar_oracle import (
+    ComponentScores,
     ScalarEcoCharge,
     assert_rows_bitequal,
     assert_tables_bitequal,

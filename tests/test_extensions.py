@@ -11,7 +11,9 @@ from repro.core.extensions import (
 )
 from repro.intervals import Interval
 from repro.core.ranking import run_over_trip
-from repro.core.scoring import ComponentScores
+from repro.interval_array import ComponentArrays
+
+from .scalar_oracle import ComponentScores
 
 
 class TestExtendedWeights:
@@ -107,15 +109,15 @@ class TestChargerLoadBalancer:
     def test_adjust_components(self, small_registry):
         balancer = ChargerLoadBalancer()
         chargers = small_registry.all()[:3]
-        components = [
+        components = ComponentArrays.from_scores([
             ComponentScores(c.charger_id, Interval.exact(0.5), Interval(0.6, 0.8),
                             Interval.exact(0.2))
             for c in chargers
-        ]
+        ])
         balancer.register(chargers[0].charger_id, 10.0)
         adjusted = balancer.adjust_components(chargers, components, 10.0)
-        assert adjusted[0].availability.hi < components[0].availability.hi
-        assert adjusted[1].availability == components[1].availability
+        assert adjusted.availability.hi[0] < components.availability.hi[0]
+        assert adjusted.availability.at(1) == components.availability.at(1)
 
     def test_clear(self):
         balancer = ChargerLoadBalancer()

@@ -11,14 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.intervals import Interval
-from repro.core.scoring import (
-    ABLATION_CONFIGS,
-    ComponentScores,
-    Weights,
-    intersect_top_k,
-    sc_exact,
-    sc_score,
-)
+from repro.core.scoring import ABLATION_CONFIGS, Weights, sc_exact
+
+from .scalar_oracle import ComponentScores, intersect_top_k, sc_score
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

@@ -4,9 +4,11 @@ import pytest
 
 from repro.chargers.charger import Charger
 from repro.intervals import Interval
-from repro.core.offering import OfferingEntry, OfferingTable, build_table
+from repro.core.offering import OfferingEntry, OfferingTable
 from repro.core.scoring import ScScore
 from repro.spatial.geometry import Point
+
+from .scalar_oracle import build_table
 
 
 def _charger(cid):

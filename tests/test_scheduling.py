@@ -351,6 +351,9 @@ class TestBrownout:
             BrownoutController(serve_stale_at=0.0)
         with pytest.raises(ValueError):
             BrownoutController().level_for(1, 0)
+        for factor in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="widen_factor"):
+                BrownoutController(widen_factor=factor)
 
 
 # ---------------------------------------------------------------------------

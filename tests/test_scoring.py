@@ -1,22 +1,50 @@
-"""Sustainability Score tests: weights, Eq. 4-6, top-k intersection."""
+"""Sustainability Score tests: weights, Eq. 4-6, top-k intersection.
 
+Eq. 4-6 run through the production array functions, one row (or one
+list of scores) at a time via the two adapters below.
+"""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.contracts import ContractViolation, contracts_enabled
 from repro.intervals import Interval
 from repro.core.scoring import (
     ABLATION_CONFIGS,
-    ComponentScores,
     ScScore,
     Weights,
-    intersect_top_k,
-    rank_by_midpoint,
+    intersect_top_k_batch,
     sc_exact,
-    sc_score,
+    sc_score_batch,
 )
+from repro.interval_array import ComponentArrays, IntervalArray
+
+from .scalar_oracle import ComponentScores, rank_by_midpoint
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def sc_score(components: ComponentScores, weights: Weights) -> ScScore:
+    """Eq. 4-5 for one charger through ``sc_score_batch``."""
+    sc_min, sc_max = sc_score_batch(ComponentArrays.from_scores([components]), weights)
+    return ScScore(components.charger_id, float(sc_min[0]), float(sc_max[0]))
+
+
+def intersect_top_k(scores: list[ScScore], k: int, pad: bool = True) -> list[ScScore]:
+    """Eq. 6 over a list of scores through ``intersect_top_k_batch``."""
+    rows = intersect_top_k_batch(
+        np.array([s.charger_id for s in scores], dtype=np.int64),
+        np.array([s.sc_min for s in scores], dtype=np.float64),
+        np.array([s.sc_max for s in scores], dtype=np.float64),
+        k,
+        pad=pad,
+    )
+    return [scores[row] for row in rows]
 
 
 @st.composite
@@ -94,9 +122,11 @@ class TestScScore:
         assert -1e-9 <= score.sc_max <= 1.0 + 1e-9
 
     def test_component_normalisation_enforced(self):
-        with pytest.raises(ValueError):
-            ComponentScores(0, Interval(0.0, 1.5), Interval.exact(0.5),
-                            Interval.exact(0.5))
+        half = IntervalArray.exact([0.5])
+        with pytest.raises(ValueError, match="not normalised"):
+            ComponentArrays(
+                np.array([0]), IntervalArray(np.array([0.0]), np.array([1.5])), half, half
+            )
 
 
 def _scores(*pairs):
@@ -183,3 +213,45 @@ class TestRankByMidpoint:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             rank_by_midpoint([], 0)
+
+
+@pytest.mark.skipif(
+    not contracts_enabled(), reason="runtime contracts are off (set REPRO_CONTRACTS=1)"
+)
+class TestEq46Contracts:
+    """The runtime contracts on the array path catch bad inputs and bad
+    results."""
+
+    @staticmethod
+    def _rows(*levels):
+        return ComponentArrays.from_scores([
+            SimpleNamespace(
+                charger_id=i,
+                sustainable=Interval.exact(level),
+                availability=Interval.exact(level),
+                derouting=Interval.exact(0.0),
+            )
+            for i, level in enumerate(levels)
+        ])
+
+    def test_components_outside_unit_range_rejected(self):
+        with pytest.raises(ContractViolation, match="normalised"):
+            sc_score_batch(self._rows(0.5, 1.5), Weights.equal())
+
+    def test_score_above_one_rejected(self):
+        # Inputs and weights each within their 1e-9 tolerance, but the
+        # product overshoots the score bound.
+        weights = Weights(1.0 + 9e-10, 0.0, 0.0)
+        with pytest.raises(ContractViolation, match="scenario scores"):
+            sc_score_batch(self._rows(1.0 + 1e-9), weights)
+
+    def test_duplicate_chargers_in_top_k_rejected(self):
+        ids = np.array([3, 3, 5])
+        scores = np.array([0.9, 0.8, 0.1])
+        with pytest.raises(ContractViolation, match="unique"):
+            intersect_top_k_batch(ids, scores, scores, 2)
+
+    def test_unordered_top_k_rejected(self):
+        scores = np.array([math.nan, 0.5])
+        with pytest.raises(ContractViolation, match="sorted"):
+            intersect_top_k_batch(np.array([0, 1]), scores, scores, 2)

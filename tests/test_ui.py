@@ -70,9 +70,9 @@ class TestTableRender:
         assert "computed" in summary
 
     def test_run_summary_empty_table(self, small_environment, sample_trip):
-        from repro.core.offering import build_table
+        from repro.core.offering import OfferingTable
         from repro.spatial.geometry import Point
 
-        empty = build_table(0, Point(0, 0), 10.0, 5.0, [])
+        empty = OfferingTable(0, Point(0, 0), 10.0, 5.0, ())
         summary = render_run_summary([empty])
         assert "(empty)" in summary
