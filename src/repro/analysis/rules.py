@@ -621,13 +621,12 @@ class ResilienceBypassRule(RuleProtocol):
 _R8_PACKAGES = ("core/", "estimation/")
 
 #: Raw search entry points that bypass the engine's memoisation and its
-#: backend switch.  Point-to-point helpers (``dijkstra``, ``astar``, ...)
-#: are deliberately excluded: they answer one-off path reconstructions, not
-#: the batch pricing loops the engine exists for.
+#: backend switch.  The point-to-point ``dijkstra`` is deliberately
+#: excluded: it answers one-off path reconstructions, not the batch
+#: pricing loops the engine exists for.
 _RAW_SEARCH_FUNCTIONS = {
     "dijkstra_all",
     "dijkstra_all_backward",
-    "dijkstra_to_targets",
     "settle_arcs",
 }
 

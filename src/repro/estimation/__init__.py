@@ -9,7 +9,6 @@ from .component import (
 )
 from .derouting import REFERENCE_SPEED_KMH, DeroutingEstimator
 from .eta import EtaEstimate, EtaEstimator
-from .regional import RegionalWeatherModel, WeatherZone
 from .sustainable import SustainableChargingEstimator, SustainableLevel
 from .tariff import TariffBand, TariffEstimator, TimeOfUseTariff
 from .traffic import TrafficModel, TrafficParams
@@ -27,7 +26,6 @@ __all__ = [
     "ForecastConfidence",
     "HOURS_PER_WEEK",
     "REFERENCE_SPEED_KMH",
-    "RegionalWeatherModel",
     "SkyState",
     "SustainableChargingEstimator",
     "SustainableLevel",
@@ -38,5 +36,4 @@ __all__ = [
     "TrafficParams",
     "WeatherForecast",
     "WeatherModel",
-    "WeatherZone",
 ]

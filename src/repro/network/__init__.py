@@ -25,17 +25,13 @@ from .graph import (
     RoadNetwork,
     RoadNode,
 )
-from .landmarks import LandmarkSet, alt_astar, select_landmarks
 from .path import DEFAULT_SEGMENT_KM, Trip, TripSegment, resample_polyline
 from .shortest_path import (
     NoPathError,
     PathResult,
-    astar,
-    bidirectional_dijkstra,
     dijkstra,
     dijkstra_all,
     dijkstra_all_backward,
-    dijkstra_to_targets,
     path_cost,
 )
 
@@ -53,7 +49,6 @@ __all__ = [
     "DistanceEngine",
     "EdgeWeight",
     "EngineStats",
-    "LandmarkSet",
     "NetworkSpec",
     "NoPathError",
     "PathResult",
@@ -64,17 +59,12 @@ __all__ = [
     "Trip",
     "TripSegment",
     "WeightSpec",
-    "alt_astar",
-    "astar",
-    "bidirectional_dijkstra",
     "build_city_network",
     "build_grid_network",
     "build_radial_network",
     "dijkstra",
     "dijkstra_all",
     "dijkstra_all_backward",
-    "dijkstra_to_targets",
     "path_cost",
     "resample_polyline",
-    "select_landmarks",
 ]

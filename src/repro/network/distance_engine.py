@@ -505,9 +505,11 @@ class DistanceEngine:
     ) -> dict[int, float]:
         """Quantised distances ``source -> target`` for targets within budget.
 
-        Targets that are unreachable, or whose quantised distance exceeds
-        ``max_cost``, are absent from the result — the same contract as
-        :func:`~repro.network.shortest_path.dijkstra_to_targets`.
+        The result holds each target reachable from ``source`` whose
+        quantised distance is finite and at most ``max_cost``, keyed by
+        target; every other target is absent (``source`` itself maps to
+        ``0.0``).  Absent means unreachable within budget, never a served
+        infinity.
         """
         spec = WeightSpec.of(weight)
         with self._lock:

@@ -9,6 +9,7 @@ query time through :class:`EdgeWeight`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -63,12 +64,14 @@ class RoadEdge:
     kwh_per_km: float = DEFAULT_KWH_PER_KM
 
     def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise ValueError("edge length must be non-negative")
-        if self.speed_kmh <= 0:
-            raise ValueError("edge speed must be positive")
-        if self.kwh_per_km < 0:
-            raise ValueError("energy factor must be non-negative")
+        # Written as range tests so NaN, which fails every comparison, is
+        # rejected too: a NaN arc would read as unreachable in every search.
+        if not (0 <= self.length_km < math.inf):
+            raise ValueError("edge length must be finite and non-negative")
+        if not (0 < self.speed_kmh < math.inf):
+            raise ValueError("edge speed must be finite and positive")
+        if not (0 <= self.kwh_per_km < math.inf):
+            raise ValueError("energy factor must be finite and non-negative")
 
     def weight(self, kind: EdgeWeight) -> float:
         """Static cost of traversing this edge under ``kind``."""

@@ -1,17 +1,18 @@
 """Shortest-path algorithms over :class:`~repro.network.graph.RoadNetwork`.
 
 Derouting cost (Eq. 3) is a shortest-path problem: the cheapest way from
-the vehicle's position to a prospective charger and back to the trip.  The
-module provides plain Dijkstra, single-source Dijkstra with early exit on
-multiple targets, A* with an admissible Euclidean-over-max-speed heuristic,
-and bidirectional Dijkstra for long point-to-point queries.
-
-The searches above price every relaxed edge through a cost callable.
+the vehicle's position to a prospective charger and back to the trip.
 :func:`settle_arcs` is the flat kernel the
-:class:`~repro.network.distance_engine.DistanceEngine` runs instead: it
+:class:`~repro.network.distance_engine.DistanceEngine` runs for it: it
 reads each arc's cost from a vector priced once per metric, over an
 ``(neighbour, arc id)`` adjacency (:class:`ArcGraph` for the road network
 itself, the upward graphs of :mod:`repro.network.contraction` for CH).
+
+The other searches price every relaxed edge through a cost callable.
+:func:`dijkstra` finds one path for trips, trajectories and the fleet
+simulator; :func:`dijkstra_all` and :func:`dijkstra_all_backward` are
+the reference oracles the engine's forward and backward searches are
+tested against.
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ def dijkstra_all(
 ) -> dict[int, float]:
     """Single-source shortest distances, optionally pruned at ``max_cost``.
 
-    The pruning radius is what makes EcoCharge's user radius ``R`` cheap to
-    honour: charger candidates beyond ``R`` never get settled.
+    The reference oracle for the engine's forward search: it relaxes
+    ``network.out_edges`` directly, with no arc vector or memo between
+    the cost function and the result.
     """
     cost_of = _cost_fn(network, weight)
     dist: dict[int, float] = {source: 0.0}
@@ -248,50 +250,6 @@ def dijkstra_all(
     return out
 
 
-def dijkstra_to_targets(
-    network: RoadNetwork,
-    source: int,
-    targets: Iterable[int],
-    weight: EdgeWeight | CostFn = EdgeWeight.DISTANCE_KM,
-    max_cost: float = math.inf,
-) -> dict[int, float]:
-    """Shortest distances from ``source`` to each of ``targets``.
-
-    Terminates as soon as every reachable target is settled *or* the cost
-    budget is exceeded — once the heap minimum passes ``max_cost`` no
-    unsettled target can still be reached in budget, so the search stops
-    instead of draining the remaining frontier.  Targets that are
-    unreachable (or farther than ``max_cost``) are simply absent from the
-    result.
-    """
-    remaining = set(targets)
-    if not remaining:
-        return {}
-    cost_of = _cost_fn(network, weight)
-    dist: dict[int, float] = {source: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    settled: set[int] = set()
-    found: dict[int, float] = {}
-    while heap and remaining:
-        d, node = heapq.heappop(heap)
-        if d > max_cost:
-            break  # cost budget exceeded: no remaining target is in reach
-        if node in settled:
-            continue
-        settled.add(node)
-        if node in remaining:
-            found[node] = d
-            remaining.discard(node)
-            if not remaining:
-                break
-        for edge in network.out_edges(node):
-            nd = d + cost_of(edge)
-            if nd <= max_cost and nd < dist.get(edge.target, math.inf):
-                dist[edge.target] = nd
-                heapq.heappush(heap, (nd, edge.target))
-    return found
-
-
 def dijkstra_all_backward(
     network: RoadNetwork,
     target: int,
@@ -300,9 +258,8 @@ def dijkstra_all_backward(
 ) -> dict[int, float]:
     """Shortest distance from every node *to* ``target``.
 
-    Runs Dijkstra over the reversed graph.  Together with
-    :func:`dijkstra_all` this lets the derouting estimator price a whole
-    candidate pool with two searches instead of two per charger.
+    Runs Dijkstra over the reversed graph: the reference oracle for the
+    engine's backward (``"b"``) search, which prices the return legs.
     """
     cost_of = _cost_fn(network, weight)
     dist: dict[int, float] = {target: 0.0}
@@ -323,137 +280,6 @@ def dijkstra_all_backward(
                 dist[edge.source] = nd
                 heapq.heappush(heap, (nd, edge.source))
     return out
-
-
-def astar(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    weight: EdgeWeight | CostFn = EdgeWeight.DISTANCE_KM,
-    max_speed_kmh: float | None = None,
-) -> PathResult:
-    """A* search with a Euclidean lower-bound heuristic.
-
-    For :attr:`EdgeWeight.DISTANCE_KM` the straight-line distance is an
-    admissible heuristic *provided every edge's length is at least the
-    Euclidean gap between its endpoints* — true for physical road
-    geometry (roads are never shorter than the crow flies), but callers
-    constructing synthetic graphs with arbitrary lengths must ensure it
-    or use :func:`dijkstra`.  For :attr:`EdgeWeight.TRAVEL_TIME_H` the
-    line distance divided by ``max_speed_kmh`` (default: fastest edge in
-    the network) is admissible under the same condition.  For other
-    weights the heuristic degrades to 0 and A* behaves like Dijkstra.
-    """
-    goal = network.node(target).point
-    if weight is EdgeWeight.DISTANCE_KM:
-        heuristic = lambda node_id: network.node(node_id).point.distance_to(goal)
-    elif weight is EdgeWeight.TRAVEL_TIME_H:
-        if max_speed_kmh is None:
-            max_speed_kmh = max((e.speed_kmh for e in network.edges()), default=1.0)
-        top = max_speed_kmh
-        heuristic = lambda node_id: network.node(node_id).point.distance_to(goal) / top
-    else:
-        heuristic = lambda node_id: 0.0
-
-    cost_of = _cost_fn(network, weight)
-    g_score: dict[int, float] = {source: 0.0}
-    parent: dict[int, int] = {}
-    heap: list[tuple[float, int]] = [(heuristic(source), source)]
-    settled: set[int] = set()
-    while heap:
-        __, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            return PathResult(_reconstruct(parent, source, target), g_score[node])
-        base = g_score[node]
-        for edge in network.out_edges(node):
-            tentative = base + cost_of(edge)
-            if tentative < g_score.get(edge.target, math.inf):
-                g_score[edge.target] = tentative
-                parent[edge.target] = node
-                heapq.heappush(heap, (tentative + heuristic(edge.target), edge.target))
-    raise NoPathError(f"no path from {source} to {target}")
-
-
-def bidirectional_dijkstra(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    weight: EdgeWeight | CostFn = EdgeWeight.DISTANCE_KM,
-) -> PathResult:
-    """Bidirectional Dijkstra; meets in the middle.
-
-    Roughly halves the search frontier for long point-to-point queries on
-    the larger (T-drive / Geolife scale) networks.
-    """
-    if source == target:
-        return PathResult((source,), 0.0)
-    cost_of = _cost_fn(network, weight)
-
-    dist_f: dict[int, float] = {source: 0.0}
-    dist_b: dict[int, float] = {target: 0.0}
-    parent_f: dict[int, int] = {}
-    parent_b: dict[int, int] = {}
-    heap_f: list[tuple[float, int]] = [(0.0, source)]
-    heap_b: list[tuple[float, int]] = [(0.0, target)]
-    settled_f: set[int] = set()
-    settled_b: set[int] = set()
-    best_cost = math.inf
-    meeting: int | None = None
-
-    def relax_forward(node: int, d: float) -> None:
-        nonlocal best_cost, meeting
-        for edge in network.out_edges(node):
-            nd = d + cost_of(edge)
-            if nd < dist_f.get(edge.target, math.inf):
-                dist_f[edge.target] = nd
-                parent_f[edge.target] = node
-                heapq.heappush(heap_f, (nd, edge.target))
-            if edge.target in dist_b and nd + dist_b[edge.target] < best_cost:
-                best_cost = nd + dist_b[edge.target]
-                meeting = edge.target
-
-    def relax_backward(node: int, d: float) -> None:
-        nonlocal best_cost, meeting
-        for edge in network.in_edges(node):
-            nd = d + cost_of(edge)
-            if nd < dist_b.get(edge.source, math.inf):
-                dist_b[edge.source] = nd
-                parent_b[edge.source] = node
-                heapq.heappush(heap_b, (nd, edge.source))
-            if edge.source in dist_f and nd + dist_f[edge.source] < best_cost:
-                best_cost = nd + dist_f[edge.source]
-                meeting = edge.source
-
-    while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] >= best_cost:
-            break
-        if heap_f[0][0] <= heap_b[0][0]:
-            d, node = heapq.heappop(heap_f)
-            if node in settled_f:
-                continue
-            settled_f.add(node)
-            if node in dist_b and d + dist_b[node] < best_cost:
-                best_cost = d + dist_b[node]
-                meeting = node
-            relax_forward(node, d)
-        else:
-            d, node = heapq.heappop(heap_b)
-            if node in settled_b:
-                continue
-            settled_b.add(node)
-            if node in dist_f and d + dist_f[node] < best_cost:
-                best_cost = d + dist_f[node]
-                meeting = node
-            relax_backward(node, d)
-
-    if meeting is None:
-        raise NoPathError(f"no path from {source} to {target}")
-    forward = _reconstruct(parent_f, source, meeting)
-    backward = _reconstruct(parent_b, target, meeting)
-    return PathResult(forward + tuple(reversed(backward[:-1])), best_cost)
 
 
 def _reconstruct(parent: dict[int, int], source: int, target: int) -> tuple[int, ...]:

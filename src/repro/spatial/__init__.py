@@ -15,7 +15,6 @@ from .grid import GridIndex
 from .kdtree import KDTree
 from .knn import SpatialIndex, brute_force_knn, brute_force_radius, knn_along_polyline
 from .quadtree import QuadTree, QuadTreeStats
-from .rtree import RTree
 
 __all__ = [
     "BoundingBox",
@@ -27,7 +26,6 @@ __all__ = [
     "Point",
     "QuadTree",
     "QuadTreeStats",
-    "RTree",
     "Segment",
     "SpatialIndex",
     "brute_force_knn",

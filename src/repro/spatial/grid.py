@@ -98,14 +98,20 @@ class GridIndex(Generic[T]):
 
         Expands the search radius ring by ring (the stateless strategy of
         the grid-based CkNN monitoring papers) until ``k`` hits are
-        confirmed or the whole grid is exhausted.
+        confirmed or the radius passes the farthest corner of the bounds:
+        every entry lies inside them, so the last ring holds them all,
+        also for a query outside the box.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         if self._size == 0:
             return []
+        b = self.bounds
         radius = self.cell_size
-        max_radius = math.hypot(self.bounds.width, self.bounds.height) + self.cell_size
+        max_radius = math.hypot(
+            max(center.x - b.min_x, b.max_x - center.x),
+            max(center.y - b.min_y, b.max_y - center.y),
+        )
         while True:
             hits = self.query_radius(center, radius)
             if len(hits) >= k or radius > max_radius:

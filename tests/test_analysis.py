@@ -376,8 +376,8 @@ class TestR8EngineBypass:
 
     def test_fires_on_attribute_style_call(self):
         snippet = (
-            "def price(sp, network, origin, pool, fn):\n"
-            "    return sp.dijkstra_to_targets(network, origin, pool, fn)\n"
+            "def price(sp, network, origin, fn):\n"
+            "    return sp.dijkstra_all(network, origin, fn)\n"
         )
         assert rule_ids(check_source(snippet, self.CORE_PATH)) == ["R8"]
 

@@ -1,5 +1,7 @@
 """Unit tests for the road network graph."""
 
+import math
+
 import pytest
 
 from repro.network.builders import (
@@ -86,6 +88,14 @@ class TestEdgeWeights:
             RoadEdge(0, 1, length_km=1.0, speed_kmh=0.0)
         with pytest.raises(ValueError):
             RoadEdge(0, 1, length_km=1.0, kwh_per_km=-0.1)
+        # NaN fails every comparison, so it needs its own rejection.
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                RoadEdge(0, 1, length_km=bad)
+            with pytest.raises(ValueError):
+                RoadEdge(0, 1, length_km=1.0, speed_kmh=bad)
+            with pytest.raises(ValueError):
+                RoadEdge(0, 1, length_km=1.0, kwh_per_km=bad)
 
 
 class TestTopology:

@@ -57,12 +57,15 @@ class TestAgainstBruteForce:
     def test_knn_matches_reference(self, entries, kind):
         index = INDEX_BUILDERS[kind](entries)
         rng = np.random.default_rng(2)
-        for __ in range(25):
-            q = Point(float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
-            k = int(rng.integers(1, 12))
-            got = index.nearest(q, k)
-            want = brute_force_knn(entries, q, k)
-            assert [item for __, __, item in got] == [item for __, __, item in want]
+        # Queries inside the indexed box, then from a span that mostly
+        # lies outside it (a trip point beyond the chargers' bounds).
+        for lo, hi in ((0.0, 100.0), (-300.0, 400.0)):
+            for __ in range(25):
+                q = Point(float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi)))
+                k = int(rng.integers(1, 12))
+                got = index.nearest(q, k)
+                want = brute_force_knn(entries, q, k)
+                assert [item for __, __, item in got] == [item for __, __, item in want]
 
     def test_knn_distances_sorted(self, entries, kind):
         index = INDEX_BUILDERS[kind](entries)

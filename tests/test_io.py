@@ -71,6 +71,12 @@ class TestCnodeCedge:
         with pytest.raises(ValueError, match="expected 3 fields"):
             read_cnode_cedge(tmp_path / "n", tmp_path / "e")
 
+    def test_non_finite_length_rejected(self, tmp_path):
+        (tmp_path / "n").write_text("0 0 0\n1 1 0\n")
+        (tmp_path / "e").write_text("0 0 1 nan\n")
+        with pytest.raises(ValueError, match="finite"):
+            read_cnode_cedge(tmp_path / "n", tmp_path / "e")
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         (tmp_path / "n").write_text("# header\n\n0 0 0\n1 1 0\n")
         (tmp_path / "e").write_text("0 0 1 1.0\n")

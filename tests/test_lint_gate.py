@@ -46,8 +46,11 @@ def test_repro_check_passes_on_src() -> None:
     assert report.ok, "repro-check violations:\n" + report.render_text()
 
 
-def test_repro_check_passes_on_tests() -> None:
-    report = check_paths([REPO_ROOT / "tests"])
+@pytest.mark.parametrize("tree", ["tests", "benchmarks", "examples"])
+def test_repro_check_passes_on_tests(tree: str) -> None:
+    """The tree outside the library: no example or ablation may bypass
+    the engine or the clock either."""
+    report = check_paths([REPO_ROOT / tree])
     assert report.ok, "repro-check violations:\n" + report.render_text()
 
 

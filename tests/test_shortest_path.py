@@ -1,20 +1,15 @@
-"""Shortest-path algorithm tests: Dijkstra variants, A*, bidirectional."""
-
-import math
+"""Shortest-path tests: point-to-point Dijkstra and the single-source oracles."""
 
 import numpy as np
 import pytest
 
-from repro.network.builders import NetworkSpec, build_city_network, build_grid_network
-from repro.network.graph import EdgeWeight, RoadNetwork
+from repro.network.builders import NetworkSpec, build_city_network
+from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import (
     NoPathError,
-    astar,
-    bidirectional_dijkstra,
     dijkstra,
     dijkstra_all,
     dijkstra_all_backward,
-    dijkstra_to_targets,
     path_cost,
 )
 from repro.spatial.geometry import Point
@@ -98,23 +93,6 @@ class TestSingleSourceVariants:
         assert to_2 == {2: 0.0, 1: 1.0, 0: 2.0}
         assert dijkstra_all(net, 2) == {2: 0.0}  # nothing reachable from 2
 
-    def test_to_targets_early_exit(self, city):
-        nodes = list(city.node_ids())
-        targets = nodes[5:10]
-        found = dijkstra_to_targets(city, nodes[0], targets)
-        assert set(found) == set(targets)
-        full = dijkstra_all(city, nodes[0])
-        for t in targets:
-            assert found[t] == pytest.approx(full[t])
-
-    def test_to_targets_empty(self, city):
-        assert dijkstra_to_targets(city, 0, []) == {}
-
-    def test_to_targets_respects_budget(self, unit_grid):
-        found = dijkstra_to_targets(unit_grid, 0, [35], max_cost=3.0)
-        assert found == {}  # node 35 is 10 km away
-
-
 class TestBudgetTermination:
     """The budgeted searches stop *at the budget*, not after draining the
     frontier — regression tests counting cost-function invocations."""
@@ -139,26 +117,6 @@ class TestBudgetTermination:
         assert pruned == {n: d for n, d in full.items() if d <= 2.0}
         assert pruned_calls < calls[0] / 2  # small ball, not the whole city
 
-    def test_to_targets_stops_when_all_settled(self, city):
-        nodes = sorted(city.node_ids())
-        full = dijkstra_all(city, nodes[0], lambda e: e.length_km)
-        near = sorted(full, key=full.get)[1:4]
-        cost, calls = self._counting(lambda e: e.length_km)
-        found = dijkstra_to_targets(city, nodes[0], near, cost)
-        assert set(found) == set(near)
-        # Settling three nearby targets must not expand the whole graph.
-        assert calls[0] < city.node_count
-
-    def test_to_targets_stops_on_budget_with_unreachable_target(self, city):
-        # A target that is never found must not force a full drain once
-        # the heap minimum passes the budget.
-        cost, calls = self._counting(lambda e: e.length_km)
-        found = dijkstra_to_targets(city, 0, [-1], cost, max_cost=1.5)
-        assert found == {}
-        cost, calls_full = self._counting(lambda e: e.length_km)
-        dijkstra_all(city, 0, cost)
-        assert calls[0] < calls_full[0]
-
     def test_backward_stops_at_budget(self, city):
         cost, calls = self._counting(lambda e: e.length_km)
         pruned = dijkstra_all_backward(city, 0, cost, max_cost=2.0)
@@ -167,74 +125,3 @@ class TestBudgetTermination:
         full = dijkstra_all_backward(city, 0, cost)
         assert pruned == {n: d for n, d in full.items() if d <= 2.0}
         assert pruned_calls < calls[0] / 2
-
-
-class TestAStar:
-    def test_matches_dijkstra_distance(self, city):
-        nodes = list(city.node_ids())
-        rng = np.random.default_rng(1)
-        for __ in range(10):
-            s, t = rng.choice(nodes, size=2, replace=False)
-            a = astar(city, int(s), int(t), EdgeWeight.DISTANCE_KM)
-            d = dijkstra(city, int(s), int(t), EdgeWeight.DISTANCE_KM)
-            assert a.cost == pytest.approx(d.cost)
-
-    def test_matches_dijkstra_travel_time(self, city):
-        nodes = list(city.node_ids())
-        rng = np.random.default_rng(2)
-        for __ in range(10):
-            s, t = rng.choice(nodes, size=2, replace=False)
-            a = astar(city, int(s), int(t), EdgeWeight.TRAVEL_TIME_H)
-            d = dijkstra(city, int(s), int(t), EdgeWeight.TRAVEL_TIME_H)
-            assert a.cost == pytest.approx(d.cost)
-
-    def test_energy_weight_degrades_to_dijkstra(self, city):
-        a = astar(city, 0, list(city.node_ids())[-1], EdgeWeight.ENERGY_KWH)
-        d = dijkstra(city, 0, list(city.node_ids())[-1], EdgeWeight.ENERGY_KWH)
-        assert a.cost == pytest.approx(d.cost)
-
-    def test_no_path_raises(self):
-        net = RoadNetwork()
-        net.add_node(0, Point(0, 0))
-        net.add_node(1, Point(5, 0))
-        with pytest.raises(NoPathError):
-            astar(net, 0, 1)
-
-
-class TestBidirectional:
-    def test_matches_dijkstra(self, city):
-        nodes = list(city.node_ids())
-        rng = np.random.default_rng(3)
-        for __ in range(10):
-            s, t = rng.choice(nodes, size=2, replace=False)
-            b = bidirectional_dijkstra(city, int(s), int(t))
-            d = dijkstra(city, int(s), int(t))
-            assert b.cost == pytest.approx(d.cost)
-
-    def test_path_is_valid(self, city):
-        nodes = list(city.node_ids())
-        result = bidirectional_dijkstra(city, nodes[0], nodes[-1])
-        assert result.nodes[0] == nodes[0] and result.nodes[-1] == nodes[-1]
-        assert path_cost(city, result.nodes) == pytest.approx(result.cost)
-
-    def test_trivial_query(self, city):
-        assert bidirectional_dijkstra(city, 0, 0).cost == 0.0
-
-    def test_no_path_raises(self):
-        net = RoadNetwork()
-        net.add_node(0, Point(0, 0))
-        net.add_node(1, Point(5, 0))
-        with pytest.raises(NoPathError):
-            bidirectional_dijkstra(net, 0, 1)
-
-    def test_asymmetric_costs(self):
-        """Directed triangle with asymmetric weights still resolves."""
-        net = RoadNetwork()
-        for i, p in enumerate([Point(0, 0), Point(1, 0), Point(0.5, 1)]):
-            net.add_node(i, p)
-        net.add_edge(0, 1, length_km=10.0)
-        net.add_edge(0, 2, length_km=1.0)
-        net.add_edge(2, 1, length_km=1.0)
-        result = bidirectional_dijkstra(net, 0, 1)
-        assert result.cost == pytest.approx(2.0)
-        assert result.nodes == (0, 2, 1)
