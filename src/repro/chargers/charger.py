@@ -9,6 +9,7 @@ and a number of plugs.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from ..spatial.geometry import Point
@@ -51,6 +52,12 @@ class Charger:
     source: RenewableSource = RenewableSource.LOCAL_SOLAR
 
     def __post_init__(self) -> None:
+        # Checked here rather than in Point, which hot paths build: a NaN
+        # passes every ``<= 0`` test below and would poison the catalog.
+        if not all(
+            map(math.isfinite, (self.point.x, self.point.y, self.rate_kw, self.solar_capacity_kw))
+        ):
+            raise ValueError("charger location, rate and solar capacity must be finite")
         if self.rate_kw <= 0:
             raise ValueError("charger rate must be positive")
         if self.plugs < 1:

@@ -1,31 +1,24 @@
-"""Durability experiment: recovery latency versus cold restart.
+"""Durability experiment: crash replay fidelity on both engines.
 
 Not a figure in the paper, which assumes the serving process never dies;
-this driver quantifies the durability tier's value proposition.  For
-every dataset and both distance-engine backends it (a) runs the
-crash-chaos scenario — every named crash point, bitwise replay check,
-accounting reconciliation — and (b) times how long a crashed session
-takes to *resume* (snapshot load + journal replay + remaining segments)
-against a *cold restart* (re-ranking the whole trip from scratch).
+this driver grades the durability tier's guarantee.  For every dataset
+and both distance-engine backends it plays a chaos plan with every named
+crash point (:func:`~repro.simulation.chaos.run_chaos`): each trip's
+durable session is killed at each point and resumed by a fresh server
+from its snapshot and journal tail.  :func:`~repro.simulation.chaos.check`
+then demands that every resumed run is bitwise the uninterrupted one,
+that torn journal lines were discarded rather than replayed, that the
+journal's cache accounting reconciles, and that every served interval
+contains the oracle value.
 
-The driver exits non-zero on any replay divergence or accounting
-failure, which is what the ``recovery-chaos`` CI job keys off.
+The driver exits non-zero on any violation, which is what the
+``recovery-chaos`` CI job keys off.
 """
 
 from __future__ import annotations
 
-import tempfile
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
-
-from ..core.ecocharge import EcoChargeConfig
-from ..durability import DurabilityConfig
-from ..observability.clock import SYSTEM_CLOCK, Clock
-from ..resilience import CrashPoint, FaultInjector, SessionCrash
-from ..server.eis import EcoChargeInformationServer
-from ..server.sessions import DurableSessionService
-from ..simulation.scenarios import CrashChaosSpec, run_crash_chaos
+from ..resilience import CrashPoint
+from ..simulation.chaos import CRASH_POINTS, ChaosPlan, check, run_chaos
 from ..trajectories.datasets import DATASET_ORDER
 from .harness import HarnessConfig, load_workloads
 
@@ -33,149 +26,42 @@ from .harness import HarnessConfig, load_workloads
 ENGINES: tuple[str, ...] = ("dijkstra", "ch")
 
 
-@dataclass(frozen=True)
-class DurabilityRow:
-    """One (dataset, engine) cell of the durability report."""
-
-    dataset: str
-    engine: str
-    sessions_crashed: int
-    sessions_recovered: int
-    torn_lines_discarded: int
-    snapshots_loaded: int
-    records_replayed: int
-    replay_divergences: int
-    accounting_failures: int
-    resume_ms: float
-    cold_restart_ms: float
-
-    @property
-    def speedup(self) -> float:
-        """Cold-restart time over resume time (higher is better)."""
-        return self.cold_restart_ms / self.resume_ms if self.resume_ms else 0.0
-
-
-def _time_recovery(
-    workload,
-    trip,
-    config: EcoChargeConfig,
-    root: Path,
-    reps: int,
-    clock: Clock = SYSTEM_CLOCK,
-) -> tuple[float, float]:
-    """(mean resume ms, mean cold-restart ms) for one crashed trip."""
-    durability = DurabilityConfig(snapshot_every=2, fsync=False)
-    resume_samples: list[float] = []
-    cold_samples: list[float] = []
-    # Crash three quarters of the way through the trip: the realistic
-    # long-trip scenario where recovery has real work to save.
-    n_segments = len(trip.segments(config.segment_km))
-    crash_at = max(2, (3 * n_segments) // 4)
-    for rep in range(reps):
-        session_id = f"latency-{config.engine or 'default'}-{rep}"
-        injector = FaultInjector(
-            seed=rep, crash_plan=[CrashPoint("mid-segment", at_occurrence=crash_at)]
-        )
-        server = EcoChargeInformationServer(workload.environment, injector=injector)
-        service = DurableSessionService(server, root, durability)
-        session = service.open(session_id, trip, config)
-        crash: SessionCrash | None = None
-        try:
-            session.run()
-        except SessionCrash as fired:
-            crash = fired
-        assert crash is not None, "crash plan must fire before the trip ends"
-        # Warm path: restore snapshot + journal tail, finish the trip.
-        server2 = EcoChargeInformationServer(workload.environment)
-        service2 = DurableSessionService(server2, root, durability)
-        start = clock.monotonic()
-        run = service2.resume_and_finish(session_id)
-        resume_samples.append((clock.monotonic() - start) * 1e3)
-        # Cold path: a restart that lost the journal re-ranks the whole
-        # trip (still durably — same guarantee, none of the saved work).
-        server3 = EcoChargeInformationServer(workload.environment)
-        service3 = DurableSessionService(server3, root, durability)
-        start = clock.monotonic()
-        cold = service3.rank_trip_durably(f"{session_id}-cold", trip, config)
-        cold_samples.append((clock.monotonic() - start) * 1e3)
-        assert len(run.tables) == len(cold.tables)
-    return (
-        sum(resume_samples) / len(resume_samples),
-        sum(cold_samples) / len(cold_samples),
-    )
-
-
-def run_durability(
-    config: HarnessConfig | None = None,
-    datasets: Sequence[str] = DATASET_ORDER,
-    engines: Sequence[str] = ENGINES,
-) -> list[DurabilityRow]:
-    """Crash-chaos every dataset on every engine; time recovery paths."""
-    config = config if config is not None else HarnessConfig()
-    workloads = load_workloads(datasets, config)
-    rows: list[DurabilityRow] = []
-    for name in datasets:
-        workload = workloads[name]
-        trip = workload.trips[0]
-        for engine in engines:
-            eco = EcoChargeConfig(k=config.k, engine=engine)
-            root = Path(tempfile.mkdtemp(prefix=f"durability-{name}-{engine}-"))
-            spec = CrashChaosSpec(
-                fleet_size=min(2, config.trips_per_dataset),
-                k=config.k,
-                engine=engine,
-                seed=config.seed,
-            )
-            chaos = run_crash_chaos(workload, spec, root=root / "chaos")
-            resume_ms, cold_ms = _time_recovery(
-                workload, trip, eco, root / "latency", reps=config.repetitions
-            )
-            rows.append(
-                DurabilityRow(
-                    dataset=name,
-                    engine=engine,
-                    sessions_crashed=chaos.sessions_crashed,
-                    sessions_recovered=chaos.sessions_recovered,
-                    torn_lines_discarded=chaos.torn_lines_discarded,
-                    snapshots_loaded=chaos.snapshots_loaded,
-                    records_replayed=chaos.records_replayed,
-                    replay_divergences=chaos.replay_divergences,
-                    accounting_failures=chaos.accounting_failures,
-                    resume_ms=resume_ms,
-                    cold_restart_ms=cold_ms,
-                )
-            )
-    return rows
-
-
 def main(config: HarnessConfig | None = None) -> str:
-    rows = run_durability(config)
+    config = config if config is not None else HarnessConfig()
+    workloads = load_workloads(DATASET_ORDER, config)
     lines = [
-        "Durability — crash-chaos replay fidelity and recovery latency "
-        "(journal + snapshot vs cold restart)",
-        "=" * 100,
+        "Durability — crash-chaos replay fidelity (journal + snapshot resume)",
+        "=" * 88,
         (
             f"{'dataset':<12}{'engine':>9}{'crashed':>9}{'recovered':>10}"
-            f"{'torn':>6}{'snap':>6}{'replayed':>9}{'diverged':>9}"
-            f"{'books':>7}{'resume ms':>11}{'cold ms':>9}{'speedup':>9}"
+            f"{'torn':>6}{'snap':>6}{'replayed':>9}{'diverged':>9}{'violations':>12}"
         ),
-        "-" * 100,
+        "-" * 88,
     ]
-    divergences = 0
-    accounting_failures = 0
-    for row in rows:
-        divergences += row.replay_divergences
-        accounting_failures += row.accounting_failures
-        lines.append(
-            f"{row.dataset:<12}{row.engine:>9}{row.sessions_crashed:>9}"
-            f"{row.sessions_recovered:>10}{row.torn_lines_discarded:>6}"
-            f"{row.snapshots_loaded:>6}{row.records_replayed:>9}"
-            f"{row.replay_divergences:>9}"
-            f"{'ok' if row.accounting_failures == 0 else 'NO':>7}"
-            f"{row.resume_ms:>11.1f}{row.cold_restart_ms:>9.1f}"
-            f"{row.speedup:>8.1f}x"
-        )
-    lines.append("-" * 100)
+    failures: list[str] = []
+    for name in DATASET_ORDER:
+        for engine in ENGINES:
+            plan = ChaosPlan(
+                seed=config.seed,
+                trips=min(2, config.trips_per_dataset),
+                k=config.k,
+                backend=engine,
+                crash_points=tuple(CrashPoint(point, at_occurrence=2) for point in CRASH_POINTS),
+            )
+            run = run_chaos(workloads[name], plan)
+            violations = check(workloads[name], run)
+            failures += [f"{name}/{engine}: {v}" for v in violations]
+            crashed = [r.info for r in run.recoveries if r.info is not None]
+            lines.append(
+                f"{name:<12}{engine:>9}{len(crashed):>9}"
+                f"{len(crashed):>10}"
+                f"{sum(info.torn_lines_discarded for info in crashed):>6}"
+                f"{sum(info.snapshot_loaded for info in crashed):>6}"
+                f"{sum(info.journal_records_replayed for info in crashed):>9}"
+                f"{sum(v.startswith('replay') for v in violations):>9}"
+                f"{len(violations):>12}"
+            )
+    lines.append("-" * 88)
     lines.append(
         "diverged = recovered runs whose Offering Tables were not bitwise "
         "identical to an uninterrupted baseline; torn = checksummed journal "
@@ -185,9 +71,9 @@ def main(config: HarnessConfig | None = None) -> str:
     )
     text = "\n".join(lines)
     print(text)
-    if divergences or accounting_failures:
-        raise SystemExit(
-            f"durability: {divergences} replay divergence(s), "
-            f"{accounting_failures} accounting failure(s)"
-        )
+    if failures:
+        print("\nFAILURES:")
+        for failure in failures:
+            print(f"  - {failure}")
+        raise SystemExit(f"durability: {len(failures)} violation(s)")
     return text

@@ -1,4 +1,4 @@
-"""Observability report: one traced trip, both exporters, overhead check.
+"""Observability report: one traced trip, accounting, both exporters.
 
 ``python -m repro.experiments observability`` runs a durable ranking
 session with telemetry enabled and validates the whole pipeline
@@ -11,9 +11,10 @@ end-to-end:
    ``ApiUsage``, and the session journal's cache events with the live
    ``CacheStats`` (the registry reads all of them in place),
 3. the Prometheus exposition parses and the canonical-JSON snapshot
-   round-trips byte-identically, and
-4. the telemetry-disabled fast path stays within the documented
-   overhead budget (measured here, reported in the output).
+   round-trips byte-identically.
+
+What telemetry costs in wall-clock time is measured by ``bench/``
+(``trace.overhead_frac``), not here.
 
 Artifacts are written next to the other persistent reports:
 ``OBS_metrics.prom`` and ``OBS_snapshot.json`` in the working
@@ -27,10 +28,8 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from ..core.ecocharge import EcoChargeConfig, EcoChargeRanker
-from ..core.ranking import run_over_trip
+from ..core.ecocharge import EcoChargeConfig
 from ..observability import (
-    SYSTEM_CLOCK,
     Telemetry,
     json_round_trips,
     parse_prometheus,
@@ -118,37 +117,7 @@ def run_traced_trip(config: HarnessConfig) -> dict[str, Any]:
     }
 
 
-def measure_overhead(config: HarnessConfig, repetitions: int = 3) -> dict[str, float]:
-    """Wall-clock per-segment cost with telemetry off vs on.
-
-    The disabled number is the production default (``NOOP_TELEMETRY``
-    guards on every hot path); the enabled number shows what the full
-    span/metric pipeline costs when switched on.
-    """
-
-    def time_once(enabled: bool) -> float:
-        workload = load_workload(
-            DATASET, scale=config.dataset_scale, environment_seed=config.seed
-        )
-        if enabled:
-            workload.environment.set_telemetry(Telemetry.live())
-        trip = workload.trips[0]
-        ranker = EcoChargeRanker(workload.environment, EcoChargeConfig(k=config.k))
-        start = SYSTEM_CLOCK.monotonic()
-        run = run_over_trip(ranker, workload.environment, trip)
-        elapsed = SYSTEM_CLOCK.monotonic() - start
-        return elapsed / max(1, len(run.tables))
-
-    disabled = min(time_once(False) for _ in range(repetitions))
-    enabled = min(time_once(True) for _ in range(repetitions))
-    return {
-        "disabled_ms": disabled * 1000.0,
-        "enabled_ms": enabled * 1000.0,
-        "enabled_over_disabled": enabled / disabled if disabled > 0 else 1.0,
-    }
-
-
-def _format_report(result: dict[str, Any], overhead: dict[str, float]) -> str:
+def _format_report(result: dict[str, Any]) -> str:
     telemetry: Telemetry = result["telemetry"]
     lines = [
         "Observability — trace coverage, accounting, exporters",
@@ -171,11 +140,6 @@ def _format_report(result: dict[str, Any], overhead: dict[str, float]) -> str:
             f"  {row['name']:<24} {row['count']:>5}x  {row['self_time_s']*1000:>8.2f} ms"
         )
     lines += [
-        "",
-        "Overhead (per segment, best of runs):",
-        f"  telemetry disabled: {overhead['disabled_ms']:.2f} ms",
-        f"  telemetry enabled:  {overhead['enabled_ms']:.2f} ms "
-        f"({overhead['enabled_over_disabled']:.2f}x)",
         "",
         f"Artifacts: {METRICS_ARTIFACT} "
         f"({len(parse_prometheus(result['exposition']))} families), "
@@ -205,8 +169,7 @@ def main(config: HarnessConfig | None = None) -> str:
     Path.cwd().joinpath(METRICS_ARTIFACT).write_text(result["exposition"])
     Path.cwd().joinpath(SNAPSHOT_ARTIFACT).write_text(result["snapshot"] + "\n")
 
-    overhead = measure_overhead(config)
-    report = _format_report(result, overhead)
+    report = _format_report(result)
     print(report)
     if failures:
         print("\nFAILURES:")

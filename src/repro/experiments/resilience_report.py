@@ -2,187 +2,115 @@
 
 Not a figure in the paper, which assumes providers always answer; this
 driver quantifies the serving story's missing half: as transient provider
-failures climb from 0 % to 50 %, the EIS keeps completing every
-continuous query through the degradation ladder, the delivered Offering
-Tables stay *interval-sound* (the oracle component value lies inside
-every served interval — the whole point of widening instead of guessing),
-and the ground-truth SC of the selections decays gracefully instead of
-collapsing.  Any unsound row or unreconciled gateway books raise
+failures climb from 0 % to 50 %, the serve-gateway stack (the sharded
+scheduler over fault-tolerant shards) keeps answering every continuous
+query through the degradation ladder, the delivered Offering Tables stay
+*interval-sound* (the oracle component value lies inside every served
+interval — the whole point of widening instead of guessing), and the
+ground-truth SC of the selections decays gracefully instead of
+collapsing.  One more row per dataset combines 30 % faults with an
+incident storm.  Every row is a :class:`~repro.simulation.chaos.ChaosPlan`
+graded by :func:`~repro.simulation.chaos.check`; any violation raises
 ``SystemExit`` so a CI job can gate on the driver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import Counter
+from dataclasses import replace
 
 from ..core.ecocharge import EcoChargeConfig
-from ..core.scoring import Weights
-from ..resilience import FaultInjector, FaultProfile
-from ..server.eis import EcoChargeInformationServer
+from ..resilience import FaultProfile, IncidentChaos
+from ..simulation.chaos import ChaosPlan, check, run_chaos
 from ..trajectories.datasets import DATASET_ORDER
 from .harness import HarnessConfig, load_workloads
-from .metrics import oracle_truths_for_tables, sc_percent, true_sc_of_selection
+from .metrics import sc_percent
 
 #: Transient per-call failure probabilities swept by the experiment.
 DEFAULT_ERROR_RATES: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.5)
 
-
-@dataclass(frozen=True)
-class ResilienceRow:
-    """One (dataset, fault-rate) cell of the sweep."""
-
-    dataset: str
-    error_rate: float
-    tables: int
-    failed_segments: int
-    degraded_share: float
-    breaker_openings: int
-    mean_true_sc: float
-    sc_vs_clean: float
-    interval_soundness: float
-    accounting_ok: bool
+#: The fault rate of the combined row (faults plus an incident storm).
+COMBINED_ERROR_RATE = 0.3
 
 
-def _grade_run(
-    environment, run, trip, segment_km: float, grading: Weights
-) -> tuple[list[float], int, int]:
-    """(per-table true SC, sound component intervals, total intervals)."""
-    segments = run.trip.segments(segment_km)
-    etas = environment.eta.segment_etas(trip, segment_km=segment_km)
-    by_index = {segment.index: i for i, segment in enumerate(segments)}
-    sc_samples: list[float] = []
-    sound = 0
-    total = 0
-    for table in run.tables:
-        i = by_index[table.segment_index]
-        segment = segments[i]
-        next_segment = segments[i + 1] if i + 1 < len(segments) else None
-        eta_h = etas[i].expected_h
-        truths = oracle_truths_for_tables(
-            environment, segment, [table], eta_h, next_segment
+def _plans(config: HarnessConfig) -> list[ChaosPlan]:
+    base = ChaosPlan(
+        seed=config.seed,
+        trips=config.trips_per_dataset,
+        k=config.k,
+        radius_km=EcoChargeConfig().radius_km,
+    )
+    return [replace(base, faults=FaultProfile(error_rate=rate)) for rate in DEFAULT_ERROR_RATES] + [
+        replace(
+            base,
+            faults=FaultProfile(error_rate=COMBINED_ERROR_RATE),
+            incidents=IncidentChaos(seed=config.seed),
         )
-        sc_samples.append(true_sc_of_selection(truths, table.charger_ids(), grading))
-        if table.is_adapted:
-            # Adapted tables reuse intervals computed for an earlier
-            # segment (Section IV-C's precision-for-reuse trade), so
-            # containment at *this* segment is not a claim they make —
-            # soundness is graded on freshly generated tables only.
-            continue
-        for entry in table.entries:
-            truth = truths[entry.charger_id]
-            for interval, value in (
-                (entry.sustainable, truth.sustainable),
-                (entry.availability, truth.availability),
-                (entry.derouting, truth.derouting),
-            ):
-                total += 1
-                sound += int(value in interval)
-    return sc_samples, sound, total
-
-
-def run_resilience(
-    config: HarnessConfig | None = None,
-    datasets: Sequence[str] = DATASET_ORDER,
-    error_rates: Sequence[float] = DEFAULT_ERROR_RATES,
-) -> list[ResilienceRow]:
-    """Sweep fault rates; grade every delivered table against the oracle."""
-    config = config if config is not None else HarnessConfig()
-    eco = EcoChargeConfig(k=config.k)
-    grading = Weights.equal()
-    workloads = load_workloads(datasets, config)
-
-    rows: list[ResilienceRow] = []
-    for name in datasets:
-        workload = workloads[name]
-        environment = workload.environment
-        trips = workload.trips[: config.trips_per_dataset]
-        clean_sc: float | None = None
-        for rate in error_rates:
-            injector = FaultInjector(
-                seed=config.seed, default=FaultProfile(error_rate=rate)
-            )
-            server = EcoChargeInformationServer(environment, injector=injector)
-            sc_samples: list[float] = []
-            sound = 0
-            total = 0
-            tables = 0
-            failed = 0
-            for trip in trips:
-                run = server.rank_trip(trip, eco)
-                tables += len(run.tables)
-                failed += len(run.failed_segments)
-                trip_sc, trip_sound, trip_total = _grade_run(
-                    environment, run, trip, eco.segment_km, grading
-                )
-                sc_samples.extend(trip_sc)
-                sound += trip_sound
-                total += trip_total
-            mean_sc = sum(sc_samples) / len(sc_samples) if sc_samples else 0.0
-            if clean_sc is None:
-                clean_sc = mean_sc
-            health = server.health
-            rows.append(
-                ResilienceRow(
-                    dataset=name,
-                    error_rate=rate,
-                    tables=tables,
-                    failed_segments=failed,
-                    degraded_share=(
-                        health.total_degraded / health.total_calls
-                        if health.total_calls
-                        else 0.0
-                    ),
-                    breaker_openings=sum(
-                        endpoint.breaker.times_opened
-                        for endpoint in server.gateway.endpoints.values()
-                    ),
-                    mean_true_sc=mean_sc,
-                    sc_vs_clean=sc_percent(mean_sc, clean_sc),
-                    interval_soundness=sound / total if total else 1.0,
-                    accounting_ok=server.gateway.accounting_ok(),
-                )
-            )
-    return rows
+    ]
 
 
 def main(config: HarnessConfig | None = None) -> str:
-    rows = run_resilience(config)
+    config = config if config is not None else HarnessConfig()
+    workloads = load_workloads(DATASET_ORDER, config)
     lines = [
-        "Resilience — ranking quality vs. upstream fault rate "
-        "(graceful degradation, Section IV architecture under stress)",
-        "=" * 98,
+        "Resilience — ranking quality vs. upstream fault rate on the "
+        "serve-gateway stack (graceful degradation under stress)",
+        "=" * 100,
         (
-            f"{'dataset':<12}{'fault %':>8}{'tables':>8}{'failed':>8}"
+            f"{'dataset':<12}{'fault %':>8}{'storm':>6}{'tables':>8}"
             f"{'degraded %':>12}{'breaker':>9}{'true SC':>9}{'SC vs clean %':>15}"
-            f"{'sound %':>9}{'books ok':>10}"
+            f"{'sound %':>9}{'violations':>12}"
         ),
-        "-" * 98,
+        "-" * 100,
     ]
-    for row in rows:
-        lines.append(
-            f"{row.dataset:<12}{row.error_rate * 100:>7.0f}%{row.tables:>8}"
-            f"{row.failed_segments:>8}{row.degraded_share * 100:>11.1f}%"
-            f"{row.breaker_openings:>9}{row.mean_true_sc:>9.3f}"
-            f"{row.sc_vs_clean:>14.1f}%{row.interval_soundness * 100:>8.1f}%"
-            f"{'yes' if row.accounting_ok else 'NO':>10}"
-        )
-    lines.append("-" * 98)
+    failures: list[str] = []
+    for name in DATASET_ORDER:
+        workload = workloads[name]
+        clean_sc: float | None = None
+        for plan in _plans(config):
+            run = run_chaos(workload, plan)
+            tally: Counter = Counter()
+            violations = check(workload, run, tally)
+            where = f"{name} at {plan.faults.error_rate * 100:.0f}% faults" + (
+                " and a storm" if plan.incidents else ""
+            )
+            failures += [f"{where}: {v}" for v in violations]
+            tables = {
+                (id(r.request.trip), table.segment_index)
+                for r in run.responses
+                for table in r.tables
+            }
+            calls = sum(g.health.total_calls for g in run.gateways)
+            degraded = sum(g.health.total_degraded for g in run.gateways)
+            breaker = sum(
+                endpoint.breaker.times_opened
+                for g in run.gateways
+                for endpoint in g.endpoints.values()
+            )
+            mean_sc = tally["true_sc"] / tally["oracle"] if tally["oracle"] else 0.0
+            if clean_sc is None:
+                clean_sc = mean_sc
+            unsound = sum(v.startswith("oracle") for v in violations)
+            sound = 1.0 - unsound / tally["oracle"] if tally["oracle"] else 1.0
+            lines.append(
+                f"{name:<12}{plan.faults.error_rate * 100:>7.0f}%"
+                f"{'yes' if plan.incidents else '-':>6}{len(tables):>8}"
+                f"{degraded / calls * 100 if calls else 0.0:>11.1f}%"
+                f"{breaker:>9}{mean_sc:>9.3f}"
+                f"{sc_percent(mean_sc, clean_sc):>14.1f}%{sound * 100:>8.1f}%"
+                f"{len(violations):>12}"
+            )
+    lines.append("-" * 100)
     lines.append(
-        "sound % = oracle component value inside the served interval, over "
-        "freshly generated tables (adapted tables reuse earlier-segment "
-        "intervals by design); the ladder widens intervals instead of "
-        "guessing, so degraded answers stay correct — just less precise."
+        "tables = distinct (trip, segment) tables served; true SC and sound % "
+        "= oracle grading of every entry of every non-adapted served table "
+        "at its epoch (adapted tables reuse earlier-segment intervals by "
+        "design); the ladder widens intervals instead of guessing, so "
+        "degraded answers stay correct — just less precise.  violations "
+        "also counts unserved requests and unreconciled books."
     )
     text = "\n".join(lines)
     print(text)
-    failures = []
-    for row in rows:
-        where = f"{row.dataset} at {row.error_rate * 100:.0f}% faults"
-        if not row.accounting_ok:
-            failures.append(f"{where}: gateway books do not reconcile")
-        if row.interval_soundness < 1.0:
-            failures.append(f"{where}: interval soundness {row.interval_soundness:.4f} < 1")
     if failures:
         print("\nFAILURES:")
         for failure in failures:

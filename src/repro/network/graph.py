@@ -98,7 +98,11 @@ class RoadNetwork:
     # -- construction ------------------------------------------------------
 
     def add_node(self, node_id: int, point: Point) -> RoadNode:
-        """Create a node at ``point`` (ValueError on duplicate id)."""
+        """Create a node at ``point`` (ValueError on duplicate id or a
+        non-finite coordinate, which would poison ``bounds()`` and every
+        distance from the node)."""
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            raise ValueError(f"node {node_id} has a non-finite location {point}")
         if node_id in self._nodes:
             raise ValueError(f"node {node_id} already exists")
         node = RoadNode(node_id, point)

@@ -252,7 +252,6 @@ class FaultInjector:
             tuple(crash_plan) if crash_plan is not None else ()
         )
         self._crash_counts: dict[str, int] = {}
-        self.crashes_fired: list[SessionCrash] = []
         self._overload = overload
         self._shard_dispatches: dict[int, int] = {}
         #: Deterministic firing counters per overload fault kind
@@ -261,10 +260,7 @@ class FaultInjector:
         self._incidents = incidents
         self._incident_stream: Any = None
         self._incident_network: Any = None
-        #: Deterministic counters per incident-chaos event kind
-        #: (``"batches"``, ``"noops"``, ``"incidents"``, ``"closures"``,
-        #: ``"reopenings"``) for test reconciliation.
-        self.incident_events: dict[str, int] = {}
+        self._incident_batches = 0
 
     def profile(self, endpoint: str) -> FaultProfile:
         return self._profiles.get(endpoint, self._default)
@@ -291,10 +287,6 @@ class FaultInjector:
 
     # -- crash-point injection (durability chaos) ---------------------------
 
-    @property
-    def crash_plan(self) -> tuple[CrashPoint, ...]:
-        return self._crash_plan
-
     def crash_next(self, point: str) -> bool:
         """Would the *next* arrival at ``point`` crash?
 
@@ -314,9 +306,7 @@ class FaultInjector:
         self._crash_counts[point] = count
         for cp in self._crash_plan:
             if cp.point == point and cp.at_occurrence == count:
-                crash = SessionCrash(point, count)
-                self.crashes_fired.append(crash)
-                raise crash
+                raise SessionCrash(point, count)
 
     # -- overload chaos (concurrent serving tier) ---------------------------
 
@@ -365,10 +355,6 @@ class FaultInjector:
 
     # -- incident chaos (live-graph tier) -----------------------------------
 
-    @property
-    def incidents(self) -> IncidentChaos | None:
-        return self._incidents
-
     def next_incidents(self, network: Any) -> "tuple | None":
         """The next incident batch of the plan, or None when exhausted.
 
@@ -379,10 +365,7 @@ class FaultInjector:
         built lazily on first call against ``network``.
         """
         plan = self._incidents
-        if plan is None:
-            return None
-        emitted = self.incident_events.get("batches", 0)
-        if emitted >= plan.batches:
+        if plan is None or self._incident_batches >= plan.batches:
             return None
         from ..network.epochs import IncidentStream
 
@@ -397,24 +380,10 @@ class FaultInjector:
                 max_closed=plan.max_closed,
             )
             self._incident_network = network
-        self.incident_events["batches"] = emitted + 1
-        if plan.noop_every and (emitted + 1) % plan.noop_every == 0:
-            self.incident_events["noops"] = self.incident_events.get("noops", 0) + 1
+        self._incident_batches += 1
+        if plan.noop_every and self._incident_batches % plan.noop_every == 0:
             return ()
-        batch = self._incident_stream.next_batch(plan.batch_size)
-        self.incident_events["incidents"] = (
-            self.incident_events.get("incidents", 0) + len(batch)
-        )
-        for incident in batch:
-            if incident.is_closure:
-                self.incident_events["closures"] = (
-                    self.incident_events.get("closures", 0) + 1
-                )
-            elif incident.is_reopening:
-                self.incident_events["reopenings"] = (
-                    self.incident_events.get("reopenings", 0) + 1
-                )
-        return batch
+        return self._incident_stream.next_batch(plan.batch_size)
 
     def roll(self, endpoint: str, now_h: float) -> float:
         """One provider call at simulated time ``now_h``.

@@ -1,5 +1,6 @@
 """Trace-driven fleet simulation: the paper's evaluation vehicle loop."""
 
+from .chaos import ChaosPlan, ChaosRun, check, run_chaos
 from .events import EventKind, EventLog, SimulationEvent
 from .occupancy import ChargerOccupancy, OccupancyStats
 from .scenarios import (
@@ -7,13 +8,7 @@ from .scenarios import (
     SHOPPING_TRIP,
     TAXI_IDLE,
     WAITING_PARENT,
-    ChaosReport,
-    ChaosSpec,
-    CrashChaosReport,
-    CrashChaosSpec,
     Scenario,
-    run_chaos,
-    run_crash_chaos,
     run_scenario,
     scenario_comparison,
 )
@@ -27,11 +22,9 @@ from .fleet import (
 from .load import LoadProfile, LoadReport, percentile, run_load, run_load_threaded
 
 __all__ = [
-    "ChaosReport",
-    "ChaosSpec",
+    "ChaosPlan",
+    "ChaosRun",
     "ChargerOccupancy",
-    "CrashChaosReport",
-    "CrashChaosSpec",
     "EventKind",
     "EventLog",
     "FleetReport",
@@ -48,9 +41,9 @@ __all__ = [
     "VehicleOutcome",
     "VehiclePhase",
     "WAITING_PARENT",
+    "check",
     "percentile",
     "run_chaos",
-    "run_crash_chaos",
     "run_load",
     "run_load_threaded",
     "run_scenario",

@@ -37,6 +37,13 @@ class TestCharger:
         with pytest.raises(ValueError):
             _charger(solar_capacity_kw=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # NaN slips past every ``<= 0`` check, so each field is named here.
+        for fields in ({"x": bad}, {"y": bad}, {"rate": bad}, {"solar_capacity_kw": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                _charger(**fields)
+
     def test_dc_fast_detection(self):
         assert _charger(plug_type=PlugType.CCS, rate=150.0).is_dc_fast
         assert not _charger(plug_type=PlugType.AC_TYPE2).is_dc_fast

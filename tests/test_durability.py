@@ -133,7 +133,10 @@ charger_ids = st.integers(min_value=0, max_value=10_000)
 chargers = st.builds(
     Charger,
     charger_id=charger_ids,
-    point=points,
+    # A charger's location must be finite (Charger rejects inf and NaN);
+    # test_point covers the codec on infinite coordinates.
+    point=st.builds(Point, st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(allow_nan=False, allow_infinity=False)),
     node_id=st.integers(min_value=0, max_value=10_000),
     rate_kw=st.floats(min_value=1.0, max_value=500.0),
     plug_type=st.sampled_from(list(PlugType)),

@@ -35,6 +35,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             net.add_node(0, Point(1, 1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_node_rejected(self, bad):
+        net = RoadNetwork()
+        for point in (Point(bad, 0.0), Point(0.0, bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                net.add_node(0, point)
+        assert net.node_count == 0
+
     def test_duplicate_edge_rejected(self):
         net = RoadNetwork()
         net.add_node(0, Point(0, 0))

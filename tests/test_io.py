@@ -77,6 +77,12 @@ class TestCnodeCedge:
         with pytest.raises(ValueError, match="finite"):
             read_cnode_cedge(tmp_path / "n", tmp_path / "e")
 
+    def test_non_finite_node_rejected(self, tmp_path):
+        (tmp_path / "n").write_text("0 nan 0\n1 1 0\n")
+        (tmp_path / "e").write_text("0 0 1 1.0\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            read_cnode_cedge(tmp_path / "n", tmp_path / "e")
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         (tmp_path / "n").write_text("# header\n\n0 0 0\n1 1 0\n")
         (tmp_path / "e").write_text("0 0 1 1.0\n")
@@ -132,6 +138,14 @@ class TestChargerIo:
             "1,0,0,tesla_magic,11,1,10\n"
         )
         with pytest.raises(ValueError, match="unknown plug type"):
+            read_chargers_csv(tmp_path / "bad.csv", small_network)
+
+    def test_csv_non_finite_row_rejected(self, tmp_path, small_network):
+        (tmp_path / "bad.csv").write_text(
+            "charger_id,x,y,plug_type,rate_kw,plugs,solar_capacity_kw\n"
+            "1,0,0,ac_type2,nan,1,10\n"
+        )
+        with pytest.raises(ValueError, match="finite"):
             read_chargers_csv(tmp_path / "bad.csv", small_network)
 
     def test_json_round_trip_full_fidelity(self, tmp_path, small_registry):

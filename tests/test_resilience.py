@@ -39,7 +39,7 @@ from repro.resilience import (
 )
 from repro.server.cache import ResponseCache
 from repro.server.eis import EcoChargeInformationServer
-from repro.simulation.scenarios import ChaosSpec, run_chaos
+from repro.simulation.chaos import ChaosPlan, check, run_chaos
 
 
 class TestRetryPolicy:
@@ -647,30 +647,33 @@ class TestChaosScenario:
         workload = SimpleNamespace(
             environment=small_environment, trips=[sample_trip]
         )
-        spec = ChaosSpec(
-            error_rate=0.25,
-            latency_spike_rate=0.05,
-            weather_outage=OutageWindow(10.0, 10.5),
-            fleet_size=1,
+        plan = ChaosPlan(
+            faults=FaultProfile(
+                error_rate=0.25,
+                latency_spike_rate=0.05,
+                outages=(OutageWindow(10.0, 10.5),),
+            ),
+            trips=1,
             seed=1,
         )
-        report = run_chaos(workload, spec)
-        assert report.completed_cleanly
-        assert report.trips_ranked == 1
-        assert report.tables_produced > 0
-        assert report.faults_injected > 0
-        assert report.accounting_ok
-        assert set(report.breaker_openings) == {"busy", "catalog", "traffic", "weather"}
+        run = run_chaos(workload, plan)
+        assert check(workload, run) == []
+        assert run.trips == (sample_trip,)
+        assert all(r.outcome.is_served and r.tables for r in run.responses)
+        assert run.scheduler.injector.total_injected > 0
+        assert all(gateway.accounting_ok() for gateway in run.gateways)
+        for gateway in run.gateways:
+            assert set(gateway.endpoints) == {"busy", "catalog", "traffic", "weather"}
 
     def test_no_faults_means_no_degradation(self, small_environment, sample_trip):
         workload = SimpleNamespace(
             environment=small_environment, trips=[sample_trip]
         )
-        report = run_chaos(workload, ChaosSpec(error_rate=0.0, latency_spike_rate=0.0))
-        assert report.completed_cleanly
-        assert report.faults_injected == 0
-        assert report.degraded_served == 0
-        assert report.accounting_ok
+        run = run_chaos(workload, ChaosPlan(trips=1))
+        assert check(workload, run) == []
+        assert run.scheduler.injector.total_injected == 0
+        assert sum(gateway.health.total_degraded for gateway in run.gateways) == 0
+        assert all(gateway.accounting_ok() for gateway in run.gateways)
 
 
 class TestServerUnderFaults:

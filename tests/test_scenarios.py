@@ -1,5 +1,7 @@
 """Scenario-builder tests (the paper's three motivating settings)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.ecocharge import EcoChargeConfig
@@ -10,11 +12,11 @@ from repro.simulation.scenarios import (
     SHOPPING_TRIP,
     TAXI_IDLE,
     WAITING_PARENT,
-    IncidentChaosSpec,
-    run_incident_chaos,
     run_scenario,
     scenario_comparison,
 )
+from repro.resilience import IncidentChaos
+from repro.simulation.chaos import ChaosPlan, check, run_chaos
 from repro.trajectories.datasets import load_workload
 
 
@@ -93,23 +95,26 @@ class TestIncidentChaos:
     """Smoke the live-graph storm: soundness, free no-ops, agreement."""
 
     def test_storm_is_sound_and_reconciled(self, workload):
-        spec = IncidentChaosSpec(
-            batches=4, batch_size=1, noop_every=2, fleet_size=1,
-            duplicates=4, k=3, seed=1,
-        )
-        report = run_incident_chaos(workload, spec)
-        assert report.served > 0
-        assert report.sound and report.completed_cleanly
-        assert report.containment_violations == 0
-        assert report.fresh_checks >= 1 and report.fresh_divergences == 0
-        assert report.noop_proofs >= 1
-        assert report.noop_cache_invalidations == 0
-        assert report.backend_divergences == 0
-        assert report.reconciliation == () or not report.reconciliation
-        assert report.as_dict()["scenario"] == spec.name
+        for backend in ("dijkstra", "ch"):
+            plan = ChaosPlan(
+                incidents=IncidentChaos(seed=1, batches=4, batch_size=1, noop_every=2),
+                trips=1, k=3, seed=1, backend=backend,
+            )
+            run = run_chaos(workload, plan)
+            tally = Counter()
+            assert check(workload, run, tally) == []
+            assert sum(r.outcome.is_served for r in run.responses) > 0
+            assert tally["fresh"] >= 1
+            assert tally["noop"] >= 1
+            assert all(wave.invalidations == 0 for wave in run.waves if wave.batch == ())
+            assert tally["oracle"] > 0 and tally["books"] == 1
+            # The non-reference backend is held to bitwise agreement.
+            assert tally["backends"] == (backend != "dijkstra")
 
     def test_spec_validation(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            IncidentChaosSpec(batches=0)
+        with pytest.raises(ValueError):
+            ChaosPlan(incidents=IncidentChaos(batches=0))
+        with pytest.raises(ValueError):
+            ChaosPlan(trips=0)
+        with pytest.raises(ValueError):
+            ChaosPlan(backend="astar")
