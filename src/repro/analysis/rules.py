@@ -545,7 +545,13 @@ _R7_ALLOWED_SUFFIXES = ("server/api.py",)
 #: retry policy, and a circuit breaker before anything can call it).
 _RAW_API_CONSTRUCTORS = {"WeatherApi", "BusyTimesApi", "TrafficApi", "ChargerCatalogApi"}
 #: Provider entry points, flagged when invoked on a raw ``*_api`` client.
-_RAW_API_METHODS = {"forecast", "window_forecast", "availability", "model_snapshot", "nearby"}
+_RAW_API_METHODS = {
+    "forecast",
+    "window_forecast_pool",
+    "availability_pool",
+    "model_snapshot",
+    "nearby",
+}
 
 
 def _receiver_name(node: ast.expr) -> str | None:

@@ -460,11 +460,16 @@ class SessionManager:
         directory = self.session_dir(session_id)
         directory.mkdir(parents=True, exist_ok=True)
         journal_path = directory / "journal.jsonl"
-        if journal_path.exists() and read_journal(journal_path).records:
-            raise SessionStateError(
-                f"session '{session_id}' already has a journal — resume it "
-                f"instead of re-opening"
-            )
+        if journal_path.exists():
+            if read_journal(journal_path).records:
+                raise SessionStateError(
+                    f"session '{session_id}' already has a journal — resume it "
+                    f"instead of re-opening"
+                )
+            # Only torn bytes (a crash while appending the header): drop
+            # them, or the new header would land behind the tear, where
+            # recovery never reads.
+            journal_path.unlink()
         journal = SessionJournal(
             journal_path, injector=self.injector, fsync=self.durability.fsync
         )
@@ -622,7 +627,14 @@ class SessionManager:
         session.close()
 
     def has_session(self, session_id: str) -> bool:
+        """Can :meth:`resume` restore ``session_id``?
+
+        True iff a readable snapshot or at least one intact journal
+        record is on disk, the test ``resume`` applies: a process that
+        died while appending the session header leaves a journal file
+        with no intact record, and nothing to resume.
+        """
         directory = self.session_dir(session_id)
-        return (directory / "journal.jsonl").exists() or (
-            directory / "snapshot.json"
-        ).exists()
+        return bool(read_journal(directory / "journal.jsonl").records) or (
+            load_snapshot(directory / "snapshot.json") is not None
+        )

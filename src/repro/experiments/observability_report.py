@@ -66,25 +66,24 @@ def run_traced_trip(config: HarnessConfig) -> dict[str, Any]:
     telemetry = Telemetry.simulated(tick_s=0.0005)
     workload.environment.set_telemetry(telemetry)
     server = EcoChargeInformationServer(workload.environment)
-    root = Path(tempfile.mkdtemp(prefix="observability-"))
-    service = DurableSessionService(server, root)
-
     trip = workload.trips[0]
     eco = EcoChargeConfig(k=config.k, telemetry=True)
     # Open/run/close explicitly (rather than ``rank_trip_durably``) so the
     # session object — and with it the ranker's cache stats and the journal
     # accounting — stays in hand for the accounting check after sealing.
-    with telemetry.span(
-        "server.rank_trip_durably",
-        tier="server",
-        trace_id=trip_correlation_id(trip),
-        session_id="obs-report",
-    ):
-        session = service.open("obs-report", trip, eco)
-        try:
-            run = session.run()
-        finally:
-            service.close(session)
+    with tempfile.TemporaryDirectory(prefix="observability-") as root:
+        service = DurableSessionService(server, Path(root))
+        with telemetry.span(
+            "server.rank_trip_durably",
+            tier="server",
+            trace_id=trip_correlation_id(trip),
+            session_id="obs-report",
+        ):
+            session = service.open("obs-report", trip, eco)
+            try:
+                run = session.run()
+            finally:
+                service.close(session)
 
     tracer = telemetry.tracer
     traces = list(tracer.traces)  # type: ignore[union-attr]

@@ -141,8 +141,9 @@ class IntervalArray:
         return Interval(float(self.lo[index]), float(self.hi[index]))
 
     def to_intervals(self) -> list[Interval]:
-        """Materialise every element (test/debug helper, not a hot path)."""
-        return [Interval(float(l), float(h)) for l, h in zip(self.lo, self.hi)]
+        """Materialise every element as a scalar :class:`Interval`, in
+        order (what :meth:`at` gives per index)."""
+        return [Interval(l, h) for l, h in zip(self.lo.tolist(), self.hi.tolist())]
 
     # -- derived quantities --------------------------------------------------
 

@@ -48,11 +48,13 @@ if TYPE_CHECKING:
 class _ResilientSustainable:
     """``L`` estimator fetching weather attenuation through the ladder.
 
-    One gateway fetch per charger, in pool order, feeding per-row
-    attenuations into the inner estimator's array kernel.  Sharing one
-    fetch per weather cell would change answers under faults: the ladder
-    does not cache a failed fetch, so the next charger in the cell gets
-    its own upstream try.
+    One gateway pass per pool: the ladder walks the pool's keys in pool
+    order, one descent per charger, and the weather provider prices the
+    rows with one window hull; the per-row attenuations then feed the
+    inner estimator's array kernel.  Sharing one descent per weather
+    cell would change answers under faults: the ladder does not cache a
+    failed fetch, so the next charger in the cell gets its own upstream
+    try.
     """
 
     def __init__(self, inner: "SustainableChargingEstimator", gateway: ResilienceGateway):
@@ -63,10 +65,10 @@ class _ResilientSustainable:
         self, chargers: "Sequence[Charger]", eta_h: float, now_h: float, window_h: float
     ) -> IntervalArray:
         attenuation = IntervalArray.from_intervals(
-            self._gateway.window_attenuation(
-                charger.point, eta_h, eta_h + window_h, now_h
-            ).value
-            for charger in chargers
+            fetch.value
+            for fetch in self._gateway.window_attenuation(
+                chargers, eta_h, eta_h + window_h, now_h
+            )
         )
         return self._inner.power_kw(chargers, eta_h, window_h, attenuation)
 
@@ -91,8 +93,13 @@ class _ResilientSustainable:
 
 
 class _ResilientAvailability:
-    """``A`` estimator fetching busy-times intervals through the ladder,
-    one fetch per charger in pool order."""
+    """``A`` estimator fetching busy-times intervals through the ladder.
+
+    One gateway pass per pool, one descent per charger in pool order;
+    the busy-times provider prices every row with one
+    :meth:`~repro.estimation.availability.AvailabilityEstimator.batch_estimate`
+    call at the first key that reaches it.
+    """
 
     def __init__(self, inner: "AvailabilityEstimator", gateway: ResilienceGateway):
         self._inner = inner
@@ -102,12 +109,11 @@ class _ResilientAvailability:
         self, chargers: "Sequence[Charger]", eta_h: float, now_h: float
     ) -> IntervalArray:
         return IntervalArray.from_intervals(
-            self._gateway.availability(charger, eta_h, now_h).value
-            for charger in chargers
+            fetch.value for fetch in self._gateway.availability(chargers, eta_h, now_h)
         )
 
     def estimate(self, charger: "Charger", eta_h: float, now_h: float) -> Interval:
-        return self._gateway.availability(charger, eta_h, now_h).value
+        return self._gateway.availability([charger], eta_h, now_h)[0].value
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)

@@ -18,7 +18,8 @@ Three fault classes mirror what real provider SDKs defend against:
   (:class:`UpstreamOutageError`).
 
 The ``Faulty*Api`` wrappers mirror the four provider interfaces of
-``server/api.py`` one-to-one and roll the injector *before* delegating:
+``server/api.py`` one-to-one and roll the injector *before* delegating
+(for a pool call, before every key's fetch):
 an injected fault therefore never reaches the real provider and never
 increments its :class:`~repro.server.api.ApiUsage` counter — exactly the
 accounting a failed network call would produce.
@@ -36,14 +37,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import TransientUpstreamError, UpstreamOutageError, UpstreamTimeoutError
 
 if TYPE_CHECKING:  # avoid a runtime repro.server import cycle
     from ..chargers.charger import Charger
-    from ..intervals import Interval
-    from ..server.api import BusyTimesApi, ChargerCatalogApi, TrafficApi, WeatherApi
+    from ..server.api import (
+        BusyTimesApi,
+        ChargerCatalogApi,
+        PoolRequest,
+        TrafficApi,
+        WeatherApi,
+    )
     from ..spatial.geometry import Point
 
 
@@ -422,6 +428,25 @@ class FaultInjector:
 # ---------------------------------------------------------------------------
 
 
+class _FaultyPoolRequest:
+    """A :class:`~repro.server.api.PoolRequest` that rolls the injector
+    before every fetch, so each key's attempt can fail on its own."""
+
+    __slots__ = ("_inner", "_injector", "_endpoint", "_now_h")
+
+    def __init__(
+        self, inner: "PoolRequest", injector: FaultInjector, endpoint: str, now_h: float
+    ):
+        self._inner = inner
+        self._injector = injector
+        self._endpoint = endpoint
+        self._now_h = now_h
+
+    def fetch(self, row: int) -> Any:
+        self._injector.roll(self._endpoint, self._now_h)
+        return self._inner.fetch(row)
+
+
 class FaultyWeatherApi:
     """Fault-injecting proxy over :class:`~repro.server.api.WeatherApi`."""
 
@@ -435,11 +460,15 @@ class FaultyWeatherApi:
         self._injector.roll(self.ENDPOINT, now_h)
         return self._inner.forecast(location, target_h, now_h)
 
-    def window_forecast(
-        self, location: "Point", start_h: float, end_h: float, now_h: float
-    ) -> "Interval":
-        self._injector.roll(self.ENDPOINT, now_h)
-        return self._inner.window_forecast(location, start_h, end_h, now_h)
+    def window_forecast_pool(
+        self, locations: "Sequence[Point]", start_h: float, end_h: float, now_h: float
+    ) -> _FaultyPoolRequest:
+        return _FaultyPoolRequest(
+            self._inner.window_forecast_pool(locations, start_h, end_h, now_h),
+            self._injector,
+            self.ENDPOINT,
+            now_h,
+        )
 
 
 class FaultyBusyTimesApi:
@@ -451,9 +480,15 @@ class FaultyBusyTimesApi:
         self._inner = inner
         self._injector = injector
 
-    def availability(self, charger: "Charger", eta_h: float, now_h: float) -> "Interval":
-        self._injector.roll(self.ENDPOINT, now_h)
-        return self._inner.availability(charger, eta_h, now_h)
+    def availability_pool(
+        self, chargers: "Sequence[Charger]", eta_h: float, now_h: float
+    ) -> _FaultyPoolRequest:
+        return _FaultyPoolRequest(
+            self._inner.availability_pool(chargers, eta_h, now_h),
+            self._injector,
+            self.ENDPOINT,
+            now_h,
+        )
 
 
 class FaultyTrafficApi:

@@ -14,6 +14,11 @@ Every upstream fetch of the serving stack goes down the same ladder:
    :meth:`~repro.estimation.component.ForecastConfidence.fallback_interval`
    — wider-but-correct instead of an exception.
 
+The estimator fronts (:meth:`ResilienceGateway.window_attenuation`,
+:meth:`ResilienceGateway.availability`) take a whole charger pool: the
+ladder still descends once per charger, in pool order, while the
+provider prices every row with one kernel call.
+
 The gateway is the *only* sanctioned way for server-tier code to reach
 the raw provider APIs (``repro-check`` rule R7 enforces this): it owns
 the fault-injecting wrappers, the per-endpoint breakers/retry policies,
@@ -28,7 +33,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..estimation.component import DEFAULT_CONFIDENCE, ForecastConfidence
 from ..estimation.weather import ATTENUATION, SkyState, WeatherForecast
@@ -191,70 +197,74 @@ class ResilienceGateway:
     def _fetch(
         self,
         endpoint_name: str,
-        key: tuple,
+        keys: "Sequence[tuple]",
         now_h: float,
-        compute: Callable[[], Any],
+        fetch: Callable[[int], Any],
         stale_fn: Callable[[Any, float], Any],
         fallback_fn: Callable[[], Any],
-    ) -> FetchResult:
-        telemetry = self.environment.telemetry
-        if not telemetry.enabled:
-            return self._descend(endpoint_name, key, now_h, compute, stale_fn, fallback_fn)
-        started_s = telemetry.clock.monotonic()
-        with telemetry.span("gateway.fetch", tier="gateway", endpoint=endpoint_name):
-            result = self._descend(
-                endpoint_name, key, now_h, compute, stale_fn, fallback_fn
-            )
-            # Exactly one ladder event per logical fetch — the span-level
-            # twin of the health identity "every call lands on one rung".
-            telemetry.event(
-                "gateway.ladder", endpoint=endpoint_name, level=result.level.value
-            )
-        telemetry.observe(
-            "ecocharge_gateway_fetch_seconds",
-            telemetry.clock.monotonic() - started_s,
-            endpoint=endpoint_name,
-        )
-        return result
+    ) -> list[FetchResult]:
+        """One ladder descent per key, in key order.
 
-    def _descend(
-        self,
-        endpoint_name: str,
-        key: tuple,
-        now_h: float,
-        compute: Callable[[], Any],
-        stale_fn: Callable[[Any, float], Any],
-        fallback_fn: Callable[[], Any],
-    ) -> FetchResult:
+        ``fetch(row)`` is one upstream attempt for ``keys[row]``; a pool
+        front prices every row with one kernel call behind it.  Each key
+        still gets its own cache reads and writes, deadline checkpoint,
+        breaker and retry decisions, fault roll and rung, so a pool walk
+        leaves the same state as one fetch per key in the same order.
+        """
+        # Looked up once per walk, not once per key.
         endpoint = self.endpoints[endpoint_name]
         health = endpoint.health
-        cached = self.cache.lookup(key, now_h)
-        if cached is not None:
-            health.record_cache_hit()
-            return FetchResult(cached.value, ServiceLevel.CACHED, cached.age_h)
-        # Deadline checkpoint before descending to the upstream rungs: a
-        # cache hit above is served regardless (already paid for), but an
-        # expired request must not spend a provider call, a retry budget,
-        # or a fallback computation it can no longer use.
-        self.environment.cancellation.checkpoint("gateway")
-        retried_before = health.retried
-        try:
-            value = compute_result = endpoint.call(compute, now_h)
-        except UpstreamError:
-            bound = self.config.for_endpoint(endpoint_name).staleness.max_stale_h
-            stale = self.cache.lookup_stale(key, now_h, bound)
-            if stale is not None:
-                health.record_stale_served()
-                return FetchResult(
-                    stale_fn(stale.value, stale.age_h), ServiceLevel.STALE, stale.age_h
+        cache = self.cache
+        cancellation = self.environment.cancellation
+        max_stale_h = self.config.for_endpoint(endpoint_name).staleness.max_stale_h
+
+        def descend(row: int, key: tuple) -> FetchResult:
+            cached = cache.lookup(key, now_h)
+            if cached is not None:
+                health.record_cache_hit()
+                return FetchResult(cached.value, ServiceLevel.CACHED, cached.age_h)
+            # Deadline checkpoint before descending to the upstream rungs:
+            # a cache hit above is served regardless (already paid for),
+            # but an expired request must not spend a provider call, a
+            # retry budget, or a fallback computation it can no longer use.
+            cancellation.checkpoint("gateway")
+            retried_before = health.retried
+            try:
+                value = endpoint.call(partial(fetch, row), now_h)
+            except UpstreamError:
+                stale = cache.lookup_stale(key, now_h, max_stale_h)
+                if stale is not None:
+                    health.record_stale_served()
+                    return FetchResult(
+                        stale_fn(stale.value, stale.age_h), ServiceLevel.STALE, stale.age_h
+                    )
+                health.record_fallback()
+                return FetchResult(fallback_fn(), ServiceLevel.FALLBACK, math.inf)
+            cache.put(key, now_h, value)
+            retried = health.retried > retried_before
+            level = ServiceLevel.RETRIED if retried else ServiceLevel.LIVE
+            return FetchResult(value, level, 0.0)
+
+        telemetry = self.environment.telemetry
+        if not telemetry.enabled:
+            return [descend(row, key) for row, key in enumerate(keys)]
+        results = []
+        for row, key in enumerate(keys):
+            started_s = telemetry.clock.monotonic()
+            with telemetry.span("gateway.fetch", tier="gateway", endpoint=endpoint_name):
+                result = descend(row, key)
+                # Exactly one ladder event per logical fetch — the span-level
+                # twin of the health identity "every call lands on one rung".
+                telemetry.event(
+                    "gateway.ladder", endpoint=endpoint_name, level=result.level.value
                 )
-            health.record_fallback()
-            return FetchResult(fallback_fn(), ServiceLevel.FALLBACK, math.inf)
-        self.cache.put(key, now_h, value)
-        level = (
-            ServiceLevel.RETRIED if health.retried > retried_before else ServiceLevel.LIVE
-        )
-        return FetchResult(compute_result, level, 0.0)
+            telemetry.observe(
+                "ecocharge_gateway_fetch_seconds",
+                telemetry.clock.monotonic() - started_s,
+                endpoint=endpoint_name,
+            )
+            results.append(result)
+        return results
 
     # -- endpoint fronts -----------------------------------------------------
 
@@ -285,53 +295,66 @@ class ResilienceGateway:
 
         return self._fetch(
             WEATHER,
-            key,
+            (key,),
             now_h,
-            lambda: self._weather.forecast(location, target_h, now_h),
+            lambda _row: self._weather.forecast(location, target_h, now_h),
             stale_fn,
             fallback_fn,
-        )
+        )[0]
 
     def window_attenuation(
-        self, location: "Point", start_h: float, end_h: float, now_h: float
-    ) -> FetchResult:
-        """Charging-window attenuation hull through the ladder.
+        self, chargers: "Sequence[Charger]", start_h: float, end_h: float, now_h: float
+    ) -> list[FetchResult]:
+        """Charging-window attenuation hull per charger of a pool, in pool
+        order, through the ladder.
 
-        Keyed by the *exact* window (not slot-bucketed): estimator-layer
-        queries must be byte-identical to a direct model call on the
-        happy path, so cache entries may only answer the very same
-        question they stored — the cache's job here is serve-stale, not
-        cross-query sharing (the region snapshot layer does that).
+        Keyed by each charger's 2 km cell and the *exact* window (not
+        slot-bucketed): estimator-layer queries must be byte-identical to
+        a direct model call on the happy path, so cache entries may only
+        answer the very same question they stored — the cache's job here
+        is serve-stale, not cross-query sharing (the region snapshot
+        layer does that).
         """
-        key = (
-            "rz-wxwin",
-            math.floor(location.x / 2.0),
-            math.floor(location.y / 2.0),
-            round(start_h, 4),
-            round(end_h - start_h, 3),
+        start_key, span_key = round(start_h, 4), round(end_h - start_h, 3)
+        keys = [
+            (
+                "rz-wxwin",
+                math.floor(charger.point.x / 2.0),
+                math.floor(charger.point.y / 2.0),
+                start_key,
+                span_key,
+            )
+            for charger in chargers
+        ]
+        request = self._weather.window_forecast_pool(
+            [charger.point for charger in chargers], start_h, end_h, now_h
         )
         return self._fetch(
             WEATHER,
-            key,
+            keys,
             now_h,
-            lambda: self._weather.window_forecast(location, start_h, end_h, now_h),
+            request.fetch,
             lambda value, age_h: self.confidence.stale_interval(
                 value, age_h, _ATTENUATION_LO, _ATTENUATION_HI
             ),
             lambda: self.confidence.fallback_interval(_ATTENUATION_LO, _ATTENUATION_HI),
         )
 
-    def availability(self, charger: "Charger", eta_h: float, now_h: float) -> FetchResult:
-        """Per-charger availability interval through the ladder.
+    def availability(
+        self, chargers: "Sequence[Charger]", eta_h: float, now_h: float
+    ) -> list[FetchResult]:
+        """Availability interval per charger of a pool, in pool order,
+        through the ladder.
 
         Keyed by the exact ETA (see :meth:`window_attenuation` for why
         estimator-layer keys are never slot-bucketed)."""
-        key = ("rz-busy", charger.charger_id, round(eta_h, 4))
+        eta_key = round(eta_h, 4)
+        keys = [("rz-busy", charger.charger_id, eta_key) for charger in chargers]
         return self._fetch(
             BUSY,
-            key,
+            keys,
             now_h,
-            lambda: self._busy.availability(charger, eta_h, now_h),
+            self._busy.availability_pool(chargers, eta_h, now_h).fetch,
             lambda value, age_h: self.confidence.stale_interval(value, age_h),
             lambda: self.confidence.fallback_interval(0.0, 1.0),
         )
@@ -347,12 +370,12 @@ class ResilienceGateway:
         key = ("rz-traffic", math.floor(now_h / 0.25))
         return self._fetch(
             TRAFFIC,
-            key,
+            (key,),
             now_h,
-            lambda: self._traffic.model_snapshot(now_h),
+            lambda _row: self._traffic.model_snapshot(now_h),
             lambda value, age_h: value,
             lambda: self.environment.traffic,
-        )
+        )[0]
 
     def nearby(self, location: "Point", radius_km: float, now_h: float) -> FetchResult:
         """Charger catalog through the ladder.
@@ -369,12 +392,12 @@ class ResilienceGateway:
         )
         return self._fetch(
             CATALOG,
-            key,
+            (key,),
             now_h,
-            lambda: self._catalog.nearby(location, radius_km, now_h),
+            lambda _row: self._catalog.nearby(location, radius_km, now_h),
             lambda value, age_h: value,
             lambda: [],
-        )
+        )[0]
 
     # -- observability -------------------------------------------------------
 

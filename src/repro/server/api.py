@@ -9,7 +9,8 @@ Caching avoids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from ..chargers.charger import Charger
 from ..chargers.registry import ChargerRegistry
@@ -34,6 +35,29 @@ class ApiUsage:
         return self.weather_calls + self.busy_calls + self.traffic_calls + self.catalog_calls
 
 
+class PoolRequest:
+    """Per-key provider requests over one pool, priced by one kernel call.
+
+    Every :meth:`fetch` is one counted upstream call, as a request per
+    key would be; the first one prices every row of the pool and the
+    later ones read theirs.
+    """
+
+    __slots__ = ("_price", "_count", "_rows")
+
+    def __init__(self, price: Callable[[], Sequence[Any]], count: Callable[[], None]):
+        self._price = price
+        self._count = count
+        self._rows: Sequence[Any] | None = None
+
+    def fetch(self, row: int) -> Any:
+        """The value of pool row ``row`` (one counted call)."""
+        self._count()
+        if self._rows is None:
+            self._rows = self._price()
+        return self._rows[row]
+
+
 class WeatherApi:
     """OpenWeatherMap stand-in: forecasts by location and hour."""
 
@@ -47,16 +71,24 @@ class WeatherApi:
         self._usage.weather_calls += 1
         return self._model.forecast(target_h, now_h)
 
-    def window_forecast(
-        self, location: Point, start_h: float, end_h: float, now_h: float
-    ) -> Interval:
-        """Attenuation hull over a charging window, as one counted call.
+    def window_forecast_pool(
+        self, locations: Sequence[Point], start_h: float, end_h: float, now_h: float
+    ) -> PoolRequest:
+        """Attenuation hull over a charging window, one counted call per
+        location.
 
         Real forecast providers return multi-hour payloads per request;
-        counting the window as a single upstream call keeps the caching
-        experiments' accounting faithful."""
+        counting each window as a single upstream call keeps the caching
+        experiments' accounting faithful.  The synthetic field ignores
+        location, so every row is the same hull, computed once."""
+
+        def price() -> list[Interval]:
+            return [self._model.window_attenuation(start_h, end_h, now_h)] * len(locations)
+
+        return PoolRequest(price, self._count)
+
+    def _count(self) -> None:
         self._usage.weather_calls += 1
-        return self._model.window_attenuation(start_h, end_h, now_h)
 
 
 class BusyTimesApi:
@@ -66,10 +98,19 @@ class BusyTimesApi:
         self._estimator = estimator
         self._usage = usage
 
-    def availability(self, charger: Charger, eta_h: float, now_h: float) -> Interval:
-        """Availability interval for one charger at the ETA (counted)."""
+    def availability_pool(
+        self, chargers: Sequence[Charger], eta_h: float, now_h: float
+    ) -> PoolRequest:
+        """Availability interval per charger at the ETA, one counted call
+        per charger; the rows come from one array kernel call."""
+
+        def price() -> list[Interval]:
+            return self._estimator.batch_estimate(chargers, eta_h, now_h).to_intervals()
+
+        return PoolRequest(price, self._count)
+
+    def _count(self) -> None:
         self._usage.busy_calls += 1
-        return self._estimator.estimate(charger, eta_h, now_h)
 
 
 class TrafficApi:

@@ -130,8 +130,8 @@ class EcoChargeInformationServer:
         if weather.level.is_degraded:
             degraded.add("weather")
         availability: dict[int, Interval] = {}
-        for charger in chargers:
-            fetch = self.gateway.availability(charger, eta_h, now_h)
+        fetches = self.gateway.availability(chargers, eta_h, now_h)
+        for charger, fetch in zip(chargers, fetches):
             if fetch.level.is_degraded:
                 degraded.add("busy")
             availability[charger.charger_id] = fetch.value

@@ -322,6 +322,17 @@ class TestR7ResilienceBypass:
         )
         assert rule_ids(check_source(snippet, self.PATH)) == ["R7"]
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "self._busy_api.availability_pool(chargers, eta_h, now_h)",
+            "self._weather_api.window_forecast_pool(points, eta_h, eta_h + 1.0, now_h)",
+        ],
+    )
+    def test_fires_on_direct_pool_call(self, call):
+        snippet = f"def build(self, chargers, points, eta_h, now_h):\n    return {call}\n"
+        assert rule_ids(check_source(snippet, self.PATH)) == ["R7"]
+
     def test_clean_when_routed_through_gateway(self):
         snippet = (
             "def build(self, origin, eta_h, now_h):\n"

@@ -839,6 +839,34 @@ class TestCrashRecovery:
         manager3.close(resumed)
         assert _encoded_tables(run) == baselines["dijkstra"]
 
+    def test_no_session_after_a_crash_in_the_header_append(self, tmp_path, baselines):
+        """A process that dies while ``open`` appends the session header
+        leaves a journal file with no intact record: ``has_session`` must
+        say so, since ``resume`` cannot restore it.  A fresh ``open`` then
+        drops the torn bytes, so its own journal is resumable."""
+        config = EcoChargeConfig(k=3, segment_km=2.0, engine="dijkstra")
+        durability = DurabilityConfig(snapshot_every=2, fsync=False)
+        injector = FaultInjector(
+            seed=0, crash_plan=[CrashPoint("mid-journal-append", at_occurrence=1)]
+        )
+        manager = SessionManager(tmp_path, durability, injector=injector)
+        environment = _build_environment()
+        with pytest.raises(SessionCrash):
+            manager.open("s1", environment, _trip_for(environment), config)
+        assert (manager.session_dir("s1") / "journal.jsonl").exists()
+        restarted = SessionManager(tmp_path, durability)
+        assert not restarted.has_session("s1")
+        with pytest.raises(SessionStateError):
+            restarted.resume("s1", _build_environment())
+        environment2 = _build_environment()
+        session = restarted.open("s1", environment2, _trip_for(environment2), config)
+        assert restarted.has_session("s1")
+        run = session.run()
+        restarted.close(session)
+        assert _encoded_tables(run) == baselines["dijkstra"]
+        resumed = SessionManager(tmp_path, durability).resume("s1", _build_environment())
+        assert resumed.recovery is not None and resumed.recovery.torn_lines_discarded == 0
+
     def test_resume_after_clean_close_returns_full_run(self, tmp_path, baselines):
         config = EcoChargeConfig(k=3, segment_km=2.0, engine="dijkstra")
         durability = DurabilityConfig(snapshot_every=2, fsync=False)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import json
+import tempfile
 import weakref
 
 import pytest
@@ -26,6 +27,8 @@ from repro.core.ecocharge import EcoChargeConfig, EcoChargeRanker
 from repro.core.environment import ChargingEnvironment
 from repro.core.ranking import run_over_trip
 from repro.durability.session import DurabilityConfig
+from repro.experiments.harness import HarnessConfig
+from repro.experiments.observability_report import run_traced_trip
 from repro.network.builders import NetworkSpec, build_city_network
 from repro.network.graph import EdgeWeight
 from repro.network.path import Trip
@@ -825,3 +828,14 @@ class TestReadThrough:
             "ecocharge_gateway_ladder_total",
             "ecocharge_scheduler_requests_total",
         } <= set(calls)
+
+
+class TestObservabilityReport:
+    def test_traced_trip_leaves_no_session_directory(self, tmp_path, monkeypatch):
+        """The durable session's journal lives in a temporary directory
+        that is gone once the report has its numbers."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = run_traced_trip(HarnessConfig(k=3, dataset_scale=0.1))
+        assert result["tables"] > 0
+        assert result["mismatches"] == []
+        assert list(tmp_path.glob("observability-*")) == []

@@ -331,19 +331,19 @@ class TestDegradationLadder:
         return min(small_registry.all(), key=lambda c: c.charger_id)
 
     def test_live_then_cached(self, gateway, charger):
-        first = gateway.availability(charger, 11.0, 10.0)
+        first = gateway.availability([charger], 11.0, 10.0)[0]
         assert first.level is ServiceLevel.LIVE
-        second = gateway.availability(charger, 11.0, 10.1)
+        second = gateway.availability([charger], 11.0, 10.1)[0]
         assert second.level is ServiceLevel.CACHED
         assert second.value == first.value
         health = gateway.health.for_endpoint("busy")
         assert health.live == 1 and health.cache_hits == 1
 
     def test_stale_serve_widens_interval(self, gateway, charger):
-        fresh = gateway.availability(charger, 11.0, 10.0)
+        fresh = gateway.availability([charger], 11.0, 10.0)[0]
         # 10.9 is past the cache TTL (0.5 h) and inside the outage, but
         # the 0.9 h age is within the 2 h staleness bound.
-        stale = gateway.availability(charger, 11.0, 10.9)
+        stale = gateway.availability([charger], 11.0, 10.9)[0]
         assert stale.level is ServiceLevel.STALE
         assert stale.age_h == pytest.approx(0.9)
         assert stale.value.lo <= fresh.value.lo
@@ -353,7 +353,7 @@ class TestDegradationLadder:
 
     def test_fallback_is_admissible_floor(self, gateway, charger):
         # No cache entry exists for this query and busy is in outage.
-        result = gateway.availability(charger, 15.0, 11.0)
+        result = gateway.availability([charger], 15.0, 11.0)[0]
         assert result.level is ServiceLevel.FALLBACK
         assert result.value == Interval(0.0, 1.0)
         assert gateway.health.for_endpoint("busy").fallbacks == 1
@@ -368,14 +368,14 @@ class TestDegradationLadder:
         gateway = ResilienceGateway.build(
             small_environment, config=config, injector=injector
         )
-        gateway.availability(charger, 11.0, 10.0)
+        gateway.availability([charger], 11.0, 10.0)[0]
         # Age 2.0 h exceeds the 0.6 h bound: the entry may not be served.
-        result = gateway.availability(charger, 11.0, 12.0)
+        result = gateway.availability([charger], 11.0, 12.0)[0]
         assert result.level is ServiceLevel.FALLBACK
 
     def test_degraded_results_never_cached(self, gateway, charger):
-        gateway.availability(charger, 15.0, 11.0)  # fallback (outage, no entry)
-        follow_up = gateway.availability(charger, 15.0, 11.01)
+        gateway.availability([charger], 15.0, 11.0)[0]  # fallback (outage, no entry)
+        follow_up = gateway.availability([charger], 15.0, 11.01)[0]
         # Still degraded — the fallback was not stored as if it were fresh.
         assert follow_up.level is ServiceLevel.FALLBACK
 
@@ -392,10 +392,10 @@ class TestDegradationLadder:
             assert attenuation in result.value.attenuation
 
     def test_accounting_reconciles(self, gateway, charger):
-        gateway.availability(charger, 11.0, 10.0)
-        gateway.availability(charger, 11.0, 10.1)
-        gateway.availability(charger, 11.0, 10.9)
-        gateway.availability(charger, 15.0, 11.0)
+        gateway.availability([charger], 11.0, 10.0)[0]
+        gateway.availability([charger], 11.0, 10.1)[0]
+        gateway.availability([charger], 11.0, 10.9)[0]
+        gateway.availability([charger], 15.0, 11.0)[0]
         gateway.traffic_snapshot(10.0)
         from repro.spatial.geometry import Point
 
