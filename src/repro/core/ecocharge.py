@@ -80,13 +80,14 @@ class EcoChargeConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.radius_km <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN compares false both ways.
+        if not self.radius_km > 0:
             raise ValueError("radius_km (R) must be positive")
-        if self.range_km <= 0:
+        if not self.range_km > 0:
             raise ValueError("range_km (Q) must be positive")
-        if self.segment_km <= 0:
+        if not self.segment_km > 0:
             raise ValueError("segment_km must be positive")
-        if self.cache_ttl_h <= 0:
+        if not self.cache_ttl_h > 0:
             raise ValueError("cache_ttl_h must be positive")
         if self.cache_pool_limit is not None and self.cache_pool_limit < self.k:
             raise ValueError("cache_pool_limit must be at least k")

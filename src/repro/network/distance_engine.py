@@ -8,8 +8,15 @@ chaos re-rankings) prices derouting with single-source searches over the
 * results are memoised per ``(weight key, node, direction)`` (``node``
   may be a sorted tuple: one search seeded at several nodes) in an LRU
   bounded by total settled nodes (64 per network node by default) and
-  shared across trip segments and across methods, so the Brute-Force
-  grader and EcoCharge stop paying for the same ball twice;
+  shared across trip segments and across methods;
+* on the Dijkstra backend a query's search stops once every node it asks
+  for is settled (:func:`~repro.network.shortest_path.settle_arcs`'
+  ``targets``), so its cost follows the pool's reach, not the whole
+  ball out to the budget.  A cached map records whether its search ran
+  to the budget; a later query reuses it when the budget covers the
+  query and either the search ran to the budget or every node the query
+  asks for is in the map (settled maps hold only final labels, so either
+  way the answer is the one a fresh search would give);
 * two interchangeable backends sit behind one API — truncated Dijkstra
   (the always-correct fallback, and the paper baseline) and a contraction
   hierarchy (:mod:`repro.network.contraction`) whose per-metric
@@ -49,7 +56,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -123,9 +130,12 @@ class EngineStats:
     meaningless constant).  ``pair_hits``/``pair_misses`` count the CH
     backend's pair-join result cache, the warm-path fast lane that
     answers a bipartite query member without touching the settled maps.
+    ``settled`` sums the nodes each search settled: the search work the
+    target stop saves shows here.
     """
 
     searches: int = 0
+    settled: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     pair_hits: int = 0
@@ -143,6 +153,7 @@ class EngineStats:
     #: Integer counter fields, in report order (used for snapshot deltas).
     COUNTER_FIELDS = (
         "searches",
+        "settled",
         "cache_hits",
         "cache_misses",
         "pair_hits",
@@ -236,6 +247,16 @@ def _arc_costs(
 PRICED_METRICS = 8
 
 
+def _search_budget(max_cost: float) -> float:
+    """A query's ``max_cost`` as a search budget: inflated by one
+    :data:`DISTANCE_QUANTUM` so that a node whose distance rounds down
+    onto the cutoff is settled.  A NaN budget is refused: no node is
+    within it, and a map cached under it could never be reused."""
+    if math.isnan(max_cost):
+        raise ValueError("max_cost must not be NaN")
+    return max_cost if math.isinf(max_cost) else max_cost + DISTANCE_QUANTUM
+
+
 def _anchor(target: int | tuple[int, ...]) -> int | tuple[int, ...]:
     """A query's target as a settled-map key: one node, or the sorted
     distinct nodes of a tuple (a single one collapses to the node itself,
@@ -257,9 +278,10 @@ class DistanceEngine:
     """Memoising one-to-many / many-to-one distance facade.
 
     ``capacity_nodes`` bounds the LRU by the *total number of settled
-    nodes* held across all cached maps (a full Dijkstra ball on a large
-    network weighs thousands of entries, a CH search space a few dozen —
-    counting nodes keeps memory bounded regardless of backend).  The
+    nodes* held across all cached maps (a Dijkstra map weighs as many
+    entries as its search settled before its last target, up to the whole
+    ball on a large network; a CH search space a few dozen — counting
+    nodes keeps memory bounded regardless of backend).  The
     default is 64 settled nodes per network node, so the bound scales
     with the network instead of letting a small network's engine grow
     until a fixed node count is reached.
@@ -287,10 +309,11 @@ class DistanceEngine:
         self._network = network
         self._backend = backend
         self._hierarchy = hierarchy
-        #: (weight key, node, direction) -> (computed budget, settled map),
-        #: each map costing its settled-node count.
-        self._maps: LRU[tuple[Hashable, int, str], tuple[float, dict[int, float]]]
-        self._maps = LRU(capacity_nodes, cost=lambda entry: len(entry[1]))
+        #: (weight key, node, direction) -> (computed budget, whether the
+        #: search ran to that budget, settled map), each map costing its
+        #: settled-node count.
+        self._maps: LRU[tuple[Hashable, int, str], tuple[float, bool, dict[int, float]]]
+        self._maps = LRU(capacity_nodes, cost=lambda entry: len(entry[2]))
         self._customized: LRU[Hashable, CustomizedHierarchy] = LRU(max_customizations)
         #: The network's arcs flattened for the Dijkstra backend, built on
         #: its first search.
@@ -509,7 +532,7 @@ class DistanceEngine:
         quantised distance is finite and at most ``max_cost``, keyed by
         target; every other target is absent (``source`` itself maps to
         ``0.0``).  Absent means unreachable within budget, never a served
-        infinity.
+        infinity.  A NaN ``max_cost`` raises :class:`ValueError`.
         """
         spec = WeightSpec.of(weight)
         with self._lock:
@@ -517,8 +540,9 @@ class DistanceEngine:
             self._note_spec(spec)
             if self._backend == "ch":
                 return self._ch_bipartite(spec, source, targets, max_cost, forward=True)
-            ball = self._map(spec, source, "f", max_cost)
-            return self._subset(ball, targets, max_cost)
+            wanted = set(targets)
+            ball = self._map(spec, source, "f", max_cost, wanted)
+            return self._subset(ball, wanted, max_cost)
 
     def many_to_one(
         self,
@@ -533,7 +557,8 @@ class DistanceEngine:
         of its nodes, bitwise equal to the elementwise minimum of the
         single-target queries.  On Dijkstra that is one search seeded at
         every target, cached under the sorted tuple; on CH each target
-        keeps its own bipartite join.
+        keeps its own bipartite join.  A NaN ``max_cost`` raises
+        :class:`ValueError`.
         """
         spec = WeightSpec.of(weight)
         anchor = _anchor(target)
@@ -552,8 +577,9 @@ class DistanceEngine:
                         if d < out.get(source, math.inf):
                             out[source] = d
                 return out
-            ball = self._map(spec, anchor, "b", max_cost)
-            return self._subset(ball, sources, max_cost)
+            wanted = set(sources)
+            ball = self._map(spec, anchor, "b", max_cost, wanted)
+            return self._subset(ball, wanted, max_cost)
 
     def many_to_many(
         self,
@@ -562,7 +588,9 @@ class DistanceEngine:
         weight: EdgeWeight | WeightSpec,
         max_cost: float = math.inf,
     ) -> dict[tuple[int, int], float]:
-        """Quantised distance matrix over ``sources x targets``."""
+        """Quantised distance matrix over ``sources x targets``.  A NaN
+        ``max_cost`` raises :class:`ValueError`, even with no sources."""
+        _search_budget(max_cost)
         out: dict[tuple[int, int], float] = {}
         for source in sources:
             for target, d in self.one_to_many(source, targets, weight, max_cost).items():
@@ -572,17 +600,33 @@ class DistanceEngine:
     # -- dijkstra backend ---------------------------------------------------
 
     def _map(
-        self, spec: WeightSpec, node: int | tuple[int, ...], direction: str, max_cost: float
+        self,
+        spec: WeightSpec,
+        node: int | tuple[int, ...],
+        direction: str,
+        max_cost: float,
+        targets: AbstractSet[int] | None = None,
     ) -> dict[int, float]:
         """The settled map for (spec, node, direction), cached and budgeted;
-        a tuple ``node`` is one search from all of its nodes at once."""
+        a tuple ``node`` is one search from all of its nodes at once.
+
+        With ``targets`` the search stops once all of them are settled,
+        and the map holds only the nodes settled by then.  A cached map
+        serves the query when its budget covers the query's and either
+        its search ran to the budget or it holds every target; otherwise
+        the query searches again and replaces it.
+        """
         key = (spec.key, node, direction)
-        budget = max_cost if math.isinf(max_cost) else max_cost + DISTANCE_QUANTUM
+        budget = _search_budget(max_cost)
         with self._lock:
             cached = self._maps.get(key)
-            if cached is not None and cached[0] >= budget:
-                self.stats.cache_hits += 1
-                return cached[1]
+            if cached is not None:
+                cached_budget, complete, ball = cached
+                if cached_budget >= budget and (
+                    complete or (targets is not None and ball.keys() >= targets)
+                ):
+                    self.stats.cache_hits += 1
+                    return ball
             # Deadline checkpoint on the miss path only: a cache hit is
             # already paid for and serves in O(1), but an expired request
             # must not open a fresh search it can no longer use.
@@ -601,21 +645,30 @@ class DistanceEngine:
                     direction=direction,
                     node=node,
                 ):
-                    raw = self._search(spec, node, direction, budget)
+                    raw = self._search(spec, node, direction, budget, targets)
                 telemetry.observe(
                     "ecocharge_engine_search_seconds",
                     telemetry.clock.monotonic() - started_s,
                     backend=self._backend,
                 )
             else:
-                raw = self._search(spec, node, direction, budget)
-            self.stats.evictions += self._maps.put(key, (budget, raw))
+                raw = self._search(spec, node, direction, budget, targets)
+            self.stats.settled += len(raw)
+            # A target left unsettled means the heap ran out within budget.
+            complete = targets is None or not raw.keys() >= targets
+            self.stats.evictions += self._maps.put(key, (budget, complete, raw))
             return raw
 
     def _search(
-        self, spec: WeightSpec, node: int | tuple[int, ...], direction: str, budget: float
+        self,
+        spec: WeightSpec,
+        node: int | tuple[int, ...],
+        direction: str,
+        budget: float,
+        targets: Iterable[int] | None = None,
     ) -> dict[int, float]:
-        """The uncached settled-map computation behind :meth:`_map`."""
+        """The uncached settled-map computation behind :meth:`_map`.  CH
+        settles its whole upward space; ``targets`` stop only Dijkstra."""
         if self._backend == "ch":
             custom = self._customize(spec)
             return (
@@ -638,7 +691,7 @@ class DistanceEngine:
             weights = _arc_costs(spec, arcs.edges).tolist()
             self.stats.evictions += self._priced.put(spec.key, weights)
         adjacency = arcs.out_arcs if direction == "f" else arcs.in_arcs
-        return settle_arcs(node, adjacency, weights, budget, arcs.span)
+        return settle_arcs(node, adjacency, weights, budget, arcs.span, targets)
 
     @staticmethod
     def _subset(
@@ -719,7 +772,7 @@ class DistanceEngine:
         (each independently cached in the settled-map LRU) are only
         touched on a pair miss.
         """
-        budget = max_cost if math.isinf(max_cost) else max_cost + DISTANCE_QUANTUM
+        budget = _search_budget(max_cost)
         with self._lock:
             stats = self.stats
             spec_id = self._spec_ids.get(spec.key)

@@ -55,17 +55,28 @@ def settle_arcs(
     weights: Sequence[float],
     max_cost: float = math.inf,
     span: int = 0,
+    targets: Iterable[int] | None = None,
 ) -> dict[int, float]:
     """Truncated Dijkstra over a flat adjacency with per-arc cost ``weights``.
 
-    A node is pushed only when its tentative cost is within ``max_cost``,
-    so every reached node is settled and the result holds exactly the
-    nodes within budget.  For non-negative costs each settled value is
-    bitwise equal to :func:`dijkstra_all` under the same costs: a stale
-    queue entry (``d > dist[node]``) is skipped where ``dijkstra_all``
-    skips a settled node, and the sums are the same.  With ``span > 0``
-    (see :func:`dense_span`) distances live in a flat list indexed by node
-    id; otherwise in a dict.  Both paths relax in the same order.
+    The result maps every *settled* node (popped from the heap with its
+    final label) to its cost.  A node is pushed only when its tentative
+    cost is within ``max_cost``, so a search that runs out of heap has
+    settled exactly the nodes within budget.  For non-negative costs each
+    settled value is bitwise equal to :func:`dijkstra_all` under the same
+    costs: a stale queue entry (``d > dist[node]``) is skipped where
+    ``dijkstra_all`` skips a settled node, and the sums are the same.
+    With ``span > 0`` (see :func:`dense_span`) distances live in a flat
+    list indexed by node id; otherwise in a dict.  Both paths relax in
+    the same order.
+
+    With ``targets`` the heap stops as soon as every target has been
+    settled, and the result holds only the nodes settled by then (an
+    empty ``targets`` settles nothing).  Dijkstra settles each node once,
+    with the label the unstopped search would give it, so stopping early
+    changes no returned label.  A target that is unreachable or over
+    budget is never settled, and the search runs to the budget as
+    without ``targets``.
 
     A tuple ``origin`` seeds every node in it at ``0.0``: each settled
     value is then the distance from the *nearest* origin, bitwise equal
@@ -73,43 +84,50 @@ def settle_arcs(
     least left-to-right float sum over its paths and ``fl(a + w)`` is
     monotone in ``a``.
     """
+    origins = tuple(dict.fromkeys(origin)) if isinstance(origin, tuple) else (origin,)
+    remaining: set[int] = set() if targets is None else set(targets)
+    if max_cost < 0.0 or (targets is not None and not remaining):
+        return {}  # even the origins are over budget, or nothing is asked for
     inf = math.inf
     push, pop = heapq.heappush, heapq.heappop
-    origins = origin if isinstance(origin, tuple) else (origin,)
     heap: list[tuple[float, int]] = sorted((0.0, node) for node in origins)
+    settled: dict[int, float] = {}
     if span:
-        if max_cost < 0.0:
-            return {}  # as on the dict path: even the origins are over budget
         dist = [inf] * span
         for node in origins:
             dist[node] = 0.0
-        reached = list(origins)
         while heap:
             d, node = pop(heap)
             if d > dist[node]:
                 continue  # stale queue entry, node already settled closer
+            settled[node] = d
+            if node in remaining:
+                remaining.discard(node)
+                if not remaining:
+                    break
             for neighbour, arc_id in adjacency[node]:
                 nd = d + weights[arc_id]
                 if nd <= max_cost and nd < dist[neighbour]:
-                    if dist[neighbour] is inf:
-                        reached.append(neighbour)
                     dist[neighbour] = nd
                     push(heap, (nd, neighbour))
-        return {node: dist[node] for node in reached}
+        return settled
     best: dict[int, float] = dict.fromkeys(origins, 0.0)
     get = best.get
     while heap:
         d, node = pop(heap)
-        if d > max_cost:
-            return {}  # only the origins are ever queued over budget
         if d > best[node]:
             continue  # stale queue entry, node already settled closer
+        settled[node] = d
+        if node in remaining:
+            remaining.discard(node)
+            if not remaining:
+                break
         for neighbour, arc_id in adjacency[node]:
             nd = d + weights[arc_id]
             if nd <= max_cost and nd < get(neighbour, inf):
                 best[neighbour] = nd
                 push(heap, (nd, neighbour))
-    return best
+    return settled
 
 
 @dataclass(frozen=True, slots=True)

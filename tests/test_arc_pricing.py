@@ -192,6 +192,115 @@ class TestFusedReturns:
             assert bits(got) == bits(expected)
 
 
+def assert_stopped(got: dict[int, float], expected: dict[int, float], targets) -> None:
+    """``got`` is a search stopped at ``targets``; ``expected`` is the
+    unstopped reference under the same budget.
+
+    Every requested node has the reference label (or is absent from
+    both), every returned label is the reference's, and nothing past the
+    farthest target is returned: a stop leaks no tentative label.  A
+    search with a target the reference never reached ran to the budget.
+    """
+    assert {t: got[t].hex() for t in targets if t in got} == {
+        t: expected[t].hex() for t in targets if t in expected
+    }
+    assert bits(got) == {node: expected[node].hex() for node in got}
+    if all(t in expected for t in targets):
+        horizon = max(expected[t] for t in targets)
+        assert all(d <= horizon for d in got.values())
+    else:
+        assert bits(got) == bits(expected)
+
+
+class TestTargetStop:
+    """A search stopped once its targets are settled answers them exactly."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=small_networks(), data=st.data())
+    def test_stopped_search_matches_reference(self, case, data):
+        network, closed, first = case
+        ids = sorted(network.node_ids())
+        second = data.draw(st.sampled_from(ids), label="second")  # may equal first
+        manager = GraphEpochManager(network)
+        traffic = TrafficModel(seed=3)
+        traffic.set_epochs(manager)
+        if closed:
+            manager.apply([Incident.closure(s, t) for s, t in closed])
+        spec = data.draw(
+            st.sampled_from(
+                [*traffic.travel_time_bound_specs(9.0, 8.0), WeightSpec.of(EdgeWeight.DISTANCE_KM)]
+            ),
+            label="spec",
+        )
+        # Duplicates allowed; an origin may be among them.
+        targets = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6), label="targets")
+        arcs = ArcGraph.of(network)
+        weights = [spec.fn(edge) for edge in arcs.edges]
+        for adjacency, reference in (
+            (arcs.out_arcs, dijkstra_all),
+            (arcs.in_arcs, dijkstra_all_backward),
+        ):
+            for origin in (first, (first, second)):
+
+                def ref(budget: float) -> dict[int, float]:
+                    if isinstance(origin, tuple):
+                        return nearest(*(reference(network, o, spec.fn, budget) for o in origin))
+                    return reference(network, origin, spec.fn, budget)
+
+                # Unbudgeted, or a budget exactly equal to one node's distance.
+                budget = data.draw(st.sampled_from([INF, *sorted(ref(INF).values())]))
+                expected = ref(budget)
+                for span in {arcs.span, 0}:
+                    got = settle_arcs(origin, adjacency, weights, budget, span, targets)
+                    assert_stopped(got, expected, targets)
+
+    # 0 -> 1 is zero-length, 2 and 3 tie at 1.0, 4 sits at 2.0 by two
+    # paths, 4 -> 5 is closed and 6 is isolated.
+    EDGES = ((0, 1, 0.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0), (4, 5, 1.0))
+
+    @pytest.mark.parametrize(
+        "targets, budget",
+        [
+            ([4], 2.0),  # a target exactly at the budget
+            ([4], 1.5),  # a target just over the budget
+            ([6], INF),  # unreachable
+            ([5], INF),  # behind a closure
+            ([0], INF),  # the origin itself
+            ([3, 3, 2], INF),  # duplicates, tied at 1.0
+            ([1, 6], 2.0),  # one settled, one unreachable
+        ],
+    )
+    def test_edge_cases(self, targets, budget):
+        network, arcs, weights = self.edge_case_graph()
+        for adjacency, reference, origin in (
+            (arcs.out_arcs, dijkstra_all, 0),
+            (arcs.in_arcs, dijkstra_all_backward, 4),
+        ):
+            expected = reference(network, origin, self.cost, budget)
+            for span in (arcs.span, 0):
+                got = settle_arcs(origin, adjacency, weights, budget, span, targets)
+                assert_stopped(got, expected, targets)
+
+    def test_empty_targets_settle_nothing(self):
+        _, arcs, weights = self.edge_case_graph()
+        for span in (arcs.span, 0):
+            assert settle_arcs(0, arcs.out_arcs, weights, INF, span, ()) == {}
+
+    @staticmethod
+    def cost(edge: RoadEdge) -> float:
+        return INF if (edge.source, edge.target) == (4, 5) else edge.length_km
+
+    @classmethod
+    def edge_case_graph(cls) -> tuple[RoadNetwork, ArcGraph, list[float]]:
+        network = RoadNetwork()
+        for node in range(7):
+            network.add_node(node, Point(float(node), 0.0))
+        for source, target, length in cls.EDGES:
+            network.add_edge(source, target, length_km=length)
+        arcs = ArcGraph.of(network)
+        return network, arcs, [cls.cost(edge) for edge in arcs.edges]
+
+
 @pytest.fixture(scope="module")
 def city():
     return build_city_network(NetworkSpec(width_km=8.0, height_km=6.0, block_km=1.2, seed=4))

@@ -108,12 +108,122 @@ class TestEngineBasics:
         assert engine.cached_maps == 0
         assert engine.backend == "ch"
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nan_budget_is_refused(self, grid, backend):
+        # A NaN budget admits no node: served, it reads as "every charger
+        # unreachable", and a map cached under it can never be a hit.
+        engine = DistanceEngine(grid, backend=backend)
+        w = EdgeWeight.DISTANCE_KM
+        for query in (
+            lambda: engine.one_to_many(0, [5], w, max_cost=math.nan),
+            lambda: engine.many_to_one([5], 0, w, max_cost=math.nan),
+            lambda: engine.many_to_one([5], (0, 6), w, max_cost=math.nan),
+            lambda: engine.many_to_many([0], [5], w, max_cost=math.nan),
+            lambda: engine.many_to_many([], [5], w, max_cost=math.nan),
+        ):
+            with pytest.raises(ValueError, match="NaN"):
+                query()
+        assert engine.stats.searches == engine.stats.lookups == 0
+        assert engine.cached_maps == 0
+
     def test_stats_hit_rate_zero_lookups(self):
         # Regression: a fresh engine must report 0.0, not divide by zero.
         engine = DistanceEngine(build_grid_network(2, 2))
         assert engine.stats.lookups == 0
         assert engine.stats.hit_rate == 0.0
         assert engine.stats.as_dict()["hit_rate"] == 0.0
+
+
+class TestTargetStop:
+    """Dijkstra searches stop at the query's last node; reuse follows."""
+
+    def test_stopped_map_holds_only_settled_nodes(self, grid):
+        engine = DistanceEngine(grid)
+        spec = WeightSpec.of(EdgeWeight.DISTANCE_KM)
+        ball = engine._map(spec, 0, "f", 20.0, {1, 7})
+        # 1 and 7 tie at 1.0; their neighbours 2 and 8 are labelled but
+        # not settled when the search stops, and must not leak.
+        assert ball == {0: 0.0, 1: 1.0, 7: 1.0}
+        assert engine.stats.settled == 3
+
+    def test_near_pool_map_researches_for_a_farther_node(self, grid):
+        from repro.network.shortest_path import dijkstra_all
+
+        engine = DistanceEngine(grid)
+        w = EdgeWeight.DISTANCE_KM
+        assert engine.one_to_many(0, [1, 7], w, max_cost=20.0) == {1: 1.0, 7: 1.0}
+        assert (engine.stats.searches, engine.stats.cache_hits) == (1, 0)
+        # A node the stopped search settled is a hit...
+        assert engine.one_to_many(0, [0, 7], w, max_cost=20.0) == {0: 0.0, 7: 1.0}
+        assert (engine.stats.searches, engine.stats.cache_hits) == (1, 1)
+        # ...a farther one searches again, and gets the reference value.
+        ref = dijkstra_all(grid, 0, w)
+        assert engine.one_to_many(0, [48], w, max_cost=20.0) == {48: round(ref[48], 9)}
+        assert (engine.stats.searches, engine.stats.cache_hits) == (2, 1)
+        # The replacing map settled everything up to 48: the near pool hits.
+        assert engine.one_to_many(0, [1, 7, 24], w, max_cost=20.0) == {
+            1: 1.0,
+            7: 1.0,
+            24: round(ref[24], 9),
+        }
+        assert (engine.stats.searches, engine.stats.cache_hits) == (2, 2)
+
+    def test_wider_budget_researches_a_stopped_map(self, grid):
+        engine = DistanceEngine(grid)
+        w = EdgeWeight.DISTANCE_KM
+        engine.one_to_many(0, [1], w, max_cost=3.0)
+        assert engine.one_to_many(0, [1], w, max_cost=5.0) == {1: 1.0}
+        assert engine.stats.searches == 2
+
+    def test_unreachable_target_runs_to_the_budget(self, grid):
+        # 30 is 8 km away: over a 5 km budget the search runs out of heap,
+        # and the completed map answers any node within 5 km as a hit.
+        engine = DistanceEngine(grid)
+        w = EdgeWeight.DISTANCE_KM
+        assert engine.one_to_many(0, [30], w, max_cost=5.0) == {}
+        assert engine.one_to_many(0, [5, 12], w, max_cost=5.0) == {5: 5.0}
+        assert (engine.stats.searches, engine.stats.cache_hits) == (1, 1)
+
+    def test_pools_near_the_anchor_settle_less_than_the_full_ball(
+        self, small_network, small_registry, sample_trip
+    ):
+        """Guards the stop on the ranking path: pricing a pool near the
+        segment's anchor (Eq. 3 for ``batch_estimate``, and the oracle's
+        ``true_components_pool``) settles fewer nodes than the searches
+        would without the stop."""
+        from repro.estimation.derouting import rejoin_nodes
+
+        segments = sample_trip.segments()
+        segment, next_segment = segments[0], segments[1]
+        anchor = small_network.node(segment.anchor_node).point
+        pool = sorted(
+            small_registry.all(), key=lambda c: c.point.distance_to(anchor)
+        )[:5]
+        every_node = list(small_network.node_ids())
+        rejoins = rejoin_nodes(segment, next_segment)
+
+        def full_ball(env: ChargingEnvironment, specs, budget: float) -> int:
+            # A pool of every node settles the whole ball within budget.
+            engine = DistanceEngine(env.network)
+            for spec in specs:
+                engine.one_to_many(segment.anchor_node, every_node, spec, max_cost=budget)
+                engine.many_to_one(every_node, rejoins, spec, max_cost=budget)
+            return engine.stats.settled
+
+        env = ChargingEnvironment(small_network, small_registry, seed=5)
+        env.derouting.batch_estimate(
+            segment, pool, time_h=10.0, now_h=10.0, next_segment=next_segment
+        )
+        stopped = env.engine.stats.settled
+        budget = env.derouting.max_derouting_h
+        assert 0 < stopped < full_ball(
+            env, env.traffic.travel_time_bound_specs(10.0, 10.0), budget
+        )
+
+        env = ChargingEnvironment(small_network, small_registry, seed=5)
+        env.true_components_pool(segment, pool, 10.0, next_segment)
+        stopped = env.engine.stats.settled
+        assert 0 < stopped < full_ball(env, [env.traffic.travel_time_spec(10.0)], budget)
 
 
 class TestLRU:

@@ -1,5 +1,7 @@
 """EcoCharge algorithm integration tests: Algorithm 1 + dynamic caching."""
 
+import math
+
 import pytest
 
 from repro.core.baselines import BruteForceRanker
@@ -46,6 +48,13 @@ class TestConfig:
             EcoChargeConfig(segment_km=0.0)
         with pytest.raises(ValueError):
             EcoChargeConfig(cache_ttl_h=0.0)
+
+    @pytest.mark.parametrize("knob", ["radius_km", "range_km", "segment_km", "cache_ttl_h"])
+    def test_nan_knobs_are_refused(self, knob):
+        # NaN passes a ``<= 0`` check; a NaN Q is never out of range, so a
+        # cached solution would be adapted however far the vehicle moved.
+        with pytest.raises(ValueError, match=knob):
+            EcoChargeConfig(**{knob: math.nan})
 
 
 class TestRankSegment:
