@@ -2,9 +2,10 @@
 
 DESIGN.md calls out the quadtree leaf capacity as a tunable: small leaves
 mean deeper trees (more pointer chasing per query), large leaves mean more
-linear scanning per leaf.  The second sweep compares the three index
-structures on the registry's actual query mix (radius search dominates
-EcoCharge's filtering phase).
+linear scanning per leaf.  The second sweep compares the quadtree the
+charger registry uses with the k-d tree the road network uses, on the
+registry's actual query mix (radius search dominates EcoCharge's filtering
+phase).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import pytest
 
 from repro.spatial.bbox import BoundingBox
 from repro.spatial.geometry import Point
-from repro.spatial.grid import GridIndex
 from repro.spatial.kdtree import KDTree
 from repro.spatial.quadtree import QuadTree
 
@@ -66,16 +66,8 @@ def _build_quadtree(entries):
     return tree
 
 
-def _build_grid(entries):
-    grid: GridIndex[int] = GridIndex(BOUNDS, cell_size_km=5.0)
-    for point, item in entries:
-        grid.insert(point, item)
-    return grid
-
-
 STRUCTURES = {
     "quadtree": _build_quadtree,
-    "grid": _build_grid,
     "kdtree": KDTree,
 }
 

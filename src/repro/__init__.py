@@ -60,7 +60,7 @@ from .network import (
     build_grid_network,
 )
 from .simulation import FleetReport, FleetSimulation, SimulationConfig
-from .spatial import BoundingBox, GridIndex, KDTree, Point, QuadTree
+from .spatial import BoundingBox, KDTree, Point, QuadTree
 from .trajectories import (
     DATASET_ORDER,
     PROFILES,
@@ -90,7 +90,6 @@ __all__ = [
     "EtaEstimator",
     "FleetReport",
     "FleetSimulation",
-    "GridIndex",
     "Interval",
     "KDTree",
     "NetworkSpec",

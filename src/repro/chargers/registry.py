@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator
 
 from ..spatial.bbox import BoundingBox
 from ..spatial.geometry import Point
-from ..spatial.grid import GridIndex
-from ..spatial.kdtree import KDTree
-from ..spatial.knn import SpatialIndex
 from ..spatial.quadtree import QuadTree
 from .charger import Charger
 
-IndexKind = Literal["quadtree", "kdtree", "grid"]
-
 
 class ChargerRegistry:
-    """The set ``B`` of all chargers, with pluggable spatial indexing.
+    """The set ``B`` of all chargers, indexed by one quadtree.
 
     The registry is the single source of truth the baselines differ over:
     Brute-Force scans :meth:`all`, Index-Quadtree asks the quadtree, and
@@ -36,7 +31,7 @@ class ChargerRegistry:
                 c.point for c in self._chargers.values()
             ).expanded(1.0)
         self.bounds = bounds
-        self._indexes: dict[IndexKind, SpatialIndex[Charger]] = {}
+        self._index: QuadTree[Charger] | None = None
 
     def __len__(self) -> int:
         return len(self._chargers)
@@ -60,7 +55,7 @@ class ChargerRegistry:
     def add(self, charger: Charger) -> None:
         """Register a new charger (e.g., a site coming online mid-day).
 
-        Spatial indexes are invalidated and rebuilt lazily; solution
+        The spatial index is invalidated and rebuilt lazily; solution
         caches held by rankers are *not* — their TTL bounds the staleness,
         mirroring how the production system learns of new sites on the
         next catalog refresh.
@@ -73,7 +68,7 @@ class ChargerRegistry:
                 f"the registry bounds {self.bounds}"
             )
         self._chargers[charger.charger_id] = charger
-        self._indexes.clear()
+        self._index = None
 
     def remove(self, charger_id: int) -> Charger:
         """Deregister a charger (site offline); returns the removed entry."""
@@ -83,45 +78,27 @@ class ChargerRegistry:
             charger = self._chargers.pop(charger_id)
         except KeyError:
             raise KeyError(f"no charger with id {charger_id}") from None
-        self._indexes.clear()
+        self._index = None
         return charger
 
-    def index(self, kind: IndexKind = "quadtree") -> SpatialIndex[Charger]:
-        """Lazily built spatial index over the registry."""
-        if kind not in self._indexes:
-            self._indexes[kind] = self._build_index(kind)
-        return self._indexes[kind]
-
-    def _build_index(self, kind: IndexKind) -> SpatialIndex[Charger]:
-        entries = [(c.point, c) for c in self._chargers.values()]
-        if kind == "quadtree":
+    def index(self) -> QuadTree[Charger]:
+        """The quadtree over the registry, built on first use."""
+        if self._index is None:
             tree: QuadTree[Charger] = QuadTree(self.bounds)
-            for point, charger in entries:
-                tree.insert(point, charger)
-            return tree
-        if kind == "kdtree":
-            return KDTree(entries)
-        if kind == "grid":
-            cell = max(0.5, min(self.bounds.width, self.bounds.height) / 32.0)
-            grid: GridIndex[Charger] = GridIndex(self.bounds, cell)
-            for point, charger in entries:
-                grid.insert(point, charger)
-            return grid
-        raise ValueError(f"unknown index kind: {kind!r}")
+            for charger in self._chargers.values():
+                tree.insert(charger.point, charger)
+            self._index = tree
+        return self._index
 
-    def within_radius(
-        self, center: Point, radius_km: float, kind: IndexKind = "quadtree"
-    ) -> list[Charger]:
+    def within_radius(self, center: Point, radius_km: float) -> list[Charger]:
         """Chargers within ``radius_km`` of ``center``, nearest first."""
-        hits = self.index(kind).query_radius(center, radius_km)
+        hits = self.index().query_radius(center, radius_km)
         hits.sort(key=lambda pair: pair[0].squared_distance_to(center))
         return [charger for __, charger in hits]
 
-    def nearest(
-        self, center: Point, k: int = 1, kind: IndexKind = "quadtree"
-    ) -> list[Charger]:
+    def nearest(self, center: Point, k: int = 1) -> list[Charger]:
         """The ``k`` nearest chargers to ``center``."""
-        return [charger for __, __, charger in self.index(kind).nearest(center, k)]
+        return [charger for __, __, charger in self.index().nearest(center, k)]
 
     def max_rate_kw(self) -> float:
         """Environment maximum charging rate, used to normalise ``L``."""

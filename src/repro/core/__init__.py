@@ -1,7 +1,6 @@
 """Core contribution: CkNN-EC queries, SC scoring, EcoCharge, baselines."""
 
 from ..intervals import Interval, hull_of, weighted_sum
-from .aknn import AknnResult, aknn_self_join, knn_graph_edges
 from .baselines import BruteForceRanker, QuadtreeRanker, RandomRanker
 from .extensions import (
     BalancedEcoChargeRanker,
@@ -26,7 +25,6 @@ from .scoring import ABLATION_CONFIGS, ScScore, Weights, sc_exact
 
 __all__ = [
     "ABLATION_CONFIGS",
-    "AknnResult",
     "BalancedEcoChargeRanker",
     "BruteForceRanker",
     "CacheStats",
@@ -53,11 +51,9 @@ __all__ = [
     "UncertainKnnResult",
     "VehicleConstraints",
     "Weights",
-    "aknn_self_join",
     "coverage_is_complete",
     "filter_feasible",
     "hull_of",
-    "knn_graph_edges",
     "knn_timeline",
     "refine_pool",
     "run_over_trip",

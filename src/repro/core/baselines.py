@@ -101,9 +101,7 @@ class QuadtreeRanker:
         next_segment: TripSegment | None = None,
     ) -> OfferingTable:
         """Rank only the spatially nearest candidates for one segment."""
-        pool = self._env.registry.nearest(
-            segment.midpoint, k=self.candidate_count, kind="quadtree"
-        )
+        pool = self._env.registry.nearest(segment.midpoint, k=self.candidate_count)
         # Unlike EcoCharge, this method has no radius parameter, so its
         # path searches are unbudgeted (whole environment) — the index
         # only shrinks the refinement pool, not the routing work.
@@ -161,9 +159,7 @@ class RandomRanker:
         next_segment: TripSegment | None = None,
     ) -> OfferingTable:
         """Fill the table with random chargers inside the radius."""
-        pool = self._env.registry.within_radius(
-            segment.midpoint, self.radius_km, kind="grid"
-        )
+        pool = self._env.registry.within_radius(segment.midpoint, self.radius_km)
         if not pool:
             pool = self._env.registry.nearest(segment.midpoint, k=self.k)
         picks = list(pool)

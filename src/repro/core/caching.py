@@ -81,9 +81,10 @@ class DynamicCache:
     """Single-trip solution cache with ``Q``-range and TTL validity."""
 
     def __init__(self, range_km: float = 5.0, ttl_h: float = 1.0) -> None:
-        if range_km <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN compares false both ways.
+        if not range_km > 0:
             raise ValueError("range_km (Q) must be positive")
-        if ttl_h <= 0:
+        if not ttl_h > 0:
             raise ValueError("ttl_h must be positive")
         self.range_km = range_km
         self.ttl_h = ttl_h

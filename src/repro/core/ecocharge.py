@@ -57,8 +57,6 @@ class EcoChargeConfig:
     weights: Weights = Weights.equal()
     segment_km: float = DEFAULT_SEGMENT_KM
     cache_ttl_h: float = 1.0
-    index_kind: str = "quadtree"
-    pad_intersection: bool = True
     #: Optional cap on the scored pool kept for cache adaptation.  None
     #: stores the full filtered pool (exact adaptation over all
     #: candidates); a value like ``8 * k`` bounds per-adaptation work at a
@@ -192,9 +190,7 @@ class EcoChargeRanker:
         next_segment: TripSegment | None,
     ) -> OfferingTable:
         """Full Filtering + Refinement, then prime the cache."""
-        pool = self._env.registry.within_radius(
-            origin, self.config.radius_km, kind=self.config.index_kind
-        )
+        pool = self._env.registry.within_radius(origin, self.config.radius_km)
         if self.constraints is not None:
             from .feasibility import filter_feasible
 
@@ -308,7 +304,7 @@ class EcoChargeRanker:
             sc_min,
             sc_max,
             self.config.k,
-            pad=self.config.pad_intersection,
+            pad=True,
         )
         return build_table_from_arrays(
             segment_index=segment_index,

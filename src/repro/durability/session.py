@@ -113,32 +113,61 @@ def encode_config(config: EcoChargeConfig) -> dict[str, Any]:
         "weights": WeightsCodec.encode(config.weights),
         "segment_km": encode_float(config.segment_km),
         "cache_ttl_h": encode_float(config.cache_ttl_h),
-        "index_kind": config.index_kind,
-        "pad_intersection": bool(config.pad_intersection),
         "cache_pool_limit": config.cache_pool_limit,
         "engine": config.engine,
         "telemetry": bool(config.telemetry),
     }
 
 
+#: Keys that older builds wrote for options since retired, with the one
+#: value this build still ranks by: the quadtree filter and the padded
+#: Eq. 6 intersection.  A journal carrying exactly that value resumes
+#: unchanged; any other value asks for a ranking this build cannot give.
+_RETIRED_CONFIG_KEYS: dict[str, Any] = {"index_kind": "quadtree", "pad_intersection": True}
+_CONFIG_KEYS = _RETIRED_CONFIG_KEYS.keys() | {
+    "k", "radius_km", "range_km", "weights", "segment_km", "cache_ttl_h",
+    "cache_pool_limit", "engine", "telemetry",
+}
+
+
 def decode_config(payload: Any) -> EcoChargeConfig:
+    """The config :func:`encode_config` wrote; anything else is a
+    :class:`CodecError` (a wrong shape, a missing or unknown field, a
+    retired field with a value other than the one this build ranks by,
+    or a value the config itself refuses).  ``cache_pool_limit``,
+    ``engine`` and ``telemetry`` may be absent, as in older journals."""
     if not isinstance(payload, dict):
         raise CodecError("config: expected an object")
+    unknown = sorted(payload.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise CodecError(f"config: unknown fields {unknown}")
+    for key, supported in _RETIRED_CONFIG_KEYS.items():
+        if key in payload and (
+            type(payload[key]) is not type(supported) or payload[key] != supported
+        ):
+            raise CodecError(
+                f"config: '{key}' is retired; only {supported!r} can be "
+                f"resumed, got {payload[key]!r}"
+            )
     limit = payload.get("cache_pool_limit")
-    engine = payload.get("engine")
-    return EcoChargeConfig(
-        k=int(payload["k"]),
-        radius_km=decode_float(payload["radius_km"]),
-        range_km=decode_float(payload["range_km"]),
-        weights=WeightsCodec.decode(payload["weights"]),
-        segment_km=decode_float(payload["segment_km"]),
-        cache_ttl_h=decode_float(payload["cache_ttl_h"]),
-        index_kind=str(payload["index_kind"]),
-        pad_intersection=bool(payload["pad_intersection"]),
-        cache_pool_limit=None if limit is None else int(limit),
-        engine=None if engine is None else str(engine),
-        telemetry=bool(payload.get("telemetry", False)),
-    )
+    try:
+        return EcoChargeConfig(
+            k=int(payload["k"]),
+            radius_km=decode_float(payload["radius_km"]),
+            range_km=decode_float(payload["range_km"]),
+            weights=WeightsCodec.decode(payload["weights"]),
+            segment_km=decode_float(payload["segment_km"]),
+            cache_ttl_h=decode_float(payload["cache_ttl_h"]),
+            cache_pool_limit=None if limit is None else int(limit),
+            engine=payload.get("engine"),
+            telemetry=bool(payload.get("telemetry", False)),
+        )
+    except KeyError as error:
+        raise CodecError(f"config: missing field {error}") from error
+    except CodecError:
+        raise
+    except (TypeError, ValueError) as error:
+        raise CodecError(f"config: {error}") from error
 
 
 class RankingSession:

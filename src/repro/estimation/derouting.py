@@ -82,7 +82,7 @@ class DeroutingEstimator:
             diameter = math.hypot(bounds.width, bounds.height)
             # Out to the far corner and back at the reference speed.
             max_derouting_h = 2.0 * diameter / REFERENCE_SPEED_KMH
-        if max_derouting_h <= 0:
+        if not max_derouting_h > 0:
             raise ValueError("max_derouting_h must be positive")
         self.max_derouting_h = max_derouting_h
 

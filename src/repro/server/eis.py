@@ -16,6 +16,7 @@ API access out of this tier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..chargers.charger import Charger
 from ..core.environment import ChargingEnvironment
@@ -31,6 +32,9 @@ from ..resilience import (
 from ..spatial.geometry import Point
 from .api import ApiUsage
 from .cache import ResponseCache
+
+if TYPE_CHECKING:
+    from ..core.ecocharge import EcoChargeConfig
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class EcoChargeInformationServer:
         # provider faults exactly like client-assembled ones.
         self.serving_environment = FaultTolerantEnvironment(environment, self.gateway)
         self.requests_served = 0
-        self._rankers: dict[tuple, object] = {}
+        self._rankers: dict["EcoChargeConfig", object] = {}
 
     @property
     def health(self) -> HealthRegistry:
@@ -160,7 +164,8 @@ class EcoChargeInformationServer:
         """Mode-2 entry point: compute the whole CkNN-EC answer centrally.
 
         The client sends only the trip and receives ready Offering Tables;
-        one ranker is kept per (k, R, Q, weights) configuration so
+        one ranker is kept per configuration (the frozen config is the
+        key, so configs that differ in any field never share one), and
         concurrent vehicles with the same preferences share nothing but
         code (each call resets the per-trip dynamic cache).
         """
@@ -169,14 +174,10 @@ class EcoChargeInformationServer:
         from ..observability.tracing import trip_correlation_id
 
         config = config if config is not None else EcoChargeConfig()
-        key = (
-            config.k, config.radius_km, config.range_km,
-            config.weights.as_tuple(), config.segment_km,
-        )
-        ranker = self._rankers.get(key)
+        ranker = self._rankers.get(config)
         if ranker is None:
             ranker = EcoChargeRanker(self.serving_environment, config)
-            self._rankers[key] = ranker
+            self._rankers[config] = ranker
         self.requests_served += 1
         with self.serving_environment.telemetry.span(
             "server.rank_trip",

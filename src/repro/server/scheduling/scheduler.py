@@ -114,13 +114,14 @@ class SchedulerConfig:
             raise ValueError("queue_capacity must be positive")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be positive")
-        if self.deadline_budget_s <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN compares false both ways.
+        if not self.deadline_budget_s > 0:
             raise ValueError("deadline_budget_s must be positive")
-        if self.response_ttl_h <= 0:
+        if not self.response_ttl_h > 0:
             raise ValueError("response_ttl_h must be positive")
-        if self.max_stale_h <= 0:
+        if not self.max_stale_h > 0:
             raise ValueError("max_stale_h must be positive")
-        if self.poll_timeout_s <= 0:
+        if not self.poll_timeout_s > 0:
             raise ValueError("poll_timeout_s must be positive")
 
 
@@ -201,26 +202,20 @@ class _Shard:
         self.environment = environment
         self.queue = BoundedShardQueue(config.queue_capacity)
         self.responses = ResponseCache(ttl_h=config.response_ttl_h)
-        # One ranker per (k, R, Q, weights, segment) configuration, as in
-        # EcoChargeInformationServer.rank_trip: same-preference requests
-        # share the shard's dynamic cache; the cache itself is built by
-        # core (rule R9 keeps cache construction out of the server tier).
-        self._rankers: dict[tuple, object] = {}
+        # One ranker per configuration, as in
+        # EcoChargeInformationServer.rank_trip: requests with equal
+        # configs share the shard's dynamic cache; the cache itself is
+        # built by core (rule R9 keeps cache construction out of the
+        # server tier).
+        self._rankers: dict["EcoChargeConfig", object] = {}
 
     def ranker_for(self, config: "EcoChargeConfig"):
         from ...core.ecocharge import EcoChargeRanker
 
-        key = (
-            config.k,
-            config.radius_km,
-            config.range_km,
-            config.weights.as_tuple(),
-            config.segment_km,
-        )
-        ranker = self._rankers.get(key)
+        ranker = self._rankers.get(config)
         if ranker is None:
             ranker = EcoChargeRanker(self.environment, config)
-            self._rankers[key] = ranker
+            self._rankers[config] = ranker
         return ranker
 
 

@@ -1,9 +1,9 @@
 """Static k-d tree over planar points.
 
 A bulk-loaded balanced 2-d tree used where the point set is known up front
-(charger registries are static within an experiment run).  Complements the
-incremental :class:`~repro.spatial.quadtree.QuadTree` and
-:class:`~repro.spatial.grid.GridIndex`.
+(the road network's nodes, for snapping points and GPS fixes onto the
+graph).  The charger registry uses the incremental
+:class:`~repro.spatial.quadtree.QuadTree` instead.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Generic, Sequence, TypeVar
 
-from .bbox import BoundingBox
 from .geometry import Point
 
 T = TypeVar("T")
@@ -97,26 +96,6 @@ class KDTree(Generic[T]):
             if diff - radius < 0:
                 visit(node.left)
             if diff + radius >= 0:
-                visit(node.right)
-
-        visit(self._root)
-        return results
-
-    def query_range(self, box: BoundingBox) -> list[tuple[Point, T]]:
-        """All entries whose point lies inside ``box``."""
-        results: list[tuple[Point, T]] = []
-
-        def visit(node: _KDNode[T] | None) -> None:
-            if node is None:
-                return
-            if box.contains(node.point):
-                results.append((node.point, node.item))
-            coord = node.point.x if node.axis == 0 else node.point.y
-            lo = box.min_x if node.axis == 0 else box.min_y
-            hi = box.max_x if node.axis == 0 else box.max_y
-            if lo <= coord:
-                visit(node.left)
-            if hi >= coord:
                 visit(node.right)
 
         visit(self._root)

@@ -1,40 +1,20 @@
-"""Index-agnostic kNN helpers and the common spatial-index protocol.
+"""Exhaustive kNN and radius search.
 
-Every index in this package (:class:`QuadTree`, :class:`GridIndex`,
-:class:`KDTree`) exposes ``nearest`` / ``query_radius`` / ``query_range``
-with identical signatures; :class:`SpatialIndex` captures that contract so
-the ranking layer can be parameterised by index type.
+These are the references the two spatial indexes are tested against:
+:class:`~repro.spatial.quadtree.QuadTree`, the charger registry's index
+behind Algorithm 1's Filtering step, and
+:class:`~repro.spatial.kdtree.KDTree`, which snaps points and GPS fixes
+onto road-network nodes.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Iterable, TypeVar
 
-from .bbox import BoundingBox
 from .geometry import Point
 
 T = TypeVar("T")
-
-
-@runtime_checkable
-class SpatialIndex(Protocol[T]):
-    """Structural type implemented by all indexes in this package."""
-
-    def nearest(self, center: Point, k: int = 1) -> list[tuple[float, Point, T]]:
-        """Up to ``k`` nearest entries as (distance, point, item)."""
-        ...
-
-    def query_radius(self, center: Point, radius: float) -> list[tuple[Point, T]]:
-        """All entries within ``radius`` of ``center``."""
-        ...
-
-    def query_range(self, box: BoundingBox) -> list[tuple[Point, T]]:
-        """All entries inside ``box``."""
-        ...
-
-    def __len__(self) -> int:
-        ...
 
 
 def brute_force_knn(
@@ -43,7 +23,7 @@ def brute_force_knn(
     """Exhaustive kNN over arbitrary (point, item) pairs.
 
     The reference implementation every index is validated against in the
-    test suite, and the engine of the paper's Brute-Force baseline.
+    test suite.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -69,32 +49,3 @@ def brute_force_radius(
         for point, item in entries
         if point.squared_distance_to(center) <= r2
     ]
-
-
-def knn_along_polyline(
-    index: SpatialIndex[T],
-    polyline: Sequence[Point],
-    k: int = 1,
-    step_km: float = 0.5,
-) -> list[tuple[Point, list[tuple[float, Point, T]]]]:
-    """Sampled kNN along a polyline.
-
-    Evaluates ``index.nearest`` at every ``step_km`` along the polyline and
-    returns ``(sample_point, knn_result)`` pairs.  This is the discretised
-    view of a continuous kNN query that :mod:`repro.core.cknn` refines into
-    exact split points.
-    """
-    from .geometry import Segment  # local import to avoid cycle in typing
-
-    results: list[tuple[Point, list[tuple[float, Point, T]]]] = []
-    seen_first = False
-    for start, end in zip(polyline, polyline[1:]):
-        samples = list(Segment(start, end).sample(step_km))
-        if seen_first:
-            samples = samples[1:]  # avoid duplicating shared vertices
-        seen_first = True
-        for sample in samples:
-            results.append((sample, index.nearest(sample, k)))
-    if not results and polyline:
-        results.append((polyline[0], index.nearest(polyline[0], k)))
-    return results

@@ -127,21 +127,6 @@ class QuadTree(Generic[T]):
             return node.children[1] if point.x >= cx else node.children[0]
         return node.children[3] if point.x >= cx else node.children[2]
 
-    def query_range(self, box: BoundingBox) -> list[tuple[Point, T]]:
-        """All entries whose point lies inside ``box``."""
-        results: list[tuple[Point, T]] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.bounds.intersects(box):
-                continue
-            for entry in node.entries:
-                if box.contains(entry.point):
-                    results.append((entry.point, entry.item))
-            if node.children is not None:
-                stack.extend(node.children)
-        return results
-
     def query_radius(self, center: Point, radius: float) -> list[tuple[Point, T]]:
         """All entries within Euclidean ``radius`` of ``center``."""
         if radius < 0:

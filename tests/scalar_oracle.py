@@ -465,9 +465,7 @@ class ScalarEcoCharge:
                 segment.index, origin, eta_h, entry.generated_at_h, entry.pool, adapted,
                 adapted_from=entry.segment_index,
             )
-        pool = self._env.registry.within_radius(
-            origin, config.radius_km, kind=config.index_kind
-        )
+        pool = self._env.registry.within_radius(origin, config.radius_km)
         if not pool:
             pool = self._env.registry.nearest(origin, k=config.k)
         components = price_rows(
@@ -499,7 +497,7 @@ class ScalarEcoCharge:
             generated_at_h=generated_at_h,
             radius_km=self.config.radius_km,
             eta_h=eta_h,
-            pad=self.config.pad_intersection,
+            pad=True,
             adapted_from=adapted_from,
         )
 
@@ -672,7 +670,7 @@ class ScalarRandomRanker:
         next_segment: TripSegment | None = None,
     ) -> OfferingTable:
         registry = self._env.registry
-        pool = registry.within_radius(segment.midpoint, self.radius_km, kind="grid")
+        pool = registry.within_radius(segment.midpoint, self.radius_km)
         if not pool:
             pool = registry.nearest(segment.midpoint, k=self.k)
         picks = list(pool)

@@ -724,7 +724,7 @@ class TestR15BackpressureBypass:
 
     def test_clean_on_timed_blocking_calls(self):
         # Any argument counts as an explicit decision, including an
-        # explicit timeout=None on a single-flight follower wait.
+        # explicit timeout=None.
         snippet = (
             "def park(event, lock, worker, flight):\n"
             "    event.wait(0.05)\n"

@@ -173,19 +173,17 @@ class TestRegistry:
         listing.pop()
         assert len(small_registry.all()) == len(small_registry)
 
-    @pytest.mark.parametrize("kind", ["quadtree", "kdtree", "grid"])
-    def test_indexes_agree_on_nearest(self, small_registry, kind):
+    def test_nearest_matches_exhaustive(self, small_registry):
         probe = Point(5.0, 5.0)
-        via_index = [c.charger_id for c in small_registry.nearest(probe, 5, kind)]
+        via_index = [c.charger_id for c in small_registry.nearest(probe, 5)]
         exhaustive = sorted(
             small_registry.all(), key=lambda c: c.point.squared_distance_to(probe)
         )
         assert via_index == [c.charger_id for c in exhaustive[:5]]
 
-    @pytest.mark.parametrize("kind", ["quadtree", "kdtree", "grid"])
-    def test_within_radius_sorted_and_complete(self, small_registry, kind):
+    def test_within_radius_sorted_and_complete(self, small_registry):
         probe = Point(8.0, 6.0)
-        hits = small_registry.within_radius(probe, 4.0, kind)
+        hits = small_registry.within_radius(probe, 4.0)
         dists = [c.point.distance_to(probe) for c in hits]
         assert dists == sorted(dists)
         assert all(d <= 4.0 for d in dists)

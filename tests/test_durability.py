@@ -481,6 +481,37 @@ class TestCodecVersions:
             encode_config(config)
         )
 
+    def test_config_missing_field_is_a_codec_error(self):
+        payload = encode_config(EcoChargeConfig())
+        for key in ("k", "radius_km", "range_km", "weights", "segment_km", "cache_ttl_h"):
+            partial = {name: value for name, value in payload.items() if name != key}
+            with pytest.raises(CodecError, match=key):
+                decode_config(partial)
+
+    def test_config_refuses_unknown_and_invalid_fields(self):
+        payload = encode_config(EcoChargeConfig())
+        with pytest.raises(CodecError, match="unknown"):
+            decode_config(payload | {"hologram": 1})
+        for key, value in (("k", 0), ("engine", "rtree"), ("radius_km", "-0x1p+0")):
+            with pytest.raises(CodecError):
+                decode_config(payload | {key: value})
+
+    def test_config_retired_keys_decode_only_at_the_values_still_ranked(self):
+        """Older builds wrote ``index_kind`` and ``pad_intersection``;
+        only the quadtree and the padded intersection decode."""
+        config = EcoChargeConfig(k=4)
+        legacy = encode_config(config) | {"index_kind": "quadtree", "pad_intersection": True}
+        assert decode_config(legacy) == config
+        for key, value in (
+            ("index_kind", "rtree"),
+            ("index_kind", "grid"),
+            ("index_kind", "kdtree"),
+            ("pad_intersection", False),
+            ("pad_intersection", 1),
+        ):
+            with pytest.raises(CodecError, match=key):
+                decode_config(legacy | {key: value})
+
 
 # ---------------------------------------------------------------------------
 # journal: append, read, torn-tail detection
@@ -837,6 +868,52 @@ class TestCrashRecovery:
         resumed = manager3.resume("s1", _build_environment())
         run = resumed.run()
         manager3.close(resumed)
+        assert _encoded_tables(run) == baselines["dijkstra"]
+
+    @pytest.mark.parametrize(
+        "retired, resumable",
+        [
+            ({"index_kind": "quadtree", "pad_intersection": True}, True),
+            ({"index_kind": "grid", "pad_intersection": True}, False),
+            ({"index_kind": "quadtree", "pad_intersection": False}, False),
+        ],
+    )
+    def test_journal_with_retired_config_keys(self, tmp_path, baselines, retired, resumable):
+        """A journal whose header config carries the retired keys (as
+        older builds wrote it) resumes bitwise when they name what this
+        build ranks by, and is refused otherwise."""
+        from repro.durability.journal import _frame
+
+        config = EcoChargeConfig(k=3, segment_km=2.0, engine="dijkstra")
+        durability = DurabilityConfig(snapshot_every=100, fsync=False)
+        manager = SessionManager(
+            tmp_path,
+            durability,
+            injector=FaultInjector(
+                seed=0, crash_plan=[CrashPoint("mid-segment", at_occurrence=2)]
+            ),
+        )
+        environment = _build_environment()
+        session = manager.open("s1", environment, _trip_for(environment), config)
+        with pytest.raises(SessionCrash):
+            session.run()
+        journal_path = tmp_path / "s1" / "journal.jsonl"
+        lines = []
+        for record in read_journal(journal_path).records:
+            payload = dict(record.payload)
+            if record.record_type == "session-open":
+                payload["config"] = payload["config"] | retired
+            lines.append(_frame(record.seq, record.record_type, payload))
+        journal_path.write_text("\n".join(lines) + "\n")
+        restarted = SessionManager(tmp_path, durability)
+        if not resumable:
+            with pytest.raises(CodecError):
+                restarted.resume("s1", _build_environment())
+            return
+        resumed = restarted.resume("s1", _build_environment())
+        assert resumed.config == config
+        run = resumed.run()
+        restarted.close(resumed)
         assert _encoded_tables(run) == baselines["dijkstra"]
 
     def test_no_session_after_a_crash_in_the_header_append(self, tmp_path, baselines):

@@ -5,12 +5,16 @@ import math
 import pytest
 
 from repro.core.baselines import BruteForceRanker
+from repro.core.caching import DynamicCache
 from repro.core.ecocharge import EcoCharge, EcoChargeConfig, EcoChargeRanker
 from repro.core.environment import ChargingEnvironment
 from repro.core.ranking import run_over_trip
 from repro.core.scoring import Weights
+from repro.estimation.derouting import DeroutingEstimator
 from repro.interval_array import ComponentArrays
 from repro.intervals import Interval
+from repro.server.cache import ResponseCache
+from repro.server.scheduling import SchedulerConfig
 
 from .scalar_oracle import (
     ComponentScores,
@@ -55,6 +59,30 @@ class TestConfig:
         # cached solution would be adapted however far the vehicle moved.
         with pytest.raises(ValueError, match=knob):
             EcoChargeConfig(**{knob: math.nan})
+
+    @pytest.mark.parametrize(
+        "build, knob",
+        [
+            (lambda env: DynamicCache(range_km=math.nan), "range_km"),
+            (lambda env: DynamicCache(ttl_h=math.nan), "ttl_h"),
+            (
+                lambda env: DeroutingEstimator(
+                    env.network, env.traffic, max_derouting_h=math.nan
+                ),
+                "max_derouting_h",
+            ),
+            (lambda env: ResponseCache(ttl_h=math.nan), "ttl_h"),
+            (lambda env: SchedulerConfig(deadline_budget_s=math.nan), "deadline_budget_s"),
+            (lambda env: SchedulerConfig(response_ttl_h=math.nan), "response_ttl_h"),
+            (lambda env: SchedulerConfig(max_stale_h=math.nan), "max_stale_h"),
+            (lambda env: SchedulerConfig(poll_timeout_s=math.nan), "poll_timeout_s"),
+        ],
+    )
+    def test_nan_is_refused_by_every_positive_guard(self, small_environment, build, knob):
+        # The same ``not x > 0`` guard as the config's own knobs: a NaN
+        # range or TTL never expires a cached entry.
+        with pytest.raises(ValueError, match=knob):
+            build(small_environment)
 
 
 class TestRankSegment:

@@ -1,6 +1,6 @@
-"""Spatial index tests: quadtree, grid, and k-d tree against brute force.
+"""Spatial index tests: quadtree and k-d tree against brute force.
 
-The central invariant: every index answers kNN / radius / range queries
+The central invariant: every index answers kNN and radius queries
 exactly like the exhaustive reference on the same data.
 """
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.spatial.bbox import BoundingBox
 from repro.spatial.geometry import Point
-from repro.spatial.grid import GridIndex
 from repro.spatial.kdtree import KDTree
 from repro.spatial.knn import brute_force_knn, brute_force_radius
 from repro.spatial.quadtree import QuadTree, QuadTreeStats
@@ -33,16 +32,8 @@ def _build_quadtree(entries):
     return tree
 
 
-def _build_grid(entries):
-    grid: GridIndex[int] = GridIndex(BOUNDS, cell_size_km=7.0)
-    for point, item in entries:
-        grid.insert(point, item)
-    return grid
-
-
 INDEX_BUILDERS = {
     "quadtree": _build_quadtree,
-    "grid": _build_grid,
     "kdtree": lambda entries: KDTree(entries),
 }
 
@@ -82,13 +73,6 @@ class TestAgainstBruteForce:
             got = {item for __, item in index.query_radius(q, r)}
             want = {item for __, item in brute_force_radius(entries, q, r)}
             assert got == want
-
-    def test_range_query(self, entries, kind):
-        index = INDEX_BUILDERS[kind](entries)
-        box = BoundingBox(20.0, 20.0, 60.0, 45.0)
-        got = {item for __, item in index.query_range(box)}
-        want = {item for point, item in entries if box.contains(point)}
-        assert got == want
 
     def test_knn_k_larger_than_size(self, kind):
         small = _random_entries(5, seed=9)
@@ -159,32 +143,6 @@ class TestQuadTreeSpecifics:
             tree.query_radius(Point(0, 0), -1.0)
 
 
-class TestGridSpecifics:
-    def test_cell_size_validation(self):
-        with pytest.raises(ValueError):
-            GridIndex(BOUNDS, 0.0)
-
-    def test_occupied_cells(self, entries):
-        grid = _build_grid(entries)
-        assert 0 < grid.occupied_cells() <= grid.cols * grid.rows
-
-    def test_nearest_on_empty_grid(self):
-        grid: GridIndex[int] = GridIndex(BOUNDS, 5.0)
-        assert grid.nearest(Point(50, 50), 3) == []
-
-    def test_remove(self):
-        grid: GridIndex[int] = GridIndex(BOUNDS, 5.0)
-        grid.insert(Point(1, 1), 7)
-        assert grid.remove(Point(1, 1), 7)
-        assert not grid.remove(Point(1, 1), 7)
-        assert len(grid) == 0
-
-    def test_boundary_point_insertable(self):
-        grid: GridIndex[int] = GridIndex(BOUNDS, 7.0)
-        grid.insert(Point(100.0, 100.0), 1)  # exactly on the max corner
-        assert len(grid.query_radius(Point(100, 100), 0.1)) == 1
-
-
 class TestKDTreeSpecifics:
     def test_empty_tree(self):
         tree: KDTree[int] = KDTree([])
@@ -218,7 +176,7 @@ class TestKDTreeSpecifics:
     ),
 )
 def test_property_all_indexes_agree(raw_points, k, raw_query):
-    """For arbitrary point sets, all three indexes return the same kNN
+    """For arbitrary point sets, both indexes return the same kNN
     distances as brute force (items may differ under exact distance ties,
     so the invariant is on the distance multiset)."""
     entries = [(Point(x, y), i) for i, (x, y) in enumerate(raw_points)]

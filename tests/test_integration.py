@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.aknn import aknn_self_join
 from repro.core.baselines import BruteForceRanker
 from repro.core.ecocharge import EcoCharge, EcoChargeConfig
 from repro.core.ranking import run_over_trip
@@ -71,19 +70,3 @@ class TestServerIntegration:
         b.plan_trip(sample_trip)
         # Identical corridor: the second client's snapshots come from cache.
         assert server.usage.total == upstream_after_first
-
-
-class TestAknnForMode2:
-    def test_charger_neighbourhoods(self, small_registry):
-        """Precompute charger kNN graph (the Mode-2 redirection table) and
-        verify it supplies alternatives near each charger."""
-        chargers = small_registry.all()
-        points = [c.point for c in chargers]
-        graph = aknn_self_join(points, k=3)
-        for i, charger in enumerate(chargers):
-            alternatives = graph.neighbour_ids(i)
-            assert len(alternatives) == 3
-            for j in alternatives:
-                dist = charger.point.distance_to(chargers[j].point)
-                # Alternatives are genuinely nearby (within the small map).
-                assert dist <= 25.0

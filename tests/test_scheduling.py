@@ -16,7 +16,6 @@ Three layers of evidence, all on deterministic clocks:
 from __future__ import annotations
 
 import math
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +29,6 @@ from repro.observability.deadline import NEVER_EXPIRES, Deadline, DeadlineExpire
 from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.observability.recorder import Telemetry
 from repro.resilience import FaultInjector, OverloadChaos
-from repro.server.cache import ResponseCache
 from repro.server.scheduling import (
     AdmissionController,
     BoundedShardQueue,
@@ -595,6 +593,15 @@ class TestSchedulerPath:
         scheduler.drain()
         assert scheduler.accounting_ok()
 
+    def test_rankers_are_keyed_by_the_whole_config(self, small_network, small_registry):
+        shard = _scheduler(small_network, small_registry, SchedulerConfig(shards=1)).shards[0]
+        plain = EcoChargeConfig(k=3)
+        limited = EcoChargeConfig(k=3, cache_pool_limit=6, cache_ttl_h=0.1)
+        assert shard.ranker_for(plain) is shard.ranker_for(EcoChargeConfig(k=3))
+        ranker = shard.ranker_for(limited)
+        assert ranker is not shard.ranker_for(plain)
+        assert ranker.config == limited
+
 
 # ---------------------------------------------------------------------------
 # the burst-overload chaos run (acceptance: ISSUE.md)
@@ -720,44 +727,6 @@ class TestThreadedMode:
                 scheduler.start()
         finally:
             scheduler.stop()
-
-
-# ---------------------------------------------------------------------------
-# single-flight response cache under real contention
-# ---------------------------------------------------------------------------
-
-
-class TestSingleFlight:
-    def test_concurrent_misses_coalesce_into_one_compute(self):
-        cache = ResponseCache(ttl_h=1.0)
-        computes = []
-        gate = threading.Event()
-
-        def compute():
-            gate.wait(timeout=5.0)
-            computes.append(1)
-            return "tables"
-
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(
-                    cache.get_or_compute("k", 10.0, compute)
-                )
-            )
-            for _ in range(6)
-        ]
-        for thread in threads:
-            thread.start()
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert results == ["tables"] * 6
-        assert len(computes) == 1
-        # Followers either joined the in-flight computation (coalesced) or,
-        # if scheduled after the leader landed, hit the cached value —
-        # never a second compute either way.
-        assert cache.stats.coalesced + cache.stats.hits == 5
 
 
 # ---------------------------------------------------------------------------
