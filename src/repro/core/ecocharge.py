@@ -27,6 +27,7 @@ import numpy as np
 from ..analysis.contracts import ensure
 from ..chargers.charger import Charger
 from ..spatial.geometry import Point
+from ..validation import require_finite
 
 if TYPE_CHECKING:
     from .feasibility import VehicleConstraints
@@ -78,15 +79,8 @@ class EcoChargeConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        # ``not x > 0`` rather than ``x <= 0``: NaN compares false both ways.
-        if not self.radius_km > 0:
-            raise ValueError("radius_km (R) must be positive")
-        if not self.range_km > 0:
-            raise ValueError("range_km (Q) must be positive")
-        if not self.segment_km > 0:
-            raise ValueError("segment_km must be positive")
-        if not self.cache_ttl_h > 0:
-            raise ValueError("cache_ttl_h must be positive")
+        for name in ("radius_km", "range_km", "segment_km", "cache_ttl_h"):
+            require_finite(name, getattr(self, name), above=0.0)
         if self.cache_pool_limit is not None and self.cache_pool_limit < self.k:
             raise ValueError("cache_pool_limit must be at least k")
         if self.engine is not None and self.engine not in ("dijkstra", "ch"):

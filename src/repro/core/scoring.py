@@ -23,6 +23,7 @@ import numpy as np
 
 from ..analysis.contracts import ensure, require
 from ..interval_array import ComponentArrays
+from ..validation import require_finite
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,8 +40,8 @@ class Weights:
 
     def __post_init__(self) -> None:
         values = (self.sustainable, self.availability, self.derouting)
-        if any(w < 0 for w in values):
-            raise ValueError("weights must be non-negative")
+        for name, weight in zip(("sustainable", "availability", "derouting"), values):
+            require_finite(f"{name} weight", weight, at_least=0.0)
         if abs(sum(values) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(values)}")
 

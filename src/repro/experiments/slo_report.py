@@ -1,8 +1,12 @@
 """SLO storm drill — burn-rate alerting exercised end to end.
 
-Replays a seeded overload + fault + incident storm against the sharded
-scheduler on a ``SimulatedClock`` and grades the whole observability
-chain built on top of it:
+The drill is one :class:`~repro.simulation.chaos.ChaosPlan` with an
+overload axis: a calm → storm → recovery load (a 4x burst, a slow shard
+and surge tenants in the storm, a fresh trip pool in recovery) with one
+live-graph incident batch at storm onset, on a 2-shard scheduler with
+``alert_driven_brownout`` on.  :func:`~repro.simulation.chaos.run_chaos`
+plays it, and its per-tick callback grades the observability chain
+built on top of the run:
 
 * the :class:`~repro.observability.WindowedAggregator` samples the
   registry once per simulated second;
@@ -13,37 +17,32 @@ chain built on top of it:
   simulated *seconds* walks the same machinery as an hours-long page;
 * the :class:`~repro.observability.AlertManager` walks each alert
   through pending → firing → resolved and the scheduler consumes the
-  firing set as a brownout floor (``alert_driven_brownout=True``);
+  firing set as a brownout floor;
 * the :class:`~repro.observability.TailSampler` decides trace
   retention, and the drill asserts every error / deadline-shed /
   degraded-serve trace survived the storm.
 
-The storm has three phases — calm, storm (4x burst + a slow shard +
-live-graph incidents), recovery over a fresh trip pool — and the run is
-executed **twice**; the artifact is only written after the two payloads
-canonicalise byte-identically.  A mid-storm *soundness drill* injects
-three synthetic ``ecocharge_unsound_tables_total`` events (clearly
-labelled in the payload) so the zero-budget objective demonstrably
-pages and resolves; the *real* interval-soundness audit grades every
-served non-adapted table against the oracle at the epoch it was served
-under (:func:`~repro.simulation.chaos.oracle_violations`) and must find
-zero violations.
+:func:`~repro.simulation.chaos.check` grades the run itself: every
+served, stale or widened table by oracle containment at the epoch it
+was served under (``oracle``, ``epoch``, ``fresh``), and every shed or
+rejected request by exact accounting (``books``).  A mid-storm
+*soundness drill* injects three synthetic
+``ecocharge_unsound_tables_total`` events (clearly labelled in the
+payload) so the zero-budget objective demonstrably pages and resolves.
 
-Artifacts: ``OBS_slo.json`` (deterministic, no timestamps) and a
-regenerated ``OBS_metrics.prom`` exposition that must round-trip
-through :func:`~repro.observability.parse_prometheus`.
+The drill runs **twice**; the artifact is only written after the two
+payloads canonicalise byte-identically.  Artifacts: ``OBS_slo.json``
+(deterministic, no timestamps) and a regenerated ``OBS_metrics.prom``
+exposition that must round-trip through
+:func:`~repro.observability.parse_prometheus`.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.ecocharge import EcoChargeConfig
-from ..core.environment import ChargingEnvironment
-from ..network.epochs import GraphEpochManager, IncidentStream
 from ..observability import (
     MUST_KEEP_REASONS,
     OVERFLOW_COUNTER,
@@ -63,18 +62,12 @@ from ..observability import (
     retained_trace_ids,
     trip_correlation_id,
 )
-from ..observability.clock import SimulatedClock
 from ..observability.sampling import REASON_ATTRIBUTE
-from ..resilience import FaultInjector, OverloadChaos
-from ..server.scheduling import (
-    Outcome,
-    Priority,
-    SchedulerConfig,
-    ShardedScheduler,
-)
-from ..simulation.chaos import oracle_violations
-from ..simulation.load import outcome_drift
-from ..trajectories.datasets import load_workload
+from ..resilience import IncidentChaos, OverloadChaos
+from ..server.scheduling import Outcome, SchedulerConfig, ShardedScheduler
+from ..simulation.chaos import ChaosPlan, ChaosRun, check, run_chaos
+from ..simulation.load import TENANTS, LoadProfile, Phase
+from ..trajectories.datasets import Workload, load_workload
 from .harness import HarnessConfig
 
 REPORT = "OBS_slo.json"
@@ -93,117 +86,74 @@ DRILL_PAIRS = (
 #: synthetic unsound-table event each.
 DRILL_TICKS = frozenset({22, 23, 24})
 
-#: Number of distinct surge tenants the storm introduces on top of the
-#: four steady fleet tenants — 12 total, so the ``tenant`` label guard
-#: (limit 8) demonstrably trips and buckets the tail into ``__other__``.
-SURGE_TENANTS = 8
-FLEET_TENANTS = 4
+#: The storm's tenants: eight surge tenants on top of the fleet's four,
+#: so the ``tenant`` label guard (limit 8) demonstrably trips and
+#: buckets the tail into ``__other__``.
+STORM_TENANTS = TENANTS + 8
 
+PHASE_NAMES = ("calm", "storm", "recovery")
+CALM_S, STORM_S, RECOVERY_S = 15.0, 15.0, 45.0
 
-@dataclass(frozen=True, slots=True)
-class StormPhase:
-    """One stretch of the drill's arrival process."""
+#: Bound of the tracer's trace ring.
+RING_BOUND = 48
 
-    name: str
-    duration_s: float
-    #: Base Poisson arrival rate; the injector's burst window multiplies
-    #: the storm phase up to its headline rate.
-    arrival_rate_per_s: float
-    #: Whether arrivals draw from the surge tenant pool and the
-    #: storm-side trip pool.
-    surge: bool
-
-
-PHASES = (
-    StormPhase("calm", duration_s=15.0, arrival_rate_per_s=2.0, surge=False),
-    StormPhase("storm", duration_s=15.0, arrival_rate_per_s=4.0, surge=True),
-    StormPhase("recovery", duration_s=45.0, arrival_rate_per_s=2.0, surge=False),
+SCHEDULER = SchedulerConfig(
+    shards=2,
+    queue_capacity=8,
+    deadline_budget_s=2.0,
+    tenant_rate_per_s=8.0,
+    tenant_burst=12.0,
+    alert_driven_brownout=True,
 )
 
-SERVICE_INTERVAL_S = 0.5
-EVAL_INTERVAL_S = 1.0
-#: Absolute simulated-time ceiling for the post-phase drain (queues must
-#: empty and every fired alert must resolve well before this).
-DRAIN_DEADLINE_S = 150.0
 
+def drill_plan(workload: Workload, config: HarnessConfig) -> ChaosPlan:
+    """The drill as a chaos plan.
 
-def _tenant_for(rng: random.Random, phase: StormPhase) -> str:
-    if phase.surge and rng.random() < 0.75:
-        return f"surge-{rng.randrange(SURGE_TENANTS):02d}"
-    return f"fleet-{rng.randrange(FLEET_TENANTS):02d}"
-
-
-def _priority_for(rng: random.Random) -> Priority:
-    draw = rng.random()
-    if draw < 0.1:
-        return Priority.BACKGROUND
-    if draw < 0.4:
-        return Priority.REFRESH
-    return Priority.INTERACTIVE
-
-
-def _split_trips(trips) -> tuple[list, list]:
-    """Calm/storm trips vs recovery trips.
-
-    The recovery pool is disjoint from the storm pool so post-storm
-    traffic misses the response cache: under the alert-driven brownout
-    floor the tier computes *fresh* answers, the availability burn
-    decays, and the alerts genuinely resolve instead of feeding back
-    (stale serves count against served-fresh availability).
+    The recovery phase draws from a trip pool disjoint from the storm's,
+    so post-storm traffic misses the response cache: under the
+    alert-driven brownout floor the tier computes *fresh* answers, the
+    availability burn decays, and the alerts genuinely resolve instead
+    of feeding back (stale serves count against served-fresh
+    availability).
     """
-    if len(trips) < 2:
+    count = len(workload.trips)
+    if count < 2:
         raise SystemExit("slo: the drill needs at least two workload trips")
-    half = max(1, len(trips) // 2)
-    return list(trips[:half]), list(trips[half:])
-
-
-def _storm_scheduler(
-    workload, telemetry: Telemetry, config: HarnessConfig
-) -> tuple[ShardedScheduler, GraphEpochManager]:
-    network, registry, seed = workload.network, workload.registry, config.seed
-
-    def factory() -> ChargingEnvironment:
-        return ChargingEnvironment(network, registry, seed=seed)
-
-    epochs = GraphEpochManager(network)
-    injector = FaultInjector(
+    storm_trips, recovery_trips = range(count // 2), range(count // 2, count)
+    return ChaosPlan(
         seed=config.seed,
+        trips=count,
+        k=config.k,
+        radius_km=EcoChargeConfig().radius_km,
+        # The live graph moves at storm onset: in-flight admission-epoch
+        # answers serve epoch-degraded (widened) rather than silently stale.
+        incidents=IncidentChaos(seed=config.seed, batches=1, batch_size=3, noop_every=0),
+        load=LoadProfile(
+            phases=(
+                Phase(CALM_S, arrival_rate_per_s=2.0, trips=storm_trips),
+                Phase(STORM_S, arrival_rate_per_s=4.0, tenants=STORM_TENANTS, trips=storm_trips),
+                Phase(RECOVERY_S, arrival_rate_per_s=2.0, trips=recovery_trips),
+            ),
+            service_interval_s=0.5,
+        ),
         overload=OverloadChaos(
             burst_multiplier=4.0,
-            burst_start_s=PHASES[0].duration_s,
-            burst_duration_s=PHASES[1].duration_s,
+            burst_start_s=CALM_S,
+            burst_duration_s=STORM_S,
             slow_shard=1,
             slow_delay_s=0.2,
         ),
+        scheduler=SCHEDULER,
     )
-    scheduler = ShardedScheduler(
-        factory,
-        SchedulerConfig(
-            shards=2,
-            queue_capacity=8,
-            deadline_budget_s=2.0,
-            tenant_rate_per_s=8.0,
-            tenant_burst=12.0,
-            alert_driven_brownout=True,
-        ),
-        EcoChargeConfig(k=config.k, segment_km=6.0),
-        clock=telemetry.clock,
-        telemetry=telemetry,
-        injector=injector,
-        epochs=epochs,
-    )
-    return scheduler, epochs
 
 
-def _run_storm(workload, config: HarnessConfig) -> dict:
-    """One full drill on a fresh scheduler; returns the (deterministic)
-    payload the artifact is built from."""
+def _run_storm(workload: Workload, plan: ChaosPlan) -> tuple[dict, ChaosRun]:
+    """One full drill on a fresh scheduler: the (deterministic) payload
+    the artifact is built from, and the run."""
     sampler = TailSampler(SamplingPolicy(slow_k=3, slow_window_s=5.0, sample_rate=0.15))
-    telemetry = Telemetry(
-        SimulatedClock(0.0, 0.0), enabled=True, max_traces=48, sampler=sampler
-    )
+    telemetry = Telemetry.simulated(tick_s=0.0, max_traces=RING_BOUND, sampler=sampler)
     clock = telemetry.clock
-    scheduler, epochs = _storm_scheduler(workload, telemetry, config)
     windows = WindowedAggregator(telemetry.registry, clock, horizon_s=600.0)
     engine = SLOEngine(
         windows,
@@ -216,128 +166,33 @@ def _run_storm(workload, config: HarnessConfig) -> dict:
         ),
     )
     alerts = AlertManager(clock, registry=telemetry.registry)
-    storm_trips, recovery_trips = _split_trips(workload.trips)
-    rng = random.Random(config.seed)
-    incidents = IncidentStream(workload.network, seed=config.seed)
-    # The oracle replays the drill's one epoch bump on a manager of its
-    # own, so each served table is graded at the epoch it was served
-    # under: everything resolved before storm onset at the first epoch,
-    # everything after it at the second.
-    oracle_epochs = GraphEpochManager(workload.network)
-    oracle = ChargingEnvironment(workload.network, workload.registry, seed=config.seed)
-    oracle.set_epochs(oracle_epochs)
-    soundness: Counter = Counter()
-    unsound: list[str] = []
-    calm: list = []
-
     timeline: list[dict] = []
     floor_history: list[int] = []
-    eval_tick = 0
-    next_service_s = SERVICE_INTERVAL_S
-    next_eval_s = EVAL_INTERVAL_S
-    incidents_applied = 0
 
-    def advance_to(target_s: float) -> None:
-        delta = target_s - clock.monotonic()
-        if delta > 0:
-            clock.advance(delta)
-
-    def evaluate_once() -> None:
-        nonlocal eval_tick
-        eval_tick += 1
-        if eval_tick in DRILL_TICKS:
+    def evaluate(scheduler: ShardedScheduler) -> bool:
+        """One evaluation tick; True while an alert is pending or firing."""
+        tick = len(floor_history) + 1
+        if tick in DRILL_TICKS:
             telemetry.inc("ecocharge_unsound_tables_total")
         windows.sample()
-        signals = engine.evaluate()
-        alerts.update(signals)
-        floor = scheduler.apply_alert_state(alerts)
-        floor_history.append(int(floor))
+        alerts.update(engine.evaluate())
+        floor = int(scheduler.apply_alert_state(alerts))
+        floor_history.append(floor)
         firing = sorted(name for name, _severity in alerts.firing())
-        if not timeline or timeline[-1]["firing"] != firing or timeline[-1]["floor"] != int(floor):
+        if not timeline or (timeline[-1]["firing"], timeline[-1]["floor"]) != (firing, floor):
             timeline.append(
                 {
-                    "tick": eval_tick,
+                    "tick": tick,
                     "t": round(clock.monotonic(), 6),
                     "firing": firing,
-                    "floor": int(floor),
+                    "floor": floor,
                     "pending": scheduler.pending,
                 }
             )
+        return any(status.state in ("pending", "firing") for status in alerts.statuses())
 
-    def pump(now_s: float) -> None:
-        """Fire every service/eval tick due at-or-before ``now_s`` in
-        time order (service wins ties so the eval sees its results)."""
-        nonlocal next_service_s, next_eval_s
-        while min(next_service_s, next_eval_s) <= now_s:
-            if next_service_s <= next_eval_s:
-                advance_to(next_service_s)
-                for shard_id in range(len(scheduler.shards)):
-                    scheduler.run_one(shard_id)
-                next_service_s += SERVICE_INTERVAL_S
-            else:
-                advance_to(next_eval_s)
-                evaluate_once()
-                next_eval_s += EVAL_INTERVAL_S
-
-    phase_end_s = 0.0
-    for phase in PHASES:
-        phase_end_s += phase.duration_s
-        if phase.name == "storm":
-            # The live graph moves at storm onset: one incident batch
-            # bumps the epoch so in-flight admission-epoch answers serve
-            # epoch-degraded (widened) rather than silently stale.
-            calm = scheduler.drain_responses()
-            unsound += oracle_violations(oracle, calm, scheduler.ranker_config, soundness)
-            batch = incidents.next_batch(3)
-            epochs.apply(batch)
-            oracle_epochs.apply(batch)
-            incidents_applied += len(batch)
-        trips = storm_trips if phase.surge else recovery_trips
-        if phase.name == "calm":
-            trips = storm_trips
-        while True:
-            now_s = clock.monotonic()
-            if now_s >= phase_end_s:
-                break
-            rate = phase.arrival_rate_per_s
-            if scheduler.injector is not None:
-                rate *= scheduler.injector.burst_factor(now_s)
-            gap_s = rng.expovariate(rate)
-            if now_s + gap_s >= phase_end_s:
-                pump(phase_end_s)
-                advance_to(phase_end_s)
-                break
-            pump(now_s + gap_s)
-            advance_to(now_s + gap_s)
-            scheduler.submit(
-                tenant=_tenant_for(rng, phase),
-                trip=trips[rng.randrange(len(trips))],
-                priority=_priority_for(rng),
-            )
-
-    # Drain the queues, then keep evaluating until every alert that
-    # fired has resolved (bounded by the drain deadline).
-    while scheduler.pending and clock.monotonic() < DRAIN_DEADLINE_S:
-        pump(min(next_service_s, next_eval_s))
-    while clock.monotonic() < DRAIN_DEADLINE_S and any(
-        status.state in ("pending", "firing") for status in alerts.statuses()
-    ):
-        pump(min(next_service_s, next_eval_s))
-
-    storm = scheduler.drain_responses()
-    unsound += oracle_violations(oracle, storm, scheduler.ranker_config, soundness)
-    return _grade(
-        scheduler,
-        telemetry,
-        sampler,
-        alerts,
-        calm + storm,
-        timeline,
-        floor_history,
-        incidents_applied,
-        soundness,
-        unsound,
-    )
+    run = run_chaos(workload, plan, telemetry=telemetry, on_tick=evaluate)
+    return _grade(run, sampler, alerts, timeline, floor_history), run
 
 
 def _must_keep_correlation_ids(responses) -> set[str]:
@@ -361,27 +216,18 @@ def _must_keep_correlation_ids(responses) -> set[str]:
 
 
 def _grade(
-    scheduler: ShardedScheduler,
-    telemetry: Telemetry,
+    run: ChaosRun,
     sampler: TailSampler,
     alerts: AlertManager,
-    responses,
     timeline: list[dict],
     floor_history: list[int],
-    incidents_applied: int,
-    soundness: Counter,
-    unsound: list[str],
 ) -> dict:
+    """The drill's own checks on the observability chain (the run itself
+    is graded by :func:`~repro.simulation.chaos.check`)."""
+    telemetry = run.scheduler.telemetry
     registry = telemetry.registry
+    responses = run.responses
     problems: list[str] = []
-
-    # -- accounting (same bar as the serving report) --------------------
-    outcomes: dict[str, int] = {}
-    for response in responses:
-        outcomes[response.outcome.value] = outcomes.get(response.outcome.value, 0) + 1
-    problems.extend(outcome_drift(registry, outcomes))
-    if not scheduler.accounting_ok():
-        problems.append("scheduler accounting not exact")
 
     # -- alert lifecycle ------------------------------------------------
     states = alerts.states()
@@ -403,8 +249,8 @@ def _grade(
             problems.append(f"alert {required} never fired during the storm")
     if unresolved:
         problems.append(f"alerts still active after recovery: {unresolved}")
-    storm_start = PHASES[0].duration_s
-    storm_end = storm_start + PHASES[1].duration_s
+    storm_start = CALM_S
+    storm_end = storm_start + STORM_S
     fire_ts: dict[str, float] = {}
     for entry in alerts.transitions:
         if entry["to"] == "firing" and entry["alert"] not in fire_ts:
@@ -486,8 +332,7 @@ def _grade(
             f"tenant family total {tenant_total} != responses {len(responses)}"
         )
 
-    # -- interval-soundness audit (the real one) ------------------------
-    problems.extend(unsound)
+    # -- the soundness drill --------------------------------------------
     drill_events = registry.sample_value("ecocharge_unsound_tables_total", {}) or 0.0
     if drill_events != float(len(DRILL_TICKS)):
         problems.append(
@@ -515,14 +360,14 @@ def _grade(
             "peak": max(floor_history, default=0),
             "final": floor_history[-1] if floor_history else 0,
         },
-        "outcomes": dict(sorted(outcomes.items())),
+        "outcomes": dict(sorted(Counter(r.outcome.value for r in responses).items())),
         "requests": len(responses),
-        "incidents_applied": incidents_applied,
+        "incidents_applied": sum(len(wave.batch or ()) for wave in run.waves),
         "sampling": {
             **sampler.stats.as_dict(),
             "retained": retained_summary,
             "ring_size": len(telemetry.tracer.traces),
-            "ring_bound": 48,
+            "ring_bound": RING_BOUND,
         },
         "exemplars": {
             "count": len(exemplars),
@@ -537,17 +382,15 @@ def _grade(
             "graded_tables": sum(
                 not table.is_adapted for response in responses for table in response.tables
             ),
-            "graded_entries": soundness["oracle"],
-            "violations": len(unsound),
             "drill": {"ticks": sorted(DRILL_TICKS), "events": int(drill_events)},
         },
         "problems": problems,
-        "_registry": registry,
     }
 
 
 def run_slo(config: HarnessConfig | None = None) -> dict:
-    """Run the drill twice, assert bit-determinism, write the artifacts."""
+    """Run the drill twice, assert bit-determinism, grade the run with
+    the checker, and write the artifacts."""
     config = config if config is not None else HarnessConfig()
     smoke = config.dataset_scale < 1.0
     workload = load_workload(
@@ -555,33 +398,33 @@ def run_slo(config: HarnessConfig | None = None) -> dict:
         scale=min(config.dataset_scale, 0.5),
         environment_seed=config.seed,
     )
-    first = _run_storm(workload, config)
-    second = _run_storm(workload, config)
-    registry = first.pop("_registry")
-    second.pop("_registry")
-    first_json = canonical_json(first)
-    second_json = canonical_json(second)
-    deterministic = first_json == second_json
-    if not deterministic:
+    plan = drill_plan(workload, config)
+    first, run = _run_storm(workload, plan)
+    second, _ = _run_storm(workload, plan)
+    if canonical_json(first) != canonical_json(second):
         raise SystemExit("slo: two same-seed storm runs produced different payloads")
-    if first["problems"]:
-        raise SystemExit("slo: " + "; ".join(first["problems"]))
+    tally: Counter = Counter()
+    violations = check(workload, run, tally)
+    problems = first["problems"] + violations
+    if problems:
+        raise SystemExit("slo: " + "; ".join(problems))
 
-    exposition = render_prometheus(registry)
+    exposition = render_prometheus(run.scheduler.telemetry.registry)
     parsed = parse_prometheus(exposition)
     Path.cwd().joinpath(METRICS_EXPORT).write_text(exposition)
 
+    first["soundness"] |= {"graded_entries": tally["oracle"], "violations": len(violations)}
     report = {
         "report": "slo",
         "smoke": smoke,
         "dataset": DATASET,
         "phases": [
             {
-                "name": phase.name,
+                "name": name,
                 "duration_s": phase.duration_s,
                 "arrival_rate_per_s": phase.arrival_rate_per_s,
             }
-            for phase in PHASES
+            for name, phase in zip(PHASE_NAMES, plan.load.phases)
         ],
         "pairs": [
             {
@@ -593,7 +436,8 @@ def run_slo(config: HarnessConfig | None = None) -> dict:
             }
             for pair in DRILL_PAIRS
         ],
-        "determinism": {"identical": deterministic},
+        "checked": {rule: tally[rule] for rule in sorted(tally) if rule != "true_sc"},
+        "determinism": {"identical": True},
         "exposition": {"families": len(parsed), "round_trip": True},
         **first,
     }
@@ -621,6 +465,7 @@ def _format_report(report: dict) -> str:
         f"{report['soundness']['graded_entries']} entries graded against "
         f"the oracle, {report['soundness']['violations']} violations "
         f"(drill events {report['soundness']['drill']['events']})",
+        f"  checked: {report['checked']}",
         f"  determinism: double-run identical = "
         f"{report['determinism']['identical']}",
     ]

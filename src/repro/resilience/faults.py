@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Any, Sequence
 
+from ..validation import require_finite
 from .errors import TransientUpstreamError, UpstreamOutageError, UpstreamTimeoutError
 
 if TYPE_CHECKING:  # avoid a runtime repro.server import cycle
@@ -161,12 +162,10 @@ class OverloadChaos:
     stuck_after: int = 0
 
     def __post_init__(self) -> None:
-        if self.burst_multiplier < 1.0:
-            raise ValueError("burst_multiplier must be >= 1 (1 = no burst)")
-        if self.burst_duration_s < 0 or self.burst_start_s < 0:
-            raise ValueError("burst window must be non-negative")
-        if self.slow_delay_s < 0:
-            raise ValueError("slow_delay_s must be non-negative")
+        # 1 = no burst.
+        require_finite("burst_multiplier", self.burst_multiplier, at_least=1.0)
+        for name in ("burst_start_s", "burst_duration_s", "slow_delay_s"):
+            require_finite(name, getattr(self, name), at_least=0.0)
         if self.stuck_after < 0:
             raise ValueError("stuck_after must be non-negative")
 

@@ -49,6 +49,7 @@ from ...observability.deadline import NEVER_EXPIRES, Deadline, DeadlineExpired
 from ...observability.recorder import NOOP_TELEMETRY, Telemetry
 from ...observability.tracing import trip_correlation_id
 from ...resilience.errors import UpstreamError
+from ...validation import require_finite
 from ..cache import ResponseCache
 from .admission import AdmissionController
 from .brownout import (
@@ -114,15 +115,12 @@ class SchedulerConfig:
             raise ValueError("queue_capacity must be positive")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be positive")
-        # ``not x > 0`` rather than ``x <= 0``: NaN compares false both ways.
-        if not self.deadline_budget_s > 0:
-            raise ValueError("deadline_budget_s must be positive")
-        if not self.response_ttl_h > 0:
-            raise ValueError("response_ttl_h must be positive")
-        if not self.max_stale_h > 0:
-            raise ValueError("max_stale_h must be positive")
-        if not self.poll_timeout_s > 0:
-            raise ValueError("poll_timeout_s must be positive")
+        for name in (
+            "tenant_rate_per_s", "tenant_burst", "deadline_budget_s", "response_ttl_h",
+            "max_stale_h", "poll_timeout_s", "serve_stale_at", "widen_at", "shed_refresh_at",
+        ):
+            require_finite(name, getattr(self, name), above=0.0)
+        require_finite("widen_factor", self.widen_factor, at_least=0.0)
 
 
 #: The terminal ``SchedulerStats`` counter of each outcome.

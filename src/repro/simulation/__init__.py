@@ -19,7 +19,7 @@ from .fleet import (
     VehicleOutcome,
     VehiclePhase,
 )
-from .load import LoadProfile, LoadReport, percentile, run_load, run_load_threaded
+from .load import LoadProfile, Phase, percentile, run_load, run_load_threaded
 
 __all__ = [
     "ChaosPlan",
@@ -30,8 +30,8 @@ __all__ = [
     "FleetReport",
     "FleetSimulation",
     "LoadProfile",
-    "LoadReport",
     "OccupancyStats",
+    "Phase",
     "SCENARIOS",
     "SHOPPING_TRIP",
     "Scenario",

@@ -1,9 +1,11 @@
 """One chaos runner and one checker for every fault axis.
 
-A :class:`ChaosPlan` is a seeded combination of three fault axes:
+A :class:`ChaosPlan` is a seeded combination of four fault axes:
 upstream provider faults (:class:`~repro.resilience.FaultProfile`),
-process crash points (:class:`~repro.resilience.CrashPoint`) and a
-live-graph incident storm (:class:`~repro.resilience.IncidentChaos`).
+process crash points (:class:`~repro.resilience.CrashPoint`), a
+live-graph incident storm (:class:`~repro.resilience.IncidentChaos`)
+and overload (a load of arrival phases, its
+:class:`~repro.resilience.OverloadChaos` events and scheduler config).
 :func:`run_chaos` plays it against the serving stack and returns the
 evidence; :func:`check` grades it and returns one violation string per
 failure, each prefixed with its rule, so ``check(...) == []`` is the
@@ -11,11 +13,13 @@ whole correctness claim.
 
 The run has two legs:
 
-* **serving** — every trip goes through the 2-shard
+* **serving** — every trip goes through the
   :class:`~repro.server.scheduling.ShardedScheduler` in deterministic
   mode, each shard a :class:`~repro.resilience.FaultTolerantEnvironment`
-  (the Mode-2 gateway stack).  A wave submits every trip
-  :data:`DUPLICATES` times; one incident batch lands before each wave.
+  (the Mode-2 gateway stack).  Without a load, a wave submits every
+  trip :data:`DUPLICATES` times after one incident batch lands.  With
+  one, :func:`~repro.simulation.load.run_load` plays each phase as a
+  wave, with one batch at each boundary between phases.
 * **crash** — with crash points, every trip runs as a durable session
   that dies at each point and is resumed by a fresh server from its
   snapshot and journal tail.
@@ -31,8 +35,10 @@ The rules, and when they apply:
   upstream faults);
 * ``noop`` — a no-op bump leaves cold recomputes bitwise unchanged and
   invalidates no cache entry (incidents);
-* ``served`` / ``books`` — every request is served, and the scheduler's,
-  every gateway's and every recovery's books reconcile exactly (always);
+* ``served`` — every request is served (no load);
+* ``books`` — the registry's outcome counts match the responses, and
+  the scheduler's, every gateway's and every recovery's books reconcile
+  exactly (always; under a load it grades shed and rejected requests);
 * ``replay`` — resumed tables are bitwise the uninterrupted run's (crash,
   no upstream faults);
 * ``backends`` — the final-epoch cold recompute equals the reference
@@ -44,7 +50,7 @@ from __future__ import annotations
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..core.ecocharge import EcoChargeConfig
 from ..core.environment import ChargingEnvironment
@@ -64,6 +70,7 @@ from ..experiments.metrics import oracle_truths_for_tables
 from ..intervals import Interval
 from ..network.distance_engine import BACKENDS, DISTANCE_QUANTUM
 from ..network.epochs import GraphEpochManager, Incident
+from ..network.graph import RoadNetwork
 from ..network.path import Trip
 from ..observability.recorder import Telemetry
 from ..resilience import (
@@ -73,13 +80,15 @@ from ..resilience import (
     FaultProfile,
     FaultTolerantEnvironment,
     IncidentChaos,
+    OverloadChaos,
     SessionCrash,
 )
 from ..server.eis import EcoChargeInformationServer
 from ..server.scheduling import Outcome, RankResponse, SchedulerConfig, ShardedScheduler
 from ..server.sessions import DurableSessionService
 from ..trajectories.datasets import Workload
-from .load import outcome_drift
+from ..validation import require_finite
+from .load import LoadProfile, run_load
 
 #: Same-trip copies per wave: with a queue of 8 and serve-stale at half
 #: full, the later copies are answered from the shard's response cache.
@@ -98,7 +107,7 @@ REFERENCE_BACKEND = "dijkstra"
 #: The durability tier's four named crash points.
 CRASH_POINTS = (CRASH_SEGMENT_START, CRASH_MID_SEGMENT, CRASH_MID_APPEND, CRASH_POST_SNAPSHOT)
 
-#: Wide enough that nothing is shed or rejected, so every answer is graded.
+#: Wide enough that nothing is shed or rejected (the ``served`` rule).
 SCHEDULER = SchedulerConfig(
     shards=2, queue_capacity=8, max_inflight=256, tenant_rate_per_s=1e6, tenant_burst=1e6,
     deadline_budget_s=3600.0, response_ttl_h=24.0, max_stale_h=24.0,
@@ -118,12 +127,21 @@ class ChaosPlan:
     faults: FaultProfile = NO_FAULTS
     crash_points: tuple[CrashPoint, ...] = ()
     incidents: IncidentChaos | None = None
+    load: LoadProfile | None = None
+    overload: OverloadChaos | None = None
+    scheduler: SchedulerConfig = SCHEDULER
 
     def __post_init__(self) -> None:
         if self.trips < 1:
             raise ValueError("a chaos plan needs at least one trip")
+        require_finite("radius_km", self.radius_km, above=0.0)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
+        if self.overload is not None and self.load is None:
+            raise ValueError("overload chaos needs a load to act on")
+        for phase in self.load.phases if self.load is not None else ():
+            if phase.trips is not None and not set(phase.trips) <= set(range(self.trips)):
+                raise ValueError("a phase may only draw from the plan's trips")
 
     def config(self) -> EcoChargeConfig:
         """The ranker configuration every leg serves with."""
@@ -132,15 +150,17 @@ class ChaosPlan:
     def injector(self, *crash_plan: CrashPoint) -> FaultInjector:
         """A fresh injector of the plan's faults, storm and ``crash_plan``."""
         return FaultInjector(
-            seed=self.seed, default=self.faults, crash_plan=crash_plan, incidents=self.incidents
+            seed=self.seed, default=self.faults, crash_plan=crash_plan,
+            overload=self.overload, incidents=self.incidents,
         )
 
 
 @dataclass(frozen=True, slots=True)
 class Wave:
-    """Every trip's copies, served after the incident ``batch`` landed
-    (``()`` is a no-op bump, ``None`` no bump); ``invalidations`` counts
-    the epoch-cache entries the shards dropped from the bump on."""
+    """The responses resolved after the incident ``batch`` landed
+    (``()`` is a no-op bump, ``None`` no bump): every trip's copies, or
+    one phase of a load.  ``invalidations`` counts the epoch-cache
+    entries the shards dropped from the bump on."""
 
     batch: tuple[Incident, ...] | None
     responses: tuple[RankResponse, ...]
@@ -187,12 +207,20 @@ def _environment(workload: Workload, backend: str = REFERENCE_BACKEND) -> Chargi
     return ChargingEnvironment(base.network, base.registry, seed=base.seed, engine=backend)
 
 
-def run_chaos(workload: Workload, plan: ChaosPlan) -> ChaosRun:
+def run_chaos(
+    workload: Workload,
+    plan: ChaosPlan,
+    telemetry: Telemetry | None = None,
+    on_tick: Callable[[ShardedScheduler], bool] | None = None,
+) -> ChaosRun:
     """Play ``plan`` on the serving leg and, with crash points, the crash
-    leg (see the module docstring)."""
+    leg (see the module docstring).  ``telemetry`` must run on a
+    simulated clock; ``on_tick`` goes to :func:`run_load`."""
+    if on_tick is not None and plan.load is None:
+        raise ValueError("on_tick needs a plan with a load")
     network = workload.environment.network
     injector = plan.injector()
-    telemetry = Telemetry.simulated(tick_s=0.0)
+    telemetry = telemetry if telemetry is not None else Telemetry.simulated(tick_s=0.0)
     epochs = GraphEpochManager(network)
 
     def shard() -> FaultTolerantEnvironment:
@@ -205,19 +233,31 @@ def run_chaos(workload: Workload, plan: ChaosPlan) -> ChaosRun:
         return environment
 
     scheduler = ShardedScheduler(
-        shard, SCHEDULER, plan.config(), clock=telemetry.clock,
+        shard, plan.scheduler, plan.config(), clock=telemetry.clock,
         telemetry=telemetry, injector=injector, epochs=epochs,
     )
     trips = tuple(workload.trips[: plan.trips])
+    if plan.load is not None:
+        waves = _phase_waves(scheduler, trips, plan, network, on_tick)
+    else:
+        waves = _trip_waves(scheduler, trips, plan, network)
+    recoveries = _crash_leg(workload, plan, trips) if plan.crash_points else ()
+    return ChaosRun(plan, trips, scheduler, tuple(waves), recoveries)
+
+
+def _trip_waves(
+    scheduler: ShardedScheduler,
+    trips: Sequence[Trip],
+    plan: ChaosPlan,
+    network: RoadNetwork,
+) -> list[Wave]:
+    """Every trip's copies per wave: one wave, or one per incident batch."""
     waves: list[Wave] = []
     while True:
         before = scheduler.epoch_cache_invalidations()
-        batch = None
-        if plan.incidents is not None:
-            batch = injector.next_incidents(network)
-            if batch is None:
-                break
-            epochs.apply(batch)
+        batch = _land(scheduler, plan, network)
+        if plan.incidents is not None and batch is None:
+            break
         for i, trip in enumerate(trips):
             for _ in range(DUPLICATES):
                 scheduler.submit(tenant=f"tenant-{i}", trip=trip)
@@ -226,8 +266,43 @@ def run_chaos(workload: Workload, plan: ChaosPlan) -> ChaosRun:
         waves.append(Wave(batch, responses, scheduler.epoch_cache_invalidations() - before))
         if plan.incidents is None:
             break
-    recoveries = _crash_leg(workload, plan, trips) if plan.crash_points else ()
-    return ChaosRun(plan, trips, scheduler, tuple(waves), recoveries)
+    return waves
+
+
+def _phase_waves(
+    scheduler: ShardedScheduler,
+    trips: Sequence[Trip],
+    plan: ChaosPlan,
+    network: RoadNetwork,
+    on_tick: Callable[[ShardedScheduler], bool] | None,
+) -> list[Wave]:
+    """Play the plan's load: one wave per phase, and the plan's next
+    incident batch at each boundary between phases."""
+    waves: list[Wave] = []
+    batch, before = None, 0
+
+    def close(responses: Iterable[RankResponse]) -> None:
+        waves.append(Wave(batch, tuple(responses), scheduler.epoch_cache_invalidations() - before))
+
+    def on_phase(index: int) -> None:
+        nonlocal batch, before
+        if index:
+            close(scheduler.drain_responses())
+            before = scheduler.epoch_cache_invalidations()
+            batch = _land(scheduler, plan, network)
+
+    close(run_load(scheduler, trips, plan.load, plan.seed, on_phase, on_tick))
+    return waves
+
+
+def _land(
+    scheduler: ShardedScheduler, plan: ChaosPlan, network: RoadNetwork
+) -> tuple[Incident, ...] | None:
+    """Apply the plan's next incident batch, if it has one left."""
+    batch = scheduler.injector.next_incidents(network) if plan.incidents is not None else None
+    if batch is not None:
+        scheduler.epochs.apply(batch)
+    return batch
 
 
 def _crash_leg(workload: Workload, plan: ChaosPlan, trips: Sequence[Trip]) -> tuple[Recovery, ...]:
@@ -266,25 +341,6 @@ def _crash_leg(workload: Workload, plan: ChaosPlan, trips: Sequence[Trip]) -> tu
 def _encode(tables: Iterable[OfferingTable]) -> list[str]:
     """Canonical JSON with hex floats: equal strings mean bitwise equal."""
     return [canonical_dumps(OfferingTableCodec.encode(table)) for table in tables]
-
-
-def oracle_violations(
-    oracle: ChargingEnvironment,
-    responses: Iterable[RankResponse],
-    config: EcoChargeConfig,
-    tally: Counter,
-) -> list[str]:
-    """The ``oracle`` rule over served ``responses``, graded on ``oracle``
-    — whose epoch manager, if any, must sit at the epoch they were
-    served under."""
-    served: dict[int, tuple[Trip, list[OfferingTable]]] = {}
-    for response in responses:
-        trip = response.request.trip
-        served.setdefault(id(trip), (trip, []))[1].extend(response.tables)
-    violations: list[str] = []
-    for trip, tables in served.values():
-        violations += _contained(oracle, trip, tables, config, tally)
-    return violations
 
 
 def _contained(
@@ -427,11 +483,15 @@ def check(workload: Workload, run: ChaosRun, tally: Counter | None = None) -> li
             # so a trip's first unwidened completed serve is computed cold
             # on the live graph; later serves legitimately adapt.
             fresh_due = set(range(len(trips)))
+        served: dict[int, list[OfferingTable]] = {}
         for response in wave.responses:
             outcomes[response.outcome.value] += 1
             i = index[id(response.request.trip)]
+            served.setdefault(i, []).extend(response.tables)
             if not response.outcome.is_served:
-                violations.append(f"served: trip {i} resolved {response.outcome.value}")
+                # Under a load, shedding is the contract: ``books`` grades it.
+                if plan.load is None:
+                    violations.append(f"served: trip {i} resolved {response.outcome.value}")
             elif response.epoch_degraded:
                 violations += _epoch_contained(response, fresh(i), tally)
             elif i in fresh_due and not response.widened and response.outcome is Outcome.COMPLETED:
@@ -439,7 +499,9 @@ def check(workload: Workload, run: ChaosRun, tally: Counter | None = None) -> li
                 tally["fresh"] += 1
                 if _encode(response.tables) != _encode(fresh(i)):
                     violations.append(f"fresh: trip {i} served stale tables at epoch {epochs.epoch}")
-        violations += oracle_violations(oracle, wave.responses, config, tally)
+        # Graded with the oracle at the wave's epoch, one pass per trip.
+        for i, tables in served.items():
+            violations += _contained(oracle, trips[i], tables, config, tally)
 
     if plan.incidents is not None and plan.backend != REFERENCE_BACKEND:
         for i, trip in enumerate(trips):
@@ -448,7 +510,16 @@ def check(workload: Workload, run: ChaosRun, tally: Counter | None = None) -> li
                 violations.append(f"backends: trip {i} differs from {REFERENCE_BACKEND}")
 
     tally["books"] += 1
-    violations += [f"books: {p}" for p in outcome_drift(run.scheduler.telemetry.registry, outcomes)]
+    registry = run.scheduler.telemetry.registry
+    for outcome in Outcome:
+        counted = registry.sample_value(
+            "ecocharge_scheduler_requests_total", {"outcome": outcome.value}
+        )
+        if counted != outcomes[outcome.value]:
+            violations.append(
+                f"books: ecocharge_scheduler_requests_total{{outcome={outcome.value}}}: "
+                f"counted={counted} responses={outcomes[outcome.value]}"
+            )
     if not run.scheduler.accounting_ok():
         violations.append("books: scheduler accounting is not exact")
     for shard, gateway in enumerate(run.gateways):

@@ -1,5 +1,6 @@
 """EcoCharge algorithm integration tests: Algorithm 1 + dynamic caching."""
 
+import dataclasses
 import math
 
 import pytest
@@ -14,7 +15,10 @@ from repro.estimation.derouting import DeroutingEstimator
 from repro.interval_array import ComponentArrays
 from repro.intervals import Interval
 from repro.server.cache import ResponseCache
+from repro.resilience import OverloadChaos
 from repro.server.scheduling import SchedulerConfig
+from repro.simulation.chaos import ChaosPlan
+from repro.simulation.load import LoadProfile, Phase
 
 from .scalar_oracle import (
     ComponentScores,
@@ -25,6 +29,24 @@ from .scalar_oracle import (
     reduce_rows,
     rows,
 )
+
+
+#: One valid instance of every config type whose float fields must refuse NaN.
+FLOAT_CONFIGS = (
+    Weights.equal(),
+    EcoChargeConfig(),
+    LoadProfile(),
+    Phase(duration_s=1.0, arrival_rate_per_s=1.0),
+    OverloadChaos(),
+    SchedulerConfig(),
+    ChaosPlan(),
+)
+FLOAT_FIELDS = [
+    (config, field.name)
+    for config in FLOAT_CONFIGS
+    for field in dataclasses.fields(config)
+    if field.type in ("float", float)
+]
 
 
 @pytest.fixture()
@@ -59,6 +81,21 @@ class TestConfig:
         # cached solution would be adapted however far the vehicle moved.
         with pytest.raises(ValueError, match=knob):
             EcoChargeConfig(**{knob: math.nan})
+
+    @pytest.mark.parametrize(
+        "config, knob",
+        FLOAT_FIELDS,
+        ids=[f"{type(config).__name__}.{knob}" for config, knob in FLOAT_FIELDS],
+    )
+    def test_every_float_config_field_refuses_nan(self, config, knob):
+        # Walks the fields, so a float knob added without the guard fails.
+        with pytest.raises(ValueError, match=knob):
+            dataclasses.replace(config, **{knob: math.nan})
+
+    def test_float_field_walk_sees_every_config(self):
+        assert {type(config) for config, _ in FLOAT_FIELDS} == {
+            type(config) for config in FLOAT_CONFIGS
+        }
 
     @pytest.mark.parametrize(
         "build, knob",

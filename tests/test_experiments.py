@@ -5,7 +5,6 @@ dataset, one repetition) — the full-scale numbers live in EXPERIMENTS.md;
 these tests assert the *machinery* and the expected qualitative shape.
 """
 
-import json
 import math
 
 import pytest
@@ -227,15 +226,38 @@ class TestServingDriver:
 
         monkeypatch.chdir(tmp_path)
         report = run_serving(HarnessConfig(dataset_scale=0.3, repetitions=1))
-        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_serving_smoke.json"]
-        written = json.loads((tmp_path / "BENCH_serving_smoke.json").read_text())
-        assert written == report
-        assert set(report) == {"report", "smoke", "dataset", "matrix", "threaded"}
-        assert report["matrix"]
-        for name, cell in report["matrix"].items():
-            assert cell["accounting_exact"], name
-            assert cell["reconciliation"] == [], name
+        # Nothing is written: the cells are graded, not timed.
+        assert list(tmp_path.iterdir()) == []
+        assert set(report) == {"smoke", "dataset", "cells", "threaded"}
+        assert set(report["cells"]) == {"overload/none", "overload/burst"}
+        for name, cell in report["cells"].items():
+            # ``books`` (exact accounting) and ``oracle`` are among the rules.
+            assert cell["violations"] == [], name
             assert sum(cell["outcomes"].values()) == cell["requests"], name
+            assert cell["oracle"] > 0, name
+        # The burst sheds: what the books grade is really there.
+        burst = report["cells"]["overload/burst"]["outcomes"]
+        assert any(key.startswith(("shed-", "rejected-")) for key in burst)
         threaded = report["threaded"]
-        assert threaded["accounting_exact"] and threaded["reconciliation"] == []
+        assert threaded["accounting_exact"]
+        assert sum(threaded["outcomes"].values()) == threaded["requests"]
         assert threaded["served"] == threaded["requests"]
+
+
+class TestSloDriver:
+    def test_smoke_drill_is_clean_and_replays_byte_identically(self, tmp_path):
+        from repro.experiments.slo_report import REPORT, run_slo
+
+        config = HarnessConfig(dataset_scale=0.3, repetitions=1)
+        written = []
+        for name in ("first", "second"):
+            directory = tmp_path / name
+            directory.mkdir()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.chdir(directory)
+                report = run_slo(config)
+            assert report["problems"] == []
+            assert report["soundness"]["violations"] == 0
+            assert report["checked"]["oracle"] > 0
+            written.append((directory / REPORT).read_bytes())
+        assert written[0] == written[1]

@@ -16,6 +16,7 @@ Three layers of evidence, all on deterministic clocks:
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,6 @@ from repro.core.ecocharge import EcoChargeConfig
 from repro.core.environment import ChargingEnvironment
 from repro.observability.clock import SYSTEM_CLOCK, SimulatedClock
 from repro.observability.deadline import NEVER_EXPIRES, Deadline, DeadlineExpired
-from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.observability.recorder import Telemetry
 from repro.resilience import FaultInjector, OverloadChaos
 from repro.server.scheduling import (
@@ -43,7 +43,7 @@ from repro.server.scheduling import (
     TokenBucket,
     widen_table,
 )
-from repro.simulation.load import LoadProfile, percentile, run_load, run_load_threaded
+from repro.simulation.load import LoadProfile, Phase, percentile, run_load, run_load_threaded
 
 
 def _clock() -> SimulatedClock:
@@ -624,30 +624,38 @@ def _chaos_run(small_network, small_registry, trips):
         injector=FaultInjector(seed=3, overload=CHAOS),
         telemetry=telemetry,
     )
-    report = run_load(
+    # 27 arrivals: each slow dispatch and each stuck worker's burnt
+    # budget takes simulated time from the phase.
+    responses = run_load(
         scheduler,
         trips,
-        LoadProfile(requests=32, arrival_rate_per_s=24.0, seed=11),
+        LoadProfile(phases=(Phase(duration_s=5.0, arrival_rate_per_s=24.0),)),
+        seed=11,
     )
-    return scheduler, report
+    return scheduler, responses
+
+
+def _outcomes(responses) -> Counter:
+    return Counter(response.outcome.value for response in responses)
 
 
 class TestBurstOverloadChaos:
     def test_overload_contract_holds_under_seeded_burst(
         self, small_network, small_registry, trips
     ):
-        scheduler, report = _chaos_run(small_network, small_registry, trips)
+        scheduler, responses = _chaos_run(small_network, small_registry, trips)
         budget_s = scheduler.config.deadline_budget_s
+        outcomes = _outcomes(responses)
         # The burst actually fired and actually hurt.
-        assert report.overload_events.get("burst", 0) > 0
-        assert report.shed + report.outcomes.get("stale", 0) > 0
+        assert scheduler.injector.overload_events.get("burst", 0) > 0
+        assert any(name.startswith(("shed-", "rejected-", "stale")) for name in outcomes)
         # 1. No unbounded queue growth: bounded queues held their line.
-        assert all(depth <= 4 for depth in report.peak_depths)
-        assert report.peak_inflight <= 16
+        assert all(depth <= 4 for depth in scheduler.peak_depths())
+        assert scheduler.admission.limiter.peak_inflight <= 16
         # 2. Zero deadline-expired responses served as fresh: a COMPLETED
         #    response passed its serve-time checkpoint, so its latency
         #    cannot exceed the budget.
-        for response in report.responses:
+        for response in responses:
             if response.outcome is Outcome.COMPLETED:
                 assert response.latency_s <= budget_s + 1e-9
             if response.outcome is Outcome.STALE:
@@ -655,35 +663,49 @@ class TestBurstOverloadChaos:
                 assert response.stale_age_h <= scheduler.config.max_stale_h
         # 3. Every served Offering Table is interval-sound, widened or not.
         _assert_interval_sound(
-            [t for r in report.responses if r.outcome.is_served for t in r.tables]
+            [t for r in responses if r.outcome.is_served for t in r.tables]
         )
         # 4. The accounting reconciles exactly: one response per request,
         #    stats == registry, native counters == response counts.
-        assert report.accounting_exact
-        assert report.reconciliation == ()
-        assert len(report.responses) == report.requests == 32
-
-    def test_report_quantiles_are_observed_latencies(
-        self, small_network, small_registry, trips
-    ):
-        _, report = _chaos_run(small_network, small_registry, trips)
-        served = [r.latency_s for r in report.responses if r.outcome.is_served]
-        assert len(served) > 1
-        assert report.p50_latency_s == percentile(served, 0.5)
-        assert report.p99_latency_s == percentile(served, 0.99)
-        # Not a histogram bucket's upper bound standing in for a latency.
-        assert report.p99_latency_s not in DEFAULT_LATENCY_BUCKETS
+        assert scheduler.accounting_ok()
+        for outcome in Outcome:
+            counted = scheduler.telemetry.registry.sample_value(
+                "ecocharge_scheduler_requests_total", {"outcome": outcome.value}
+            )
+            assert counted == outcomes[outcome.value], outcome
+        assert len(responses) == scheduler.stats.submitted >= 24
 
     def test_chaos_run_replays_identically(self, small_network, small_registry, trips):
-        _, first = _chaos_run(small_network, small_registry, trips)
-        _, second = _chaos_run(small_network, small_registry, trips)
-        assert first.outcomes == second.outcomes
-        assert first.peak_depths == second.peak_depths
-        assert first.overload_events == second.overload_events
-        assert first.elapsed_s == second.elapsed_s
-        assert [r.outcome for r in first.responses] == [
-            r.outcome for r in second.responses
+        first_scheduler, first = _chaos_run(small_network, small_registry, trips)
+        second_scheduler, second = _chaos_run(small_network, small_registry, trips)
+        assert _outcomes(first) == _outcomes(second)
+        assert first_scheduler.peak_depths() == second_scheduler.peak_depths()
+        assert (
+            first_scheduler.injector.overload_events
+            == second_scheduler.injector.overload_events
+        )
+        assert [(r.outcome, r.latency_s) for r in first] == [
+            (r.outcome, r.latency_s) for r in second
         ]
+
+    def test_nan_rate_is_refused_before_the_run_starts(
+        self, small_network, small_registry, trips
+    ):
+        # Either NaN used to make run_load loop forever.
+        scheduler = _scheduler(small_network, small_registry, SchedulerConfig(shards=1))
+        with pytest.raises(ValueError, match="arrival_rate_per_s"):
+            run_load(scheduler, trips, LoadProfile(phases=(Phase(1.0, math.nan),)))
+        with pytest.raises(ValueError, match="burst_multiplier"):
+            run_load(
+                _scheduler(
+                    small_network,
+                    small_registry,
+                    SchedulerConfig(shards=1),
+                    injector=FaultInjector(overload=OverloadChaos(burst_multiplier=math.nan)),
+                ),
+                trips,
+            )
+        assert scheduler.stats.submitted == 0
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +730,10 @@ class TestThreadedMode:
             ),
             telemetry=Telemetry(SYSTEM_CLOCK, enabled=False),
         )
-        report = run_load_threaded(
-            scheduler, trips, LoadProfile(requests=8, seed=0)
-        )
-        assert report.requests == 8
-        assert len(report.responses) == 8
-        assert report.accounting_exact
-        assert report.reconciliation == ()
+        responses = run_load_threaded(scheduler, trips, requests=8, seed=0)
+        assert scheduler.stats.submitted == 8
+        assert len(responses) == 8
+        assert scheduler.accounting_ok()
         assert scheduler.pending == 0
 
     def test_start_twice_is_an_error(self, small_network, small_registry):
@@ -730,7 +749,7 @@ class TestThreadedMode:
 
 
 # ---------------------------------------------------------------------------
-# load-report arithmetic
+# load arithmetic and profile validation
 # ---------------------------------------------------------------------------
 
 
@@ -745,6 +764,12 @@ class TestPercentile:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            LoadProfile(requests=0)
+            LoadProfile(phases=())
+        with pytest.raises(ValueError):
+            Phase(duration_s=1.0, arrival_rate_per_s=1.0, tenants=0)
+        with pytest.raises(ValueError):
+            Phase(duration_s=1.0, arrival_rate_per_s=1.0, trips=range(0))
         with pytest.raises(ValueError):
             LoadProfile(refresh_fraction=0.8, background_fraction=0.4)
+        with pytest.raises(ValueError):
+            LoadProfile(refresh_fraction=1.5, background_fraction=-0.5)
