@@ -634,6 +634,7 @@ _RAW_SEARCH_FUNCTIONS = {
     "dijkstra_all",
     "dijkstra_all_backward",
     "settle_arcs",
+    "settle_frontier",
 }
 
 
@@ -673,9 +674,9 @@ class EngineBypassRule(RuleProtocol):
                     line=node.lineno,
                     message=(
                         f"raw '{called}' call in a ranking hot loop — route it "
-                        f"through the shared DistanceEngine (one_to_many / "
-                        f"many_to_one) so results are cached, quantised, and "
-                        f"backend-switchable"
+                        f"through the shared DistanceEngine (distance_rows / "
+                        f"one_to_many / many_to_one) so results are cached, "
+                        f"quantised, and backend-switchable"
                     ),
                 )
 
@@ -1044,10 +1045,18 @@ _R16_CACHE_OWNER = "core/caching.py"
 _R16_FENCED_STORES = frozenset({"_maps", "_customized", "_pairs", "_entry"})
 
 #: Engine internals that sit *below* the fence: the public
-#: ``one_to_many`` / ``many_to_one`` / ``many_to_many`` entry points call
-#: ``_observe_epoch`` first, these do not.
+#: ``distance_rows`` / ``one_to_many`` / ``many_to_one`` / ``many_to_many``
+#: entry points call ``_observe_epoch`` first, these do not.
 _R16_UNFENCED_METHODS = frozenset(
-    {"_map", "_search", "_subset", "_ch_bipartite", "_customize", "_observe_epoch"}
+    {
+        "_labels",
+        "_costs",
+        "_space",
+        "_ch_map",
+        "_ch_bipartite",
+        "_customize",
+        "_observe_epoch",
+    }
 )
 
 
@@ -1111,8 +1120,8 @@ class EpochBypassRule(RuleProtocol):
                 line=node.lineno,
                 message=(
                     f"call to below-fence engine internal '.{attr}' skips "
-                    f"_observe_epoch — use one_to_many / many_to_one / "
-                    f"many_to_many, which fence first"
+                    f"_observe_epoch — use distance_rows / one_to_many / "
+                    f"many_to_one / many_to_many, which fence first"
                 ),
             )
         return None

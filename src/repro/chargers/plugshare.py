@@ -15,6 +15,7 @@ import numpy as np
 
 from ..network.graph import RoadNetwork
 from ..spatial.geometry import Point
+from ..spatial.kdtree import KDTree
 from .charger import RATE_CLASSES_KW, Charger, PlugType, RenewableSource
 from .registry import ChargerRegistry
 
@@ -57,6 +58,8 @@ def generate_catalog(network: RoadNetwork, spec: CatalogSpec) -> ChargerRegistry
     if not nodes:
         raise ValueError("network has no nodes to place chargers on")
     node_points = np.array([[n.point.x, n.point.y] for n in nodes])
+    tree = network.node_index()
+    order = {node.node_id: i for i, node in enumerate(nodes)}
 
     hotspot_centres = (
         node_points[rng.choice(len(nodes), size=min(spec.hotspots, len(nodes)), replace=False)]
@@ -69,8 +72,7 @@ def generate_catalog(network: RoadNetwork, spec: CatalogSpec) -> ChargerRegistry
         anchor = _sample_anchor(rng, node_points, hotspot_centres, spec)
         # Snap to the nearest road node: chargers live on parking lots
         # adjoining the network; the node is what routing queries use.
-        node_index = int(np.argmin(np.sum((node_points - anchor) ** 2, axis=1)))
-        node = nodes[node_index]
+        node = nodes[_snap(tree, order, node_points, anchor)]
         # Small off-road offset so charger points are not exactly node
         # points (matters for the spatial-index code paths).
         offset = rng.normal(0.0, 0.05, size=2)
@@ -101,6 +103,29 @@ def generate_catalog(network: RoadNetwork, spec: CatalogSpec) -> ChargerRegistry
             )
         )
     return ChargerRegistry(chargers, bounds=network.bounds().expanded(1.0))
+
+
+def _snap(
+    tree: KDTree[int], order: dict[int, int], node_points: np.ndarray, anchor: np.ndarray
+) -> int:
+    """The index of the node nearest ``anchor``: exactly
+    ``argmin(sum((node_points - anchor) ** 2, axis=1))``, first index on
+    ties, in O(log |V|) through the network's k-d tree.
+
+    The tree's nearest node bounds the answer.  Every node within a hair
+    of it is a candidate, because the tree ranks by ``hypot`` and the
+    squared sums may order near-ties differently; the candidates are
+    then ranked by the same squared sums ``argmin`` would compare, in
+    node order.
+    """
+    centre = Point(float(anchor[0]), float(anchor[1]))
+    [(nearest_km, _, _)] = tree.nearest(centre)
+    candidates = sorted(
+        order[node_id]
+        for _, node_id in tree.query_radius(centre, nearest_km * (1.0 + 1e-9) + 1e-12)
+    )
+    squared = np.sum((node_points[candidates] - anchor) ** 2, axis=1)
+    return candidates[int(np.argmin(squared))]
 
 
 def _sample_anchor(

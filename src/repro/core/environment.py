@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..chargers.charger import Charger
 from ..chargers.registry import ChargerRegistry
 from ..estimation.availability import AvailabilityEstimator
@@ -23,7 +25,7 @@ from ..estimation.eta import EtaEstimator
 from ..estimation.sustainable import SustainableChargingEstimator
 from ..estimation.traffic import TrafficModel
 from ..estimation.weather import WeatherModel
-from ..network.distance_engine import DistanceEngine
+from ..network.distance_engine import DistanceEngine, Search
 from ..network.epochs import GraphEpochManager
 from ..network.graph import RoadNetwork
 from ..network.path import TripSegment
@@ -226,32 +228,31 @@ class ChargingEnvironment:
         time_h: float,
         next_segment: TripSegment | None = None,
     ) -> dict[int, TrueComponents]:
-        """Batch oracle components (one shortest-path pass for the pool)."""
+        """Batch oracle components (one stacked search call for the pool)."""
         pool = list(chargers)
         spec = self.traffic.travel_time_spec(time_h)
 
         max_h = self.derouting.max_derouting_h
-        nodes = {charger.node_id for charger in pool}
-        out = self.engine.one_to_many(segment.anchor_node, nodes, spec, max_cost=max_h)
-        back = self.engine.many_to_one(
-            nodes, rejoin_nodes(segment, next_segment), spec, max_cost=max_h
+        out, back = self.engine.distance_rows(
+            (
+                Search(spec, segment.anchor_node),
+                Search(spec, rejoin_nodes(segment, next_segment), forward=False),
+            ),
+            [charger.node_id for charger in pool],
+            max_cost=max_h,
         )
+        total = out + back
+        hours = np.where(np.isinf(total), max_h, np.minimum(max_h, total)).tolist()
 
         results: dict[int, TrueComponents] = {}
-        for charger in pool:
+        for charger, charger_hours in zip(pool, hours):
             power = self.sustainable.true_power_kw(charger, time_h)
             sustainable = min(1.0, power / self.sustainable.max_power_kw)
             availability = self.availability.true_availability(charger, time_h)
-            cost_out = out.get(charger.node_id)
-            cost_back = back.get(charger.node_id)
-            if cost_out is None or cost_back is None:
-                hours = max_h
-            else:
-                hours = min(max_h, cost_out + cost_back)
             results[charger.charger_id] = TrueComponents(
                 charger.charger_id,
                 sustainable,
                 availability,
-                min(1.0, hours / max_h),
+                min(1.0, charger_hours / max_h),
             )
         return results

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from ..chargers.charger import Charger
 from ..interval_array import IntervalArray
-from ..network.distance_engine import DistanceEngine
+from ..network.distance_engine import DistanceEngine, Search
 from ..network.graph import RoadNetwork
 from ..network.path import TripSegment
 from .traffic import TrafficModel
@@ -107,28 +107,38 @@ class DeroutingEstimator:
         the saturated cost of 1.0 rather than being dropped, mirroring the
         paper's treatment of chargers "outside the initial scheduled trip".
 
-        Missing distance-map entries become ``inf``, so any unreachable
-        leg makes ``out + back`` infinite, and ``inf`` rows collapse to the
-        saturated ``max_derouting_h`` cost.  ``back`` is already the cheaper
-        of the two rejoin points (Section III-C).
+        The four searches (optimistic and pessimistic, outbound and
+        return) are one :meth:`DistanceEngine.distance_rows` call.  A leg
+        out of reach is ``inf``, so it makes ``out + back`` infinite, and
+        ``inf`` rows collapse to the saturated ``max_derouting_h`` cost.
+        ``back`` is already the cheaper of the two rejoin points (Section
+        III-C).
         """
         pool = list(chargers)
         ids = np.array([charger.charger_id for charger in pool], dtype=np.int64)
         if not pool:
             empty = IntervalArray.exact(np.empty(0, dtype=np.float64))
             return DeroutingArrays(charger_ids=ids, hours=empty, normalised=empty)
-        out_low, out_high, back_low, back_high = self._query_round_trip_maps(
-            segment, pool, time_h, now_h, next_segment, search_budget_h
+        budget = search_budget_h if search_budget_h is not None else self.max_derouting_h
+        spec_low, spec_high = self._traffic.travel_time_bound_specs(time_h, now_h)
+        # One stacked sweep customises both bound metrics (CH backend).
+        self._engine.prepare(spec_low, spec_high)
+        origin = segment.anchor_node
+        # One return search to both rejoin points (the segment's own end
+        # and the next segment's) gives each charger the cheaper of the two.
+        rejoins = rejoin_nodes(segment, next_segment)
+        out_low, out_high, back_low, back_high = self._engine.distance_rows(
+            (
+                Search(spec_low, origin),
+                Search(spec_high, origin),
+                Search(spec_low, rejoins, forward=False),
+                Search(spec_high, rejoins, forward=False),
+            ),
+            [charger.node_id for charger in pool],
+            max_cost=budget,
         )
-
-        inf = math.inf
-        nodes = [charger.node_id for charger in pool]
-
-        def gather(dist: Mapping[int, float]) -> np.ndarray:
-            return np.array([dist.get(node, inf) for node in nodes], dtype=np.float64)
-
-        total_lo = gather(out_low) + gather(back_low)
-        total_hi = gather(out_high) + gather(back_high)
+        total_lo = out_low + back_low
+        total_hi = out_high + back_high
         unreachable = np.isinf(total_lo) | np.isinf(total_hi)
         max_h = self.max_derouting_h
         hours = IntervalArray(
@@ -139,36 +149,6 @@ class DeroutingEstimator:
             charger_ids=ids,
             hours=hours,
             normalised=hours.scaled_by_max(max_h).clamp(0.0, 1.0),
-        )
-
-    def _query_round_trip_maps(
-        self,
-        segment: TripSegment,
-        pool: list[Charger],
-        time_h: float,
-        now_h: float,
-        next_segment: TripSegment | None,
-        search_budget_h: float | None,
-    ) -> tuple[Mapping[int, float], Mapping[int, float], Mapping[int, float], Mapping[int, float]]:
-        """The four distance maps a pool's pricing needs: optimistic and
-        pessimistic bounds for the outbound leg and for the return leg,
-        where one search to both rejoin points (the segment's own end and
-        the next segment's) gives each charger the cheaper of the two."""
-        budget = search_budget_h if search_budget_h is not None else self.max_derouting_h
-        spec_low, spec_high = self._traffic.travel_time_bound_specs(time_h, now_h)
-        # One stacked sweep customises both bound metrics (CH backend).
-        self._engine.prepare(spec_low, spec_high)
-
-        origin = segment.anchor_node
-        rejoins = rejoin_nodes(segment, next_segment)
-        nodes = {charger.node_id for charger in pool}
-
-        engine = self._engine
-        return (
-            engine.one_to_many(origin, nodes, spec_low, max_cost=budget),
-            engine.one_to_many(origin, nodes, spec_high, max_cost=budget),
-            engine.many_to_one(nodes, rejoins, spec_low, max_cost=budget),
-            engine.many_to_one(nodes, rejoins, spec_high, max_cost=budget),
         )
 
     def true_cost_h(

@@ -5,27 +5,35 @@ chaos re-rankings) prices derouting with single-source searches over the
 *same static network* under a small set of recurring cost functions.  The
 :class:`DistanceEngine` is the one place those searches happen:
 
+* on the Dijkstra backend the searches of one call run as **one**
+  stacked array kernel (:func:`~repro.network.shortest_path.
+  settle_frontier`): :meth:`DistanceEngine.distance_rows` takes up to a
+  segment's four derouting searches (optimistic and pessimistic,
+  outbound and return), gives each its own priced metric and block of
+  one shared label vector, and returns a ``(searches x nodes)`` array of
+  distances.  Each search stops once every node asked for is final, so
+  its cost follows the pool's reach, not the whole ball out to the
+  budget.  ``one_to_many`` and ``many_to_one`` are one-search wrappers
+  that return dicts;
 * results are memoised per ``(weight key, node, direction)`` (``node``
   may be a sorted tuple: one search seeded at several nodes) in an LRU
-  bounded by total settled nodes (64 per network node by default) and
-  shared across trip segments and across methods;
-* on the Dijkstra backend a query's search stops once every node it asks
-  for is settled (:func:`~repro.network.shortest_path.settle_arcs`'
-  ``targets``), so its cost follows the pool's reach, not the whole
-  ball out to the budget.  A cached map records whether its search ran
-  to the budget; a later query reuses it when the budget covers the
-  query and either the search ran to the budget or every node the query
-  asks for is in the map (settled maps hold only final labels, so either
-  way the answer is the one a fresh search would give);
+  bounded by total held labels (64 per network node by default) and
+  shared across trip segments and across methods.  A Dijkstra map holds
+  label arrays (:class:`~repro.network.shortest_path.Labels`): final
+  labels only, with the budget and whether its search ran to it.  A
+  later query reuses it when the budget covers the query and either the
+  search ran to the budget or every node the query asks for is held
+  (either way the answer is the one a fresh search would give).  Only
+  the misses of a call are stacked;
 * two interchangeable backends sit behind one API — truncated Dijkstra
   (the always-correct fallback, and the paper baseline) and a contraction
   hierarchy (:mod:`repro.network.contraction`) whose per-metric
   customisations and joined pair distances are cached too;
 * both backends price a metric once per weight key into a per-arc cost
-  vector and settle over it with one flat kernel
-  (:func:`~repro.network.shortest_path.settle_arcs`): Dijkstra over the
-  network's own arcs, CH over its upward graphs after customisation —
-  no search calls a cost function per relaxation;
+  vector (float64); no search calls a cost function per relaxation.
+  The Dijkstra backend settles over the network's own arcs with the
+  stacked kernel, CH over its upward graphs after customisation with
+  the heap kernel :func:`~repro.network.shortest_path.settle_arcs`;
 * every one of those caches is a :class:`~repro.lru.LRU`, and every
   eviction is counted in :attr:`EngineStats.evictions`;
 * all delivered distances are quantised to :data:`DISTANCE_DECIMALS`
@@ -56,7 +64,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -67,7 +75,7 @@ from ..observability.recorder import NOOP_TELEMETRY, Telemetry
 from .contraction import ContractionHierarchy, CustomizedHierarchy, combine_spaces
 from .epochs import GraphEpochManager
 from .graph import EdgeWeight, RoadEdge, RoadNetwork
-from .shortest_path import ArcGraph, CostFn, settle_arcs
+from .shortest_path import ArcGraph, CostFn, FrontierQuery, Labels, settle_frontier
 
 #: Decimal places every delivered distance is rounded to.  1e-9 h is 3.6 us
 #: of travel time — far below any component's resolution, far above the
@@ -79,6 +87,8 @@ DISTANCE_DECIMALS = 9
 DISTANCE_QUANTUM = 10.0 ** (-DISTANCE_DECIMALS)
 
 BACKENDS = ("dijkstra", "ch")
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,11 +137,18 @@ class EngineStats:
     issued through the public API accounts for *exactly one* lookup per
     participating (weight, node, direction) map — never two (regression-
     tested, since an inflated denominator pins the hit rate at a
-    meaningless constant).  ``pair_hits``/``pair_misses`` count the CH
-    backend's pair-join result cache, the warm-path fast lane that
-    answers a bipartite query member without touching the settled maps.
-    ``settled`` sums the nodes each search settled: the search work the
-    target stop saves shows here.
+    meaningless constant); a stacked ``distance_rows`` call accounts one
+    per distinct map among its searches.  ``pair_hits``/``pair_misses``
+    count the CH backend's pair-join result cache, the warm-path fast
+    lane that answers a bipartite query member without touching the
+    settled maps.
+
+    ``searches`` counts the queries a search solved: on Dijkstra each
+    missed map of a stacked call (one kernel call solves several), on CH
+    each upward search space.  ``settled`` sums the final labels those
+    searches returned (the labels at or below a stopped search's
+    horizon, or every label within budget): the work the target stop
+    saves shows here.
     """
 
     searches: int = 0
@@ -186,6 +203,16 @@ class EngineStats:
         out["hit_rate"] = self.hit_rate
         out["pair_hit_rate"] = self.pair_hit_rate
         return out
+
+
+class Search(NamedTuple):
+    """One search of :meth:`DistanceEngine.distance_rows`: costs under
+    ``weight`` from ``origin`` (``forward``) or to it.  A tuple origin
+    answers, for each node, the nearest of its nodes."""
+
+    weight: EdgeWeight | WeightSpec
+    origin: int | tuple[int, ...]
+    forward: bool = True
 
 
 def _quantize(value: float) -> float:
@@ -309,18 +336,21 @@ class DistanceEngine:
         self._network = network
         self._backend = backend
         self._hierarchy = hierarchy
-        #: (weight key, node, direction) -> (computed budget, whether the
-        #: search ran to that budget, settled map), each map costing its
-        #: settled-node count.
-        self._maps: LRU[tuple[Hashable, int, str], tuple[float, bool, dict[int, float]]]
-        self._maps = LRU(capacity_nodes, cost=lambda entry: len(entry[2]))
+        #: (weight key, origin, direction) -> (computed budget, settled
+        #: map), each map costing its label count: the final labels of a
+        #: Dijkstra search, or a CH upward search space.
+        self._maps: LRU[
+            tuple[Hashable, int | tuple[int, ...], str],
+            tuple[float, Labels | dict[int, float]],
+        ]
+        self._maps = LRU(capacity_nodes, cost=lambda entry: len(entry[1]))
         self._customized: LRU[Hashable, CustomizedHierarchy] = LRU(max_customizations)
         #: The network's arcs flattened for the Dijkstra backend, built on
         #: its first search.
         self._arcs: ArcGraph | None = None
         #: weight key -> the metric's cost per ``_arcs`` arc: the Dijkstra
         #: backend's counterpart of a customisation, priced once per key.
-        self._priced: LRU[Hashable, list[float]] = LRU(PRICED_METRICS)
+        self._priced: LRU[Hashable, np.ndarray] = LRU(PRICED_METRICS)
         #: Metrics announced by :meth:`prepare` but not yet customised.
         #: Customisation is *deferred* to the first settled-map miss that
         #: needs one of them: a warm segment whose maps are all cached
@@ -357,9 +387,10 @@ class DistanceEngine:
         #: default token never expires, so uncancellable callers pay one
         #: empty method call per cache miss.
         self.cancellation: CancellationToken = NEVER_EXPIRES
-        # Guards the LRU maps, the customisation cache, and the stats
-        # counters as one unit.  Re-entrant because the CH bipartite path
-        # calls `_map` per pool member while already inside a query.
+        # Guards the LRU maps, the customisation cache, the kernel's
+        # scratch and the stats counters as one unit.  Re-entrant because
+        # the CH bipartite path calls `_space` per pool member while
+        # already inside a query.
         self._lock = threading.RLock()
 
     # -- configuration ------------------------------------------------------
@@ -519,6 +550,55 @@ class DistanceEngine:
 
     # -- queries ------------------------------------------------------------
 
+    def distance_rows(
+        self,
+        searches: Sequence[Search],
+        nodes: Sequence[int],
+        max_cost: float = math.inf,
+    ) -> np.ndarray:
+        """Quantised distances of several searches over one node list.
+
+        Returns a ``(len(searches), len(nodes))`` float64 array.  Row ``i``
+        holds, for each of ``nodes``, the distance from
+        ``searches[i].origin`` to it (``forward``) or from it to the origin
+        (backward); a tuple origin answers the nearest of its nodes,
+        bitwise equal to the elementwise minimum of its single-node rows.
+        ``inf`` marks a node out of reach, over ``max_cost`` or not in the
+        network: no finite entry exceeds ``max_cost``, and no infinity is
+        ever a served distance.  A NaN ``max_cost`` raises
+        :class:`ValueError`, an unknown origin :class:`KeyError`.
+
+        On Dijkstra each search accounts one settled-map lookup, and the
+        searches that miss run as **one** call of
+        :func:`~repro.network.shortest_path.settle_frontier`, each
+        stopping once every node asked for is final.  On CH each row is
+        the search's bipartite join.
+        """
+        budget = _search_budget(max_cost)
+        specs = [WeightSpec.of(search.weight) for search in searches]
+        with self._lock:
+            self._observe_epoch()
+            for spec in specs:
+                self._note_spec(spec)
+            if self._backend == "ch":
+                distinct = list(dict.fromkeys(nodes))
+                return np.array(
+                    [
+                        [found.get(node, math.inf) for node in nodes]
+                        for found in (
+                            self._ch_map(spec, search, distinct, max_cost)
+                            for spec, search in zip(specs, searches)
+                        )
+                    ],
+                    dtype=np.float64,
+                ).reshape(len(searches), len(nodes))
+            raw = self._labels(specs, searches, nodes, budget)
+        finite = np.isfinite(raw)
+        raw[finite] = quantize_array(raw[finite])
+        # A label within the inflated budget may still round past the cutoff.
+        raw[raw > max_cost] = math.inf
+        return raw
+
     def one_to_many(
         self,
         source: int,
@@ -532,17 +612,10 @@ class DistanceEngine:
         quantised distance is finite and at most ``max_cost``, keyed by
         target; every other target is absent (``source`` itself maps to
         ``0.0``).  Absent means unreachable within budget, never a served
-        infinity.  A NaN ``max_cost`` raises :class:`ValueError`.
+        infinity.  A NaN ``max_cost`` raises :class:`ValueError`.  One
+        :class:`Search` through :meth:`distance_rows`.
         """
-        spec = WeightSpec.of(weight)
-        with self._lock:
-            self._observe_epoch()
-            self._note_spec(spec)
-            if self._backend == "ch":
-                return self._ch_bipartite(spec, source, targets, max_cost, forward=True)
-            wanted = set(targets)
-            ball = self._map(spec, source, "f", max_cost, wanted)
-            return self._subset(ball, wanted, max_cost)
+        return self._row_map(Search(weight, source), targets, max_cost)
 
     def many_to_one(
         self,
@@ -558,28 +631,10 @@ class DistanceEngine:
         single-target queries.  On Dijkstra that is one search seeded at
         every target, cached under the sorted tuple; on CH each target
         keeps its own bipartite join.  A NaN ``max_cost`` raises
-        :class:`ValueError`.
+        :class:`ValueError`.  One backward :class:`Search` through
+        :meth:`distance_rows`.
         """
-        spec = WeightSpec.of(weight)
-        anchor = _anchor(target)
-        with self._lock:
-            self._observe_epoch()
-            self._note_spec(spec)
-            if self._backend == "ch":
-                if not isinstance(anchor, tuple):
-                    return self._ch_bipartite(spec, anchor, sources, max_cost, forward=False)
-                pool = list(sources)
-                out: dict[int, float] = {}
-                for node in anchor:
-                    for source, d in self._ch_bipartite(
-                        spec, node, pool, max_cost, forward=False
-                    ).items():
-                        if d < out.get(source, math.inf):
-                            out[source] = d
-                return out
-            wanted = set(sources)
-            ball = self._map(spec, anchor, "b", max_cost, wanted)
-            return self._subset(ball, wanted, max_cost)
+        return self._row_map(Search(weight, target, forward=False), sources, max_cost)
 
     def many_to_many(
         self,
@@ -597,118 +652,160 @@ class DistanceEngine:
                 out[(source, target)] = d
         return out
 
+    def _row_map(
+        self, search: Search, nodes: Iterable[int], max_cost: float
+    ) -> dict[int, float]:
+        """One search's row as a map over its finite entries."""
+        wanted = list(dict.fromkeys(nodes))
+        row = self.distance_rows([search], wanted, max_cost)[0]
+        return {
+            node: d
+            for node, d, finite in zip(wanted, row.tolist(), np.isfinite(row).tolist())
+            if finite
+        }
+
+    def _timed_search(self, run: Callable[[], _T], **attrs: object) -> _T:
+        """``run()``, inside one ``engine.search`` span when telemetry is
+        on.  Only misses search: a cache hit pays no telemetry work."""
+        telemetry = self.telemetry
+        if not telemetry.enabled:
+            return run()
+        started_s = telemetry.clock.monotonic()
+        with telemetry.span("engine.search", tier="engine", backend=self._backend, **attrs):
+            result = run()
+        telemetry.observe(
+            "ecocharge_engine_search_seconds",
+            telemetry.clock.monotonic() - started_s,
+            backend=self._backend,
+        )
+        return result
+
     # -- dijkstra backend ---------------------------------------------------
 
-    def _map(
+    def _labels(
         self,
-        spec: WeightSpec,
-        node: int | tuple[int, ...],
-        direction: str,
-        max_cost: float,
-        targets: AbstractSet[int] | None = None,
-    ) -> dict[int, float]:
-        """The settled map for (spec, node, direction), cached and budgeted;
-        a tuple ``node`` is one search from all of its nodes at once.
+        specs: Sequence[WeightSpec],
+        searches: Sequence[Search],
+        nodes: Sequence[int],
+        budget: float,
+    ) -> np.ndarray:
+        """Unquantised labels of ``searches`` at ``nodes`` (``inf`` where
+        none is held), from the settled-map memo or one stacked search.
 
-        With ``targets`` the search stops once all of them are settled,
-        and the map holds only the nodes settled by then.  A cached map
-        serves the query when its budget covers the query's and either
-        its search ran to the budget or it holds every target; otherwise
-        the query searches again and replaces it.
+        Each distinct ``(weight key, origin, direction)`` map is looked up
+        once.  A cached map serves when its budget covers ``budget`` and
+        either its search ran to the budget or it holds every node asked
+        for; the rest run together, stopped at ``nodes``, and replace
+        their maps.
         """
+        arcs = self._arc_graph()
+        columns = arcs.positions(nodes)
+        known = columns >= 0
+        out = np.empty((len(searches), len(columns)))
+        groups: dict[tuple[Hashable, int | tuple[int, ...], str], list[int]] = {}
+        for row, (spec, search) in enumerate(zip(specs, searches)):
+            key = (spec.key, _anchor(search.origin), "f" if search.forward else "b")
+            groups.setdefault(key, []).append(row)
+        stats = self.stats
+        missed: list[tuple[Hashable, int | tuple[int, ...], str]] = []
+        queries: list[FrontierQuery] = []
+        for key, rows in groups.items():
+            cached = self._maps.get(key)
+            if cached is not None and cached[0] >= budget:
+                labels = cached[1]
+                found = labels.at(columns)
+                if labels.complete or np.isfinite(found[known]).all():
+                    stats.cache_hits += 1
+                    out[rows] = found
+                    continue
+            origins = arcs.positions(key[1] if isinstance(key[1], tuple) else (key[1],))
+            if np.any(origins < 0):
+                raise KeyError(key[1])
+            spec = specs[rows[0]]
+            missed.append(key)
+            queries.append(FrontierQuery(origins, key[2] == "f", self._costs(spec, arcs)))
+        if not queries:
+            return out
+        # Deadline checkpoint on the miss path only: a cache hit is
+        # already paid for, but an expired request must not open a fresh
+        # search it can no longer use.
+        self.cancellation.checkpoint("engine-search")
+        stats.cache_misses += len(queries)
+        stats.searches += len(queries)
+        targets = columns[known]
+        settled = self._timed_search(
+            lambda: settle_frontier(arcs, queries, budget, targets), queries=len(queries)
+        )
+        for key, labels in zip(missed, settled):
+            stats.settled += len(labels)
+            stats.evictions += self._maps.put(key, (budget, labels))
+            out[groups[key]] = labels.at(columns)
+        return out
+
+    def _arc_graph(self) -> ArcGraph:
+        """The network's arcs, rebuilt (and every priced vector dropped)
+        when the network has grown since they were flattened."""
+        network = self._network
+        arcs = self._arcs
+        if arcs is None or arcs.shape != (network.node_count, network.edge_count):
+            arcs = self._arcs = ArcGraph.of(network)
+            self._priced.clear()
+        return arcs
+
+    def _costs(self, spec: WeightSpec, arcs: ArcGraph) -> np.ndarray:
+        """``spec`` priced over every arc, once per weight key."""
+        costs = self._priced.get(spec.key)
+        if costs is None:
+            costs = _arc_costs(spec, arcs.edges)
+            self.stats.evictions += self._priced.put(spec.key, costs)
+        return costs
+
+    # -- CH backend ---------------------------------------------------------
+
+    def _ch_map(
+        self, spec: WeightSpec, search: Search, nodes: Iterable[int], max_cost: float
+    ) -> dict[int, float]:
+        """One search's bipartite joins; a tuple origin keeps one join per
+        node and answers the nearest."""
+        anchor = _anchor(search.origin)
+        if not isinstance(anchor, tuple):
+            return self._ch_bipartite(spec, anchor, nodes, max_cost, search.forward)
+        pool = list(nodes)
+        out: dict[int, float] = {}
+        for node in anchor:
+            for member, d in self._ch_bipartite(
+                spec, node, pool, max_cost, search.forward
+            ).items():
+                if d < out.get(member, math.inf):
+                    out[member] = d
+        return out
+
+    def _space(
+        self, spec: WeightSpec, node: int, direction: str, max_cost: float
+    ) -> dict[int, float]:
+        """The upward search space for (spec, node, direction), cached
+        and budgeted: a cached space serves any query its budget covers."""
         key = (spec.key, node, direction)
         budget = _search_budget(max_cost)
         with self._lock:
             cached = self._maps.get(key)
-            if cached is not None:
-                cached_budget, complete, ball = cached
-                if cached_budget >= budget and (
-                    complete or (targets is not None and ball.keys() >= targets)
-                ):
-                    self.stats.cache_hits += 1
-                    return ball
-            # Deadline checkpoint on the miss path only: a cache hit is
-            # already paid for and serves in O(1), but an expired request
-            # must not open a fresh search it can no longer use.
+            if cached is not None and cached[0] >= budget:
+                self.stats.cache_hits += 1
+                return cached[1]  # type: ignore[return-value]
             self.cancellation.checkpoint("engine-search")
             self.stats.cache_misses += 1
             self.stats.searches += 1
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                # Spans only on the miss path: a cache hit above returns with
-                # zero telemetry work, keeping the hot path unperturbed.
-                started_s = telemetry.clock.monotonic()
-                with telemetry.span(
-                    "engine.search",
-                    tier="engine",
-                    backend=self._backend,
-                    direction=direction,
-                    node=node,
-                ):
-                    raw = self._search(spec, node, direction, budget, targets)
-                telemetry.observe(
-                    "ecocharge_engine_search_seconds",
-                    telemetry.clock.monotonic() - started_s,
-                    backend=self._backend,
-                )
-            else:
-                raw = self._search(spec, node, direction, budget, targets)
-            self.stats.settled += len(raw)
-            # A target left unsettled means the heap ran out within budget.
-            complete = targets is None or not raw.keys() >= targets
-            self.stats.evictions += self._maps.put(key, (budget, complete, raw))
-            return raw
 
-    def _search(
-        self,
-        spec: WeightSpec,
-        node: int | tuple[int, ...],
-        direction: str,
-        budget: float,
-        targets: Iterable[int] | None = None,
-    ) -> dict[int, float]:
-        """The uncached settled-map computation behind :meth:`_map`.  CH
-        settles its whole upward space; ``targets`` stop only Dijkstra."""
-        if self._backend == "ch":
-            custom = self._customize(spec)
-            return (
-                custom.forward_space(node, budget)
-                if direction == "f"
-                else custom.backward_space(node, budget)
-            )
-        network = self._network
-        for origin in node if isinstance(node, tuple) else (node,):
-            if not network.has_node(origin):
-                raise KeyError(origin)
-        arcs = self._arcs
-        if arcs is None or arcs.shape != (network.node_count, network.edge_count):
-            # First search, or the network grew: arc ids changed, so every
-            # priced vector is misaligned.
-            arcs = self._arcs = ArcGraph.of(network)
-            self._priced.clear()
-        weights = self._priced.get(spec.key)
-        if weights is None:
-            weights = _arc_costs(spec, arcs.edges).tolist()
-            self.stats.evictions += self._priced.put(spec.key, weights)
-        adjacency = arcs.out_arcs if direction == "f" else arcs.in_arcs
-        return settle_arcs(node, adjacency, weights, budget, arcs.span, targets)
+            def grow() -> dict[int, float]:
+                custom = self._customize(spec)
+                if direction == "f":
+                    return custom.forward_space(node, budget)
+                return custom.backward_space(node, budget)
 
-    @staticmethod
-    def _subset(
-        ball: dict[int, float], nodes: Iterable[int], max_cost: float
-    ) -> dict[int, float]:
-        """``ball`` restricted to ``nodes``, quantised and budgeted."""
-        present = [node for node in nodes if node in ball]
-        if not present:
-            return {}
-        q = quantize_array(np.fromiter(map(ball.__getitem__, present), np.float64, len(present)))
-        # The isfinite mask keeps closed-off nodes (infinite cost under a
-        # live-graph closure) out of an unbudgeted query's result:
-        # "unreachable" means absent, never a served infinity.
-        keep = ((q <= max_cost) & np.isfinite(q)).tolist()
-        return {node: d for node, d, k in zip(present, q.tolist(), keep) if k}
-
-    # -- CH backend ---------------------------------------------------------
+            space = self._timed_search(grow, direction=direction, node=node)
+            self.stats.settled += len(space)
+            self.stats.evictions += self._maps.put(key, (budget, space))
+            return space
 
     def _customize(self, spec: WeightSpec) -> CustomizedHierarchy:
         """The customisation for ``spec``, built lazily on first need.
@@ -801,10 +898,10 @@ class DistanceEngine:
                         continue
                 stats.pair_misses += 1
                 if anchor_space is None:
-                    anchor_space = self._map(
+                    anchor_space = self._space(
                         spec, anchor, "f" if forward else "b", max_cost
                     )
-                node_space = self._map(spec, node, "b" if forward else "f", max_cost)
+                node_space = self._space(spec, node, "b" if forward else "f", max_cost)
                 best = combine_spaces(anchor_space, node_space)
                 q = math.inf if math.isinf(best) else _quantize(best)
                 stats.evictions += pairs.put(key, (budget, q))

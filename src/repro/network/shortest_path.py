@@ -2,11 +2,14 @@
 
 Derouting cost (Eq. 3) is a shortest-path problem: the cheapest way from
 the vehicle's position to a prospective charger and back to the trip.
-:func:`settle_arcs` is the flat kernel the
-:class:`~repro.network.distance_engine.DistanceEngine` runs for it: it
-reads each arc's cost from a vector priced once per metric, over an
-``(neighbour, arc id)`` adjacency (:class:`ArcGraph` for the road network
-itself, the upward graphs of :mod:`repro.network.contraction` for CH).
+The :class:`~repro.network.distance_engine.DistanceEngine` runs it with
+two kernels, each reading every arc's cost from a vector priced once per
+metric.  :func:`settle_frontier` is the Dijkstra backend's one kernel:
+it settles several searches at once over the road network's arcs in
+array form (:class:`ArcGraph`) and returns label arrays
+(:class:`Labels`).  :func:`settle_arcs` is a heap search over an
+``(neighbour, arc id)`` adjacency, the upward graphs of
+:mod:`repro.network.contraction` (CH).
 
 The other searches price every relaxed edge through a cost callable.
 :func:`dijkstra` finds one path for trips, trajectories and the fleet
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .graph import EdgeWeight, RoadEdge, RoadNetwork
 
@@ -50,78 +55,52 @@ def dense_span(node_ids: Collection[int]) -> int:
 
 
 def settle_arcs(
-    origin: int | tuple[int, ...],
+    origin: int,
     adjacency: ArcAdjacency,
     weights: Sequence[float],
     max_cost: float = math.inf,
     span: int = 0,
-    targets: Iterable[int] | None = None,
 ) -> dict[int, float]:
-    """Truncated Dijkstra over a flat adjacency with per-arc cost ``weights``.
+    """Truncated Dijkstra over a flat adjacency with per-arc cost ``weights``:
+    the contraction hierarchy's upward search spaces.
 
     The result maps every *settled* node (popped from the heap with its
     final label) to its cost.  A node is pushed only when its tentative
-    cost is within ``max_cost``, so a search that runs out of heap has
-    settled exactly the nodes within budget.  For non-negative costs each
-    settled value is bitwise equal to :func:`dijkstra_all` under the same
-    costs: a stale queue entry (``d > dist[node]``) is skipped where
-    ``dijkstra_all`` skips a settled node, and the sums are the same.
-    With ``span > 0`` (see :func:`dense_span`) distances live in a flat
-    list indexed by node id; otherwise in a dict.  Both paths relax in
-    the same order.
-
-    With ``targets`` the heap stops as soon as every target has been
-    settled, and the result holds only the nodes settled by then (an
-    empty ``targets`` settles nothing).  Dijkstra settles each node once,
-    with the label the unstopped search would give it, so stopping early
-    changes no returned label.  A target that is unreachable or over
-    budget is never settled, and the search runs to the budget as
-    without ``targets``.
-
-    A tuple ``origin`` seeds every node in it at ``0.0``: each settled
-    value is then the distance from the *nearest* origin, bitwise equal
-    to the minimum of the single-origin maps, because every label is the
-    least left-to-right float sum over its paths and ``fl(a + w)`` is
-    monotone in ``a``.
+    cost is within ``max_cost``, so the search settles exactly the nodes
+    within budget.  For non-negative costs each settled value is bitwise
+    equal to :func:`dijkstra_all` under the same costs: a stale queue
+    entry (``d > dist[node]``) is skipped where ``dijkstra_all`` skips a
+    settled node, and the sums are the same.  With ``span > 0`` (see
+    :func:`dense_span`) distances live in a flat list indexed by node id;
+    otherwise in a dict.  Both paths relax in the same order.
     """
-    origins = tuple(dict.fromkeys(origin)) if isinstance(origin, tuple) else (origin,)
-    remaining: set[int] = set() if targets is None else set(targets)
-    if max_cost < 0.0 or (targets is not None and not remaining):
-        return {}  # even the origins are over budget, or nothing is asked for
+    if max_cost < 0.0:
+        return {}  # even the origin is over budget
     inf = math.inf
     push, pop = heapq.heappush, heapq.heappop
-    heap: list[tuple[float, int]] = sorted((0.0, node) for node in origins)
+    heap: list[tuple[float, int]] = [(0.0, origin)]
     settled: dict[int, float] = {}
     if span:
         dist = [inf] * span
-        for node in origins:
-            dist[node] = 0.0
+        dist[origin] = 0.0
         while heap:
             d, node = pop(heap)
             if d > dist[node]:
                 continue  # stale queue entry, node already settled closer
             settled[node] = d
-            if node in remaining:
-                remaining.discard(node)
-                if not remaining:
-                    break
             for neighbour, arc_id in adjacency[node]:
                 nd = d + weights[arc_id]
                 if nd <= max_cost and nd < dist[neighbour]:
                     dist[neighbour] = nd
                     push(heap, (nd, neighbour))
         return settled
-    best: dict[int, float] = dict.fromkeys(origins, 0.0)
+    best: dict[int, float] = {origin: 0.0}
     get = best.get
     while heap:
         d, node = pop(heap)
         if d > best[node]:
             continue  # stale queue entry, node already settled closer
         settled[node] = d
-        if node in remaining:
-            remaining.discard(node)
-            if not remaining:
-                break
         for neighbour, arc_id in adjacency[node]:
             nd = d + weights[arc_id]
             if nd <= max_cost and nd < get(neighbour, inf):
@@ -130,55 +109,270 @@ def settle_arcs(
     return settled
 
 
-@dataclass(frozen=True, slots=True)
-class ArcGraph:
-    """A road network's arcs, flattened once for :func:`settle_arcs`.
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
+_NO_LABELS = np.empty(0, dtype=np.float64)
 
-    ``edges[arc_id]`` is the edge behind each arc: one stable tuple, so a
-    metric is priced once into a cost vector aligned with it (batch
-    evaluators key their static per-arc arrays by its identity).
-    ``out_arcs`` relaxes forward in ``out_edges`` order, ``in_arcs``
-    backward in ``in_edges`` order, both over the same arc ids.
+
+@dataclass(frozen=True, slots=True)
+class Labels:
+    """One search's final labels: ``values[i]`` is the cost at node
+    position ``positions[i]`` (ascending, see :class:`ArcGraph`).
+
+    Every held value is final and at most ``horizon``, and every node
+    whose final label is below ``horizon`` is held.  ``horizon`` is
+    ``inf`` when the search ran to its budget (a node not held is then
+    out of budget or unreachable), the stop value when it stopped at its
+    targets, and ``-inf`` when it had no targets and settled nothing.
+    """
+
+    positions: np.ndarray
+    values: np.ndarray
+    horizon: float
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    @property
+    def complete(self) -> bool:
+        return self.horizon == math.inf
+
+    def at(self, positions: np.ndarray) -> np.ndarray:
+        """The labels at ``positions``, ``inf`` where none is held."""
+        held = self.positions
+        if not len(held):
+            return np.full(len(positions), math.inf)
+        index = np.searchsorted(held, positions)
+        np.minimum(index, len(held) - 1, out=index)
+        return np.where(held[index] == positions, self.values[index], math.inf)
+
+
+@dataclass(frozen=True, slots=True)
+class FrontierQuery:
+    """One search of a :func:`settle_frontier` call: seeded at ``0.0`` at
+    every node position in ``origins``, relaxing the arcs leaving a node
+    (``forward``) or entering it (backward, the costs *to* the origins),
+    each at its entry of ``costs`` (one per :attr:`ArcGraph.edges` arc)."""
+
+    origins: np.ndarray
+    forward: bool
+    costs: np.ndarray
+
+
+@dataclass(slots=True)
+class ArcGraph:
+    """A road network's arcs in array form, built once for
+    :func:`settle_frontier`.
+
+    Nodes are indexed by *position*: ``ids[p]`` is the id of the node at
+    position ``p``, ascending, so any node ids map to positions with one
+    ``searchsorted`` (:meth:`positions`).  ``edges[arc]`` is the edge
+    behind each arc id: one stable tuple, so a metric is priced once into
+    a cost vector aligned with it (batch evaluators key their static
+    per-arc arrays by its identity).
+
+    Row ``p`` of the adjacency holds the arcs leaving position ``p`` in
+    ``out_edges`` order, row ``n + p`` the arcs entering it in
+    ``in_edges`` order (relaxed backward): ``heads`` is each arc's far
+    end and ``arcs`` its id, padded to one width with ``p`` itself and the
+    sentinel arc ``len(edges)``, which every search prices at ``inf``.
     ``shape`` is the ``(node_count, edge_count)`` the graph was built
     from, so a network grown afterwards is detected.
+
+    The rest is the kernel's scratch, grown on demand: ``labels`` is the
+    stacked label vector (``inf`` between calls; a call resets only the
+    entries it touched), ``weights`` one cost row per query, and
+    ``layouts`` the adjacency stacked for each sequence of query
+    directions a call has used (:meth:`layout`).
     """
 
     edges: tuple[RoadEdge, ...]
-    out_arcs: ArcAdjacency
-    in_arcs: ArcAdjacency
-    span: int
+    ids: np.ndarray
+    heads: np.ndarray
+    arcs: np.ndarray
     shape: tuple[int, int]
+    labels: np.ndarray = field(default_factory=lambda: np.empty(0))
+    weights: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    layouts: dict[tuple[bool, ...], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def of(cls, network: RoadNetwork) -> "ArcGraph":
-        """Flatten ``network``'s adjacency into arc-id form."""
-        node_ids = list(network.node_ids())
+        """Flatten ``network``'s adjacency into position-indexed arrays."""
+        ids = sorted(network.node_ids())
+        position = {node: p for p, node in enumerate(ids)}
         edges: list[RoadEdge] = []
-        out_arcs: dict[int, list[tuple[int, int]]] = {}
-        for node in node_ids:
-            row = out_arcs[node] = []
+        table: list[list[tuple[int, int]]] = [[] for _ in range(2 * len(ids))]
+        for node in network.node_ids():
+            row = table[position[node]]
             for edge in network.out_edges(node):
-                row.append((edge.target, len(edges)))
+                row.append((position[edge.target], len(edges)))
                 edges.append(edge)
-        arc_of = {(edge.source, edge.target): arc_id for arc_id, edge in enumerate(edges)}
-        in_arcs = {
-            node: [
-                (edge.source, arc_of[(edge.source, edge.target)])
+        arc_of = {(edge.source, edge.target): arc for arc, edge in enumerate(edges)}
+        for p, node in enumerate(ids):
+            table[len(ids) + p] = [
+                (position[edge.source], arc_of[(edge.source, edge.target)])
                 for edge in network.in_edges(node)
             ]
-            for node in node_ids
-        }
-        span = dense_span(node_ids)
+        width = max((len(row) for row in table), default=0) or 1
+        own = np.arange(len(table), dtype=np.int64) % max(1, len(ids))
+        heads = np.repeat(own[:, None], width, axis=1)
+        arcs = np.full((len(table), width), len(edges), dtype=np.int64)
+        for r, row in enumerate(table):
+            for c, (head, arc) in enumerate(row):
+                heads[r, c] = head
+                arcs[r, c] = arc
         shape = (network.node_count, network.edge_count)
-        if not span:
-            return cls(tuple(edges), out_arcs, in_arcs, 0, shape)
-        return cls(
-            tuple(edges),
-            [out_arcs.get(node, []) for node in range(span)],
-            [in_arcs.get(node, []) for node in range(span)],
-            span,
-            shape,
-        )
+        return cls(tuple(edges), np.array(ids, dtype=np.int64), heads, arcs, shape)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.ids)
+
+    def positions(self, nodes: Iterable[int]) -> np.ndarray:
+        """The positions of ``nodes``, ``-1`` for a node not in the graph."""
+        wanted = np.fromiter(nodes, dtype=np.int64)
+        if not len(self.ids):
+            return np.full(len(wanted), -1, dtype=np.int64)
+        index = np.searchsorted(self.ids, wanted)
+        np.minimum(index, len(self.ids) - 1, out=index)
+        index[self.ids[index] != wanted] = -1
+        return index
+
+    def layout(self, forward: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency of a call whose queries relax in the directions
+        ``forward``: row ``q * n + p`` is position ``p``'s row for query
+        ``q``, its heads offset into query ``q``'s label block and its arc
+        ids into query ``q``'s cost row, so a frontier of stacked label
+        indices selects its rows directly."""
+        stacked = self.layouts.get(forward)
+        if stacked is None:
+            n = self.node_count
+            width = len(self.edges) + 1
+            heads = [self.heads[0 if f else n :][:n] + q * n for q, f in enumerate(forward)]
+            arcs = [self.arcs[0 if f else n :][:n] + q * width for q, f in enumerate(forward)]
+            stacked = self.layouts[forward] = (np.concatenate(heads), np.concatenate(arcs))
+        return stacked
+
+    def scratch(self, queries: int) -> tuple[np.ndarray, np.ndarray]:
+        """The label vector and cost rows for a call of ``queries``."""
+        if len(self.labels) < queries * self.node_count:
+            self.labels = np.full(queries * self.node_count, math.inf)
+        if len(self.weights) < queries:
+            self.weights = np.full((queries, len(self.edges) + 1), math.inf)
+        return self.labels, self.weights
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of an integer array, ascending: ``np.unique``
+    by one sort, which is several times faster on frontier-sized arrays."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def settle_frontier(
+    graph: ArcGraph,
+    queries: Sequence[FrontierQuery],
+    max_cost: float = math.inf,
+    targets: np.ndarray | None = None,
+) -> list[Labels]:
+    """Several truncated searches at once, by frontier rounds over arrays.
+
+    The queries share one label vector, laid out as one block of
+    :attr:`ArcGraph.node_count` labels per query.  Each round relaxes
+    only the arcs leaving the current frontier (the labels the round
+    before lowered): ``cand = D[frontier] + cost``, kept where it lowers
+    the label at the far end and is within ``max_cost``, applied with
+    ``np.minimum.at``; the lowered nodes, made unique, are the next
+    frontier.  A search with no frontier left has reached every node
+    within budget.
+
+    Every label is the least left-to-right float sum over the paths to
+    its node, as in :func:`dijkstra_all`: the rounds reach the fixed point
+    of ``D[v] = min(D[v], fl(D[u] + w))``, and because ``fl(a + w)`` is
+    monotone in ``a`` that fixed point is the least such sum, bit for bit.
+    Several origins in one query give the distance from the nearest one.
+
+    With ``targets`` (node positions, the same for every query) each
+    query stops once none of its targets' labels is above its frontier's
+    smallest label.  For non-negative costs every later label is at least
+    that value, so each label at or below it is final; the query returns
+    exactly those, with that value as its :attr:`Labels.horizon`.  The
+    test is made per query, so each stops at its own round.  A target out
+    of reach or over budget keeps its query running to the budget, and
+    an empty ``targets`` settles nothing.  A NaN ``max_cost`` is refused.
+    """
+    if math.isnan(max_cost):
+        raise ValueError("max_cost must not be NaN")
+    count = len(queries)
+    inf = math.inf
+    if max_cost < 0.0 or (targets is not None and not len(targets)):
+        horizon = inf if max_cost < 0.0 else -inf
+        return [Labels(_NO_POSITIONS, _NO_LABELS, horizon) for _ in queries]
+    n = graph.node_count
+    labels, weights = graph.scratch(count)
+    for row, query in enumerate(queries):
+        weights[row, :-1] = query.costs
+    flat_weights = weights.reshape(-1)
+    heads_of, arcs_of = graph.layout(tuple(query.forward for query in queries))
+    base = np.arange(count, dtype=np.int64) * n
+    frontier = _unique(np.concatenate([q.origins + base[i] for i, q in enumerate(queries)]))
+    touched = [frontier]
+    labels[frontier] = 0.0
+    try:
+        horizon = np.full(count, inf)
+        live = np.ones(count, dtype=bool)
+        base_and_end = np.append(base, count * n)
+        ceiling = float(np.nextafter(max_cost, inf))
+        wanted = None
+        if targets is not None:
+            wanted = (base[:, None] + _unique(targets)).ravel()
+            wanted_starts = np.searchsorted(wanted, base)
+        while frontier.size:
+            at = labels[frontier]
+            if wanted is not None:
+                # A query can stop only once all of its targets are reached.
+                need = np.maximum.reduceat(labels[wanted], wanted_starts)
+                ready = live & (need < inf)
+                if ready.any():
+                    bounds = np.searchsorted(frontier, base_and_end)
+                    present = bounds[1:] > bounds[:-1]
+                    lows = np.full(count, inf)
+                    lows[present] = np.minimum.reduceat(at, bounds[:-1][present])
+                    done = ready & (need <= lows)
+                    if done.any():
+                        horizon[done] = lows[done]
+                        live &= ~done
+                        keep = live[frontier // n]
+                        frontier, at = frontier[keep], at[keep]
+                        if not frontier.size:
+                            break
+            cand = at[:, None] + flat_weights[arcs_of[frontier]]
+            heads = heads_of[frontier]
+            bound = labels[heads]
+            if ceiling < inf:
+                # ``cand < ceiling`` is ``cand <= max_cost``.
+                np.minimum(bound, ceiling, out=bound)
+            better = cand < bound
+            heads = heads[better]
+            np.minimum.at(labels, heads, cand[better])
+            frontier = _unique(heads)
+            touched.append(frontier)
+        held = _unique(np.concatenate(touched))
+        bounds = np.searchsorted(held, base_and_end)
+        out = []
+        for q in range(count):
+            at = held[bounds[q] : bounds[q + 1]]
+            values = labels[at]
+            stop = float(horizon[q])
+            if stop < inf:
+                final = values <= stop
+                at, values = at[final], values[final]
+            out.append(Labels(at - base[q], values, stop))
+        return out
+    finally:
+        labels[np.concatenate(touched)] = inf
 
 
 class NoPathError(Exception):

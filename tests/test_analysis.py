@@ -399,6 +399,13 @@ class TestR8EngineBypass:
         )
         assert rule_ids(check_source(snippet, self.EST_PATH)) == ["R8"]
 
+    def test_fires_on_the_stacked_frontier_kernel(self):
+        snippet = (
+            "def price(arcs, queries, budget, pool):\n"
+            "    return settle_frontier(arcs, queries, budget, pool)\n"
+        )
+        assert rule_ids(check_source(snippet, self.CORE_PATH)) == ["R8"]
+
     def test_clean_when_using_engine(self):
         snippet = (
             "def price(engine, origin, pool, spec, budget):\n"
@@ -782,6 +789,14 @@ class TestR16EpochBypass:
             "    return engine._ch_bipartite(spec, anchor, pool)\n"
         )
         assert rule_ids(check_source(snippet, self.CORE_PATH)) == ["R16"]
+
+    def test_fires_on_below_fence_stacked_labels(self):
+        snippet = (
+            "def price(engine, specs, searches, pool, budget):\n"
+            "    rows = engine._labels(specs, searches, pool, budget)\n"
+            "    return rows, engine._costs(specs[0], engine.arcs)\n"
+        )
+        assert rule_ids(check_source(snippet, self.SERVER_PATH)) == ["R16", "R16"]
 
     def test_clean_on_public_engine_api(self):
         snippet = (

@@ -1,15 +1,18 @@
-"""Price each metric once: the Dijkstra backend's arc-cost vectors.
+"""Price each metric once, and settle over the arcs with one array kernel.
 
-The engine's Dijkstra backend no longer calls a cost function per
+The engine's Dijkstra backend never calls a cost function per
 relaxation.  It prices a metric once per weight key into a per-arc cost
-vector and settles over the network's flat ``(neighbour, arc id)``
-adjacency with the kernel CH search spaces use.  These tests pin:
+vector and settles over the network's position-indexed arc arrays with
+the stacked frontier kernel (``settle_frontier``).  These tests pin:
 
-* bitwise equality of the raw (unquantised) settled maps with
+* bitwise equality of the raw (unquantised) labels with
   ``dijkstra_all``/``dijkstra_all_backward`` under the spec's own
-  callable, on arbitrary small graphs in both kernel paths;
+  callable, on arbitrary small graphs with dense and non-dense ids;
 * that a search seeded at two nodes (a segment's two rejoin points)
   equals the elementwise minimum of the two single-node searches;
+* that a search stopped at its targets answers them exactly and
+  returns only final labels;
+* that a stacked call equals its queries run one at a time;
 * the "price once" contract itself, counted at the cost functions;
 * the fences that drop a priced vector with the rest of a key's state;
 * that the ``L``/``A`` estimators keep no memo (they price whole pools).
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,15 +34,22 @@ from repro.estimation.derouting import DeroutingEstimator
 from repro.estimation.traffic import TrafficModel
 from repro.lru import LRU
 from repro.network.builders import NetworkSpec, build_city_network
-from repro.network.distance_engine import DISTANCE_QUANTUM, DistanceEngine, WeightSpec
+from repro.network.distance_engine import (
+    DISTANCE_QUANTUM,
+    DistanceEngine,
+    Search,
+    WeightSpec,
+)
 from repro.network.epochs import GraphEpochManager, Incident
 from repro.network.graph import EdgeWeight, RoadEdge, RoadNetwork
 from repro.network.path import Trip
 from repro.network.shortest_path import (
     ArcGraph,
+    FrontierQuery,
+    Labels,
     dijkstra_all,
     dijkstra_all_backward,
-    settle_arcs,
+    settle_frontier,
 )
 from repro.spatial.geometry import Point
 
@@ -50,13 +61,39 @@ def bits(settled: dict[int, float]) -> dict[int, str]:
     return {node: d.hex() for node, d in settled.items()}
 
 
+def as_map(arcs: ArcGraph, labels: Labels) -> dict[int, float]:
+    """A kernel result keyed by node id."""
+    ids = arcs.ids.tolist()
+    return {ids[p]: d for p, d in zip(labels.positions.tolist(), labels.values.tolist())}
+
+
+def query(arcs: ArcGraph, origin, forward: bool, costs) -> FrontierQuery:
+    origins = origin if isinstance(origin, tuple) else (origin,)
+    return FrontierQuery(arcs.positions(origins), forward, np.asarray(costs, dtype=np.float64))
+
+
+def kernel(arcs: ArcGraph, origin, forward: bool, costs, budget=INF, targets=None) -> Labels:
+    """One search of the stacked kernel, on its own."""
+    wanted = None if targets is None else arcs.positions(targets)
+    [labels] = settle_frontier(arcs, [query(arcs, origin, forward, costs)], budget, wanted)
+    return labels
+
+
+def raw_labels(engine: DistanceEngine, spec, origin, forward: bool, budget: float):
+    """The engine's unquantised labels for one search over every node."""
+    nodes = sorted(engine.network.node_ids())
+    [row] = engine._labels([spec], [Search(spec, origin, forward)], nodes, budget)
+    return {node: d for node, d in zip(nodes, row.tolist()) if d != INF}
+
+
 @st.composite
 def small_networks(draw):
-    """A random directed graph with zero-length edges, self loops and
-    optionally non-contiguous node ids, plus edges to close and an origin."""
+    """A random directed graph with zero-length edges, tied lengths, self
+    loops and optionally non-contiguous node ids, plus edges to close and
+    an origin."""
     n = draw(st.integers(2, 9))
     sparse = draw(st.booleans())
-    # Sparse ids span far more than twice their count: the kernel's dict path.
+    # Sparse ids: positions, not ids, index the kernel's arrays.
     ids = [7 + 5_000 * i for i in range(n)] if sparse else list(range(n))
     network = RoadNetwork()
     for i, node in enumerate(ids):
@@ -64,7 +101,9 @@ def small_networks(draw):
     pairs = draw(
         st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3 * n, unique=True)
     )
-    lengths = st.one_of(st.just(0.0), st.floats(0.0, 5.0, allow_nan=False))
+    lengths = st.one_of(
+        st.just(0.0), st.sampled_from([1.0, 2.0]), st.floats(0.0, 5.0, allow_nan=False)
+    )
     for source, target in pairs:
         network.add_edge(
             source,
@@ -76,19 +115,25 @@ def small_networks(draw):
     return network, closed, draw(st.sampled_from(ids))
 
 
+def live_traffic(network: RoadNetwork, closed) -> tuple[GraphEpochManager, TrafficModel]:
+    """A traffic model over ``network`` with ``closed`` edges closed."""
+    manager = GraphEpochManager(network)
+    traffic = TrafficModel(seed=3)
+    traffic.set_epochs(manager)
+    if closed:
+        # A live-graph closure: the metric's factor on these edges is inf.
+        manager.apply([Incident.closure(s, t) for s, t in closed])
+    return manager, traffic
+
+
 class TestSettledMapsMatchRawDijkstra:
-    """Engine settled maps equal raw Dijkstra under ``spec.fn``, bit for bit."""
+    """Engine labels equal raw Dijkstra under ``spec.fn``, bit for bit."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=small_networks(), data=st.data())
     def test_both_directions_bitwise(self, case, data):
         network, closed, origin = case
-        manager = GraphEpochManager(network)
-        traffic = TrafficModel(seed=3)
-        traffic.set_epochs(manager)
-        if closed:
-            # A live-graph closure: the metric's factor on these edges is inf.
-            manager.apply([Incident.closure(s, t) for s, t in closed])
+        manager, traffic = live_traffic(network, closed)
         engine = DistanceEngine(network)
         engine.attach_epochs(manager)
         specs = [
@@ -96,22 +141,26 @@ class TestSettledMapsMatchRawDijkstra:
             *traffic.travel_time_bound_specs(9.0, 8.0),
             traffic.travel_time_spec(17.5),
         ]
+        nodes = sorted(network.node_ids())
         for spec in specs:
-            for direction, reference in (("f", dijkstra_all), ("b", dijkstra_all_backward)):
+            for forward, reference in ((True, dijkstra_all), (False, dijkstra_all_backward)):
                 full = reference(network, origin, spec.fn)
                 # Unbudgeted, through the cached path.
-                got = engine._map(spec, origin, direction, INF)
-                assert bits(got) == bits(full)
-                # A budget exactly equal to one node's distance.
+                assert bits(raw_labels(engine, spec, origin, forward, INF)) == bits(full)
+                # A budget exactly equal to one node's distance (a fresh
+                # engine: this one would serve the cached unbudgeted map).
                 exact = data.draw(st.sampled_from(sorted(full.values())), label="budget")
-                got = engine._search(spec, origin, direction, exact)
+                got = raw_labels(DistanceEngine(network), spec, origin, forward, exact)
                 assert bits(got) == bits(reference(network, origin, spec.fn, max_cost=exact))
-                # The engine's own quantum-inflated budget (a fresh engine:
-                # this one would serve the cached unbudgeted ball).
-                fresh = DistanceEngine(network)
-                got = fresh._map(spec, origin, direction, exact)
+                # The public path: the quantum-inflated budget, quantised,
+                # and nothing served past the cutoff.
+                [row] = DistanceEngine(network).distance_rows(
+                    [Search(spec, origin, forward)], nodes, exact
+                )
                 ref = reference(network, origin, spec.fn, max_cost=exact + DISTANCE_QUANTUM)
-                assert bits(got) == bits(ref)
+                assert bits({n: d for n, d in zip(nodes, row.tolist()) if d != INF}) == bits(
+                    {n: round(d, 9) for n, d in ref.items() if round(d, 9) <= exact}
+                )
 
     def test_closed_zero_length_edge_prices_inf(self):
         # 0 -> 1 is zero-length and closed: its cost is inf, never the NaN
@@ -132,7 +181,7 @@ class TestSettledMapsMatchRawDijkstra:
         assert spec.batch((closed,))[0] == INF
         engine = DistanceEngine(network)
         engine.attach_epochs(manager)
-        ball = engine._map(spec, 0, "f", INF)
+        ball = raw_labels(engine, spec, 0, True, INF)
         assert ball[1] == ball[2] + spec.fn(network.edge(2, 1))
 
 
@@ -152,29 +201,20 @@ class TestFusedReturns:
         network, closed, first = case
         ids = sorted(network.node_ids())
         second = data.draw(st.sampled_from(ids), label="second")  # may equal first
-        manager = GraphEpochManager(network)
-        traffic = TrafficModel(seed=3)
-        traffic.set_epochs(manager)
-        if closed:
-            manager.apply([Incident.closure(s, t) for s, t in closed])
+        manager, traffic = live_traffic(network, closed)
         spec = data.draw(st.sampled_from(traffic.travel_time_bound_specs(9.0, 8.0)), label="spec")
         arcs = ArcGraph.of(network)
         weights = [spec.fn(edge) for edge in arcs.edges]
-        # Dense ids run both kernel paths (a list adjacency indexes either way).
-        spans = {arcs.span, 0}
-        for adjacency in (arcs.out_arcs, arcs.in_arcs):
-            full = nearest(
-                settle_arcs(first, adjacency, weights), settle_arcs(second, adjacency, weights)
-            )
+        for forward in (True, False):
+
+            def search(origin, budget: float) -> dict[int, float]:
+                return as_map(arcs, kernel(arcs, origin, forward, weights, budget))
+
+            full = nearest(search(first, INF), search(second, INF))
             # Unbudgeted, and a budget exactly equal to one node's distance.
             for budget in (INF, data.draw(st.sampled_from(sorted(full.values())), label="budget")):
-                expected = nearest(
-                    settle_arcs(first, adjacency, weights, budget),
-                    settle_arcs(second, adjacency, weights, budget),
-                )
-                for span in spans:
-                    fused = settle_arcs((first, second), adjacency, weights, budget, span)
-                    assert bits(fused) == bits(expected)
+                expected = nearest(search(first, budget), search(second, budget))
+                assert bits(search((first, second), budget)) == bits(expected)
         # ``full`` is now the backward pair, the distances many_to_one serves.
         budget = data.draw(st.sampled_from([INF, *full.values()]), label="engine budget")
         for backend in ("dijkstra", "ch"):
@@ -192,28 +232,32 @@ class TestFusedReturns:
             assert bits(got) == bits(expected)
 
 
-def assert_stopped(got: dict[int, float], expected: dict[int, float], targets) -> None:
-    """``got`` is a search stopped at ``targets``; ``expected`` is the
+def assert_stopped(arcs: ArcGraph, labels: Labels, expected: dict[int, float], targets) -> None:
+    """``labels`` is a search stopped at ``targets``; ``expected`` is the
     unstopped reference under the same budget.
 
     Every requested node has the reference label (or is absent from
-    both), every returned label is the reference's, and nothing past the
-    farthest target is returned: a stop leaks no tentative label.  A
-    search with a target the reference never reached ran to the budget.
+    both), every returned label is the reference's and at most the
+    horizon, and every reference label below the horizon is returned: a
+    stop leaks no tentative label and drops no final one.  A search with
+    a target the reference never reached ran to the budget.
     """
+    got = as_map(arcs, labels)
     assert {t: got[t].hex() for t in targets if t in got} == {
         t: expected[t].hex() for t in targets if t in expected
     }
     assert bits(got) == {node: expected[node].hex() for node in got}
+    assert all(d <= labels.horizon for d in got.values())
+    assert {n for n, d in expected.items() if d < labels.horizon} <= got.keys()
     if all(t in expected for t in targets):
-        horizon = max(expected[t] for t in targets)
-        assert all(d <= horizon for d in got.values())
+        assert all(expected[t] <= labels.horizon for t in targets)
     else:
+        assert labels.complete
         assert bits(got) == bits(expected)
 
 
 class TestTargetStop:
-    """A search stopped once its targets are settled answers them exactly."""
+    """A search stopped once its targets are final answers them exactly."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=small_networks(), data=st.data())
@@ -221,11 +265,7 @@ class TestTargetStop:
         network, closed, first = case
         ids = sorted(network.node_ids())
         second = data.draw(st.sampled_from(ids), label="second")  # may equal first
-        manager = GraphEpochManager(network)
-        traffic = TrafficModel(seed=3)
-        traffic.set_epochs(manager)
-        if closed:
-            manager.apply([Incident.closure(s, t) for s, t in closed])
+        manager, traffic = live_traffic(network, closed)
         spec = data.draw(
             st.sampled_from(
                 [*traffic.travel_time_bound_specs(9.0, 8.0), WeightSpec.of(EdgeWeight.DISTANCE_KM)]
@@ -236,10 +276,7 @@ class TestTargetStop:
         targets = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6), label="targets")
         arcs = ArcGraph.of(network)
         weights = [spec.fn(edge) for edge in arcs.edges]
-        for adjacency, reference in (
-            (arcs.out_arcs, dijkstra_all),
-            (arcs.in_arcs, dijkstra_all_backward),
-        ):
+        for forward, reference in ((True, dijkstra_all), (False, dijkstra_all_backward)):
             for origin in (first, (first, second)):
 
                 def ref(budget: float) -> dict[int, float]:
@@ -249,10 +286,8 @@ class TestTargetStop:
 
                 # Unbudgeted, or a budget exactly equal to one node's distance.
                 budget = data.draw(st.sampled_from([INF, *sorted(ref(INF).values())]))
-                expected = ref(budget)
-                for span in {arcs.span, 0}:
-                    got = settle_arcs(origin, adjacency, weights, budget, span, targets)
-                    assert_stopped(got, expected, targets)
+                labels = kernel(arcs, origin, forward, weights, budget, targets)
+                assert_stopped(arcs, labels, ref(budget), targets)
 
     # 0 -> 1 is zero-length, 2 and 3 tie at 1.0, 4 sits at 2.0 by two
     # paths, 4 -> 5 is closed and 6 is isolated.
@@ -272,19 +307,16 @@ class TestTargetStop:
     )
     def test_edge_cases(self, targets, budget):
         network, arcs, weights = self.edge_case_graph()
-        for adjacency, reference, origin in (
-            (arcs.out_arcs, dijkstra_all, 0),
-            (arcs.in_arcs, dijkstra_all_backward, 4),
-        ):
+        for forward, reference, origin in ((True, dijkstra_all, 0), (False, dijkstra_all_backward, 4)):
             expected = reference(network, origin, self.cost, budget)
-            for span in (arcs.span, 0):
-                got = settle_arcs(origin, adjacency, weights, budget, span, targets)
-                assert_stopped(got, expected, targets)
+            labels = kernel(arcs, origin, forward, weights, budget, targets)
+            assert_stopped(arcs, labels, expected, targets)
 
     def test_empty_targets_settle_nothing(self):
         _, arcs, weights = self.edge_case_graph()
-        for span in (arcs.span, 0):
-            assert settle_arcs(0, arcs.out_arcs, weights, INF, span, ()) == {}
+        labels = kernel(arcs, 0, True, weights, INF, ())
+        assert as_map(arcs, labels) == {}
+        assert not labels.complete
 
     @staticmethod
     def cost(edge: RoadEdge) -> float:
@@ -299,6 +331,73 @@ class TestTargetStop:
             network.add_edge(source, target, length_km=length)
         arcs = ArcGraph.of(network)
         return network, arcs, [cls.cost(edge) for edge in arcs.edges]
+
+
+class TestStackedKernel:
+    """Several searches in one call: each block is its own search."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=small_networks(), data=st.data())
+    def test_stacked_call_equals_single_calls_and_reference(self, case, data):
+        network, closed, first = case
+        ids = sorted(network.node_ids())
+        _, traffic = live_traffic(network, closed)
+        specs = [*traffic.travel_time_bound_specs(9.0, 8.0), WeightSpec.of(EdgeWeight.DISTANCE_KM)]
+        arcs = ArcGraph.of(network)
+        priced = [np.array([spec.fn(edge) for edge in arcs.edges]) for spec in specs]
+        origin_nodes = st.sampled_from(ids)
+        origins = st.one_of(origin_nodes, st.tuples(origin_nodes, origin_nodes))
+        draws = data.draw(
+            st.lists(
+                st.tuples(origins, st.booleans(), st.integers(0, len(specs) - 1)),
+                min_size=1,
+                max_size=4,
+            ),
+            label="queries",
+        )
+        targets = data.draw(
+            st.one_of(st.none(), st.lists(st.sampled_from(ids), max_size=5)), label="targets"
+        )
+        budget = data.draw(st.sampled_from([INF, 0.0, 0.05, 1.0]), label="budget")
+        queries = [query(arcs, origin, forward, priced[m]) for origin, forward, m in draws]
+        wanted = None if targets is None else arcs.positions(targets)
+        stacked = settle_frontier(arcs, queries, budget, wanted)
+        assert np.isinf(arcs.labels).all()  # the scratch is clean again
+        for (origin, forward, m), one, labels in zip(draws, queries, stacked):
+            [alone] = settle_frontier(arcs, [one], budget, wanted)
+            assert bits(as_map(arcs, labels)) == bits(as_map(arcs, alone))
+            assert labels.horizon == alone.horizon
+            reference = dijkstra_all if forward else dijkstra_all_backward
+            pair = origin if isinstance(origin, tuple) else (origin, origin)
+            expected = nearest(*(reference(network, o, specs[m].fn, budget) for o in pair))
+            if targets == []:
+                assert as_map(arcs, labels) == {}
+            elif targets is None:
+                assert labels.complete
+                assert bits(as_map(arcs, labels)) == bits(expected)
+            else:
+                assert_stopped(arcs, labels, expected, targets)
+
+    def test_each_query_stops_at_its_own_round(self):
+        # A path 0 -> 1 -> ... -> 9 of unit arcs: a query priced at twice
+        # the cost of its sibling stops later, and each keeps only the
+        # labels its own stop made final.
+        network = RoadNetwork()
+        for node in range(10):
+            network.add_node(node, Point(float(node), 0.0))
+        for node in range(9):
+            network.add_edge(node, node + 1, length_km=1.0)
+        arcs = ArcGraph.of(network)
+        unit = np.ones(len(arcs.edges))
+        near, far = settle_frontier(
+            arcs,
+            [query(arcs, 0, True, unit), query(arcs, 0, True, 2 * unit)],
+            INF,
+            arcs.positions([3]),
+        )
+        assert as_map(arcs, near) == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
+        assert as_map(arcs, far) == {0: 0.0, 1: 2.0, 2: 4.0, 3: 6.0}
+        assert (near.horizon, far.horizon) == (3.0, 6.0)
 
 
 @pytest.fixture(scope="module")

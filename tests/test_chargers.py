@@ -1,11 +1,14 @@
 """Charger model, registry, catalog generation, and solar curve tests."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chargers import plugshare
 from repro.chargers.charger import (
     RATE_CLASSES_KW,
     Charger,
@@ -21,7 +24,27 @@ from repro.chargers.solar import (
     SolarSeries,
     generate_solar_series,
 )
+from repro.network.builders import NetworkSpec, build_city_network, build_grid_network
 from repro.spatial.geometry import Point
+from repro.trajectories.datasets import PROFILES
+
+#: The four bench workloads' (network, catalog) pairs; dense-pool runs on
+#: the T-drive profile itself.
+BENCH_CATALOGS = {
+    "bench-dense-pool": (PROFILES["tdrive"].network, PROFILES["tdrive"].catalog),
+    "bench-big-net-adapt": (
+        NetworkSpec(width_km=70.0, height_km=70.0, block_km=1.0),
+        CatalogSpec(charger_count=1000, hotspots=0, seed=205),
+    ),
+    "bench-commute-incidents": (
+        PROFILES["california"].network,
+        replace(PROFILES["california"].catalog, hotspot_share=0.0),
+    ),
+    "bench-serve-gateway": (
+        PROFILES["oldenburg"].network,
+        replace(PROFILES["oldenburg"].catalog, hotspot_share=0.0),
+    ),
+}
 
 
 def _charger(cid=0, x=0.0, y=0.0, rate=11.0, **kw) -> Charger:
@@ -234,6 +257,38 @@ class TestCatalogGeneration:
         )
         sources = {c.source for c in registry}
         assert sources == {RenewableSource.LOCAL_SOLAR, RenewableSource.NET_METERED_FARM}
+
+    @pytest.mark.parametrize("name", [*sorted(PROFILES), *sorted(BENCH_CATALOGS)])
+    def test_tree_snapping_matches_argmin(self, name, monkeypatch):
+        """Snapping through the k-d tree gives the catalog the argmin over
+        every node gives, first-index tie-break included, on every dataset
+        profile and every bench workload's catalog."""
+        if name in PROFILES:
+            network_spec, catalog_spec = PROFILES[name].network, PROFILES[name].catalog
+        else:
+            network_spec, catalog_spec = BENCH_CATALOGS[name]
+        network = build_city_network(network_spec)
+        snapped = generate_catalog(network, catalog_spec).all()
+
+        def argmin(tree, order, node_points, anchor) -> int:
+            return int(np.argmin(np.sum((node_points - anchor) ** 2, axis=1)))
+
+        monkeypatch.setattr(plugshare, "_snap", argmin)
+        assert generate_catalog(network, catalog_spec).all() == snapped
+
+    def test_snapping_breaks_exact_ties_by_first_node(self):
+        # Every anchor sits exactly between grid nodes (or on one): the
+        # squared distances tie, and argmin keeps the first in node order.
+        network = build_grid_network(4, 4, block_km=1.0)
+        nodes = list(network.nodes())
+        points = np.array([[n.point.x, n.point.y] for n in nodes])
+        tree = network.node_index()
+        order = {node.node_id: i for i, node in enumerate(nodes)}
+        for x in np.arange(-0.5, 4.0, 0.5):
+            for y in np.arange(-0.5, 4.0, 0.5):
+                anchor = np.array([x, y])
+                expected = int(np.argmin(np.sum((points - anchor) ** 2, axis=1)))
+                assert plugshare._snap(tree, order, points, anchor) == expected
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

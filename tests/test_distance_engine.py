@@ -32,6 +32,7 @@ from repro.network.distance_engine import (
     DISTANCE_DECIMALS,
     DISTANCE_QUANTUM,
     DistanceEngine,
+    Search,
     WeightSpec,
     quantize_array,
 )
@@ -134,16 +135,23 @@ class TestEngineBasics:
         assert engine.stats.as_dict()["hit_rate"] == 0.0
 
 
+def held(engine: DistanceEngine, key) -> dict[int, float]:
+    """The labels a Dijkstra settled map holds, keyed by node id."""
+    _, labels = engine._maps.get(key)
+    ids = engine._arcs.ids.tolist()
+    return {ids[p]: d for p, d in zip(labels.positions.tolist(), labels.values.tolist())}
+
+
 class TestTargetStop:
     """Dijkstra searches stop at the query's last node; reuse follows."""
 
     def test_stopped_map_holds_only_settled_nodes(self, grid):
         engine = DistanceEngine(grid)
-        spec = WeightSpec.of(EdgeWeight.DISTANCE_KM)
-        ball = engine._map(spec, 0, "f", 20.0, {1, 7})
+        w = EdgeWeight.DISTANCE_KM
+        assert engine.one_to_many(0, [1, 7], w, max_cost=20.0) == {1: 1.0, 7: 1.0}
         # 1 and 7 tie at 1.0; their neighbours 2 and 8 are labelled but
-        # not settled when the search stops, and must not leak.
-        assert ball == {0: 0.0, 1: 1.0, 7: 1.0}
+        # not final when the search stops, and must not leak.
+        assert held(engine, (w, 0, "f")) == {0: 0.0, 1: 1.0, 7: 1.0}
         assert engine.stats.settled == 3
 
     def test_near_pool_map_researches_for_a_farther_node(self, grid):
@@ -319,6 +327,75 @@ class TestStatsCounting:
         # read would have reported (0 + n) / 2n = 0.5 here.
         assert warm_lookups == len(workload)
         assert warm_hits == warm_lookups
+
+    def test_stacked_call_looks_up_each_map_once_and_stacks_the_misses(
+        self, grid, monkeypatch
+    ):
+        """A segment's four searches in one call: the two maps already
+        cached are hits, and only the two misses run, as one kernel call
+        of two blocks."""
+        import repro.network.distance_engine as module
+
+        blocks: list[int] = []
+        kernel = module.settle_frontier
+
+        def counted(arcs, queries, *args):
+            blocks.append(len(queries))
+            return kernel(arcs, queries, *args)
+
+        monkeypatch.setattr(module, "settle_frontier", counted)
+        engine = DistanceEngine(grid)
+        lo, hi = TrafficModel(seed=6).travel_time_bound_specs(9.0, 8.0)
+        pool = [5, 12, 30, 44]
+        engine.one_to_many(0, pool, lo, max_cost=5.0)
+        engine.many_to_one(pool, (6, 48), lo, max_cost=5.0)
+        assert (engine.stats.cache_hits, engine.stats.cache_misses, blocks) == (0, 2, [1, 1])
+        searches = [
+            Search(lo, 0),
+            Search(hi, 0),
+            Search(lo, (48, 6), forward=False),
+            Search(hi, (6, 48), forward=False),
+        ]
+        rows = engine.distance_rows(searches, pool, max_cost=5.0)
+        assert (engine.stats.cache_hits, engine.stats.cache_misses) == (2, 4)
+        assert engine.stats.searches == 4  # one per query solved
+        assert blocks == [1, 1, 2]
+        # Each row is what its one-search wrapper serves.
+        assert rows[0].tolist() == [
+            engine.one_to_many(0, [node], lo, max_cost=5.0).get(node, math.inf)
+            for node in pool
+        ]
+        assert rows[3].tolist() == [
+            engine.many_to_one([node], (6, 48), hi, max_cost=5.0).get(node, math.inf)
+            for node in pool
+        ]
+
+    def test_expired_deadline_raises_before_any_block_runs(self, grid, monkeypatch):
+        import repro.network.distance_engine as module
+        from repro.observability.clock import SimulatedClock
+        from repro.observability.deadline import Deadline, DeadlineExpired
+
+        def never(*args):
+            raise AssertionError("a search ran past an expired deadline")
+
+        engine = DistanceEngine(grid)
+        engine.one_to_many(0, [5], EdgeWeight.DISTANCE_KM, max_cost=5.0)
+        clock = SimulatedClock()
+        engine.cancellation = Deadline(clock, 1.0)
+        clock.advance(2.0)
+        monkeypatch.setattr(module, "settle_frontier", never)
+        searches = [Search(EdgeWeight.DISTANCE_KM, 0), Search(EdgeWeight.DISTANCE_KM, 0, False)]
+        with pytest.raises(DeadlineExpired):
+            engine.distance_rows(searches, [5], max_cost=5.0)
+        # The cached map was a hit; the miss never became a search.
+        assert (engine.stats.searches, engine.stats.cache_hits, engine.stats.cache_misses) == (
+            1,
+            1,
+            1,
+        )
+        # A query served wholly from the memo needs no search, so it is
+        # answered even past the deadline.
+        assert engine.one_to_many(0, [5], EdgeWeight.DISTANCE_KM, max_cost=5.0) == {5: 5.0}
 
     def test_ch_one_pair_probe_per_pool_member(self, grid):
         engine = DistanceEngine(grid, backend="ch")
