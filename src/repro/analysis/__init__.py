@@ -3,13 +3,12 @@
 The machine-checked guardrails for the paper's invariants (see
 ``docs/static_analysis.md``):
 
-* :mod:`repro.analysis.rules` — the seventeen ``repro-check`` rules:
-  per-file AST rules R1-R10 (interval comparisons, metric consistency,
-  slots, mutable defaults, cache expiry, exception hygiene, resilience/
-  engine/journal/clock bypasses), R15 (backpressure-bypass in the
-  serving tier), R16 (epoch-bypass around the live-graph cache
-  fence), and R17 (label-cardinality-bypass outside the guarded
-  metrics registry) plus the whole-program passes R11-R14.
+* :mod:`repro.analysis.rules` — the fifteen ``repro-check`` rules:
+  per-file AST rules R1, R2 and R4-R10 (interval comparisons, metric
+  consistency, mutable defaults, cache expiry, exception hygiene,
+  resilience/engine/journal/clock bypasses), R15 (backpressure-bypass in
+  the serving tier) and R16 (epoch-bypass around the live-graph cache
+  fence), plus the whole-program passes R11-R14.
 * :mod:`repro.analysis.graph` / :mod:`repro.analysis.dataflow` — the
   project graph (imports, classes, function IR) and the fixpoint
   summary framework the whole-program passes run on.
@@ -17,10 +16,7 @@ The machine-checked guardrails for the paper's invariants (see
   interval-escape, R13 shared-state-mutation, R14 layer-conformance.
 * :mod:`repro.analysis.engine` — AST walking, suppression pragmas,
   the parallel ``--jobs`` driver, reporting.
-* :mod:`repro.analysis.cache` — content-hash memoisation of parse +
-  extraction.
-* :mod:`repro.analysis.baseline` / :mod:`repro.analysis.sarif` —
-  grandfathered-finding ratchet and SARIF 2.1.0 export for CI.
+* :mod:`repro.analysis.sarif` — SARIF 2.1.0 export for CI.
 * :mod:`repro.analysis.annotations` — the offline strict-annotation gate
   (mypy's ``disallow_untyped_defs`` subset, always available).
 * :mod:`repro.analysis.contracts` — ``@require``/``@ensure`` runtime

@@ -6,11 +6,8 @@ Usage::
     repro-check --select R1,R4 src/repro
     repro-check --format json --annotations src/repro
     repro-check --jobs auto --format sarif --output repro-check.sarif src/repro
-    repro-check --baseline .repro-check-baseline.json src/repro
-    repro-check --baseline new-baseline.json --write-baseline src/repro
 
-Exit codes: 0 clean (or every finding baselined), 1 violations found,
-2 usage/parse error.  A timing line goes to stderr so CI logs surface
+Exit codes: 0 clean, 1 violations found, 2 usage/parse error.  A timing line goes to stderr so CI logs surface
 analysis-engine slowdowns without touching the report on stdout.
 """
 
@@ -23,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .annotations import check_annotations
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .engine import AnalysisError, Analyzer
 from .rules import ALL_RULES, select_rules
 from .sarif import render_sarif
@@ -34,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-check",
         description=(
             "Domain-aware static analysis for the EcoCharge reproduction: "
-            "per-file rules R1-R10 and R15-R17 plus whole-program passes "
-            "R11-R14."
+            "per-file rules R1, R2, R4-R10, R15 and R16 plus whole-program "
+            "passes R11-R14."
         ),
     )
     parser.add_argument(
@@ -62,19 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="1",
         help="worker processes; an integer or 'auto' (= CPU count). "
         "Findings are byte-identical to a serial run.",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file of grandfathered findings; matched findings "
-        "are reported informationally and do not fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the --baseline path "
-        f"(default {DEFAULT_BASELINE_NAME}) and exit 0",
     )
     parser.add_argument(
         "--output",
@@ -143,30 +126,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         violations.sort(key=lambda v: (v.path, v.line, v.rule_id))
         report.violations = violations
 
-    if options.write_baseline:
-        baseline_path = Path(options.baseline or DEFAULT_BASELINE_NAME)
-        Baseline.from_violations(report.violations).save(baseline_path)
-        elapsed = SYSTEM_CLOCK.monotonic() - started
-        print(
-            f"repro-check: wrote baseline of {len(report.violations)} "
-            f"finding(s) to {baseline_path} in {elapsed:.2f}s",
-            file=sys.stderr,
-        )
-        return 0
-
-    if options.baseline is not None:
-        baseline_path = Path(options.baseline)
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"repro-check: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        new, grandfathered = baseline.split(report.violations)
-        report.violations = new
-        report.baselined = grandfathered
-
     if options.format == "sarif":
-        rendered = render_sarif(report, rules, report.baselined)
+        rendered = render_sarif(report, rules)
     elif options.format == "json":
         rendered = report.render_json()
     else:

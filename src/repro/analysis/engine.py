@@ -34,7 +34,6 @@ from __future__ import annotations
 import ast
 import json
 import re
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,24 +136,25 @@ class SourceFile:
 
     @property
     def is_test(self) -> bool:
-        name = self.path.name
-        return name.startswith(("test_", "conftest")) or "/tests/" in f"/{self.rel_path}"
+        """A ``test_*``/``conftest`` file, or any file under a ``tests``
+        directory — decided from the file's own path, so the verdict does
+        not change with the analysis root."""
+        return self.path.name.startswith(("test_", "conftest")) or (
+            "tests" in self.path.parent.parts
+        )
 
     @classmethod
-    def load(cls, path: Path, root: Path) -> "SourceFile | None":
-        """Parse ``path``; returns None for unparseable files (reported
-        separately by the analyzer as a hard error)."""
-        from .cache import GLOBAL_CACHE
-
+    def load(cls, path: Path, root: Path) -> "SourceFile":
+        """Read and parse ``path``; a ``SyntaxError`` propagates (the
+        analyzer reports it as a hard error)."""
         source = path.read_text(encoding="utf-8")
         rel = _rel_path(path, root)
-        tree, suppressions = GLOBAL_CACHE.entry_for(rel, source)
         return cls(
             path=path,
             rel_path=rel,
             source=source,
-            tree=tree,
-            suppressions=suppressions,
+            tree=ast.parse(source, filename=rel),
+            suppressions=Suppressions.parse(source),
         )
 
 
@@ -208,9 +208,6 @@ class AnalysisReport:
     violations: list[Violation]
     files_checked: int
     rules_run: tuple[str, ...]
-    #: findings matched (and absorbed) by the baseline file, when one
-    #: was applied; they do not affect :attr:`ok`.
-    baselined: list[Violation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -218,13 +215,10 @@ class AnalysisReport:
 
     def render_text(self) -> str:
         lines = [violation.render() for violation in self.violations]
-        summary = (
+        lines.append(
             f"repro-check: {len(self.violations)} violation(s) in "
             f"{self.files_checked} file(s) [{', '.join(self.rules_run)}]"
         )
-        if self.baselined:
-            summary += f" ({len(self.baselined)} baselined)"
-        lines.append(summary)
         return "\n".join(lines)
 
     def render_json(self) -> str:
@@ -234,22 +228,21 @@ class AnalysisReport:
             "rules": list(self.rules_run),
             "ok": self.ok,
         }
-        if self.baselined:
-            payload["baselined"] = [v.as_dict() for v in self.baselined]
         return json.dumps(payload, indent=2)
 
 
 def _worker_check(
     payload: tuple[str, str, tuple[str, ...], bool],
-) -> tuple[str, list[Violation], "ModuleFacts | None"]:
+) -> tuple[str, list[Violation], "ModuleFacts | None", Suppressions]:
     """Process-pool worker: load one file, run the per-file rules, and
-    (when whole-program rules are active) extract its module facts.
+    (when whole-program rules are active) extract its module facts.  The
+    file's suppressions come back too, for the project findings.
 
     Everything returned is picklable; ASTs never cross the process
     boundary.  Runs in a fresh interpreter, so rules are re-selected
     from their ids.
     """
-    from .cache import GLOBAL_CACHE
+    from .graph import extract_module
     from .rules import select_rules
 
     path_str, root_str, rule_ids, need_facts = payload
@@ -258,7 +251,6 @@ def _worker_check(
         source = SourceFile.load(path, Path(root_str))
     except SyntaxError as exc:
         raise AnalysisError(f"cannot parse {path}: {exc}") from exc
-    assert source is not None
     violations: list[Violation] = []
     if rule_ids:
         for rule in select_rules(rule_ids):
@@ -268,8 +260,8 @@ def _worker_check(
                 if source.suppressions.is_suppressed(violation.rule_id, violation.line):
                     continue
                 violations.append(violation)
-    facts = GLOBAL_CACHE.facts_for(source) if need_facts else None
-    return source.rel_path, violations, facts
+    facts = extract_module(source) if need_facts else None
+    return source.rel_path, violations, facts, source.suppressions
 
 
 class Analyzer:
@@ -306,11 +298,9 @@ class Analyzer:
         files: list[SourceFile] = []
         for file_path in file_paths:
             try:
-                loaded = SourceFile.load(file_path, base)
+                files.append(SourceFile.load(file_path, base))
             except SyntaxError as exc:
                 raise AnalysisError(f"cannot parse {file_path}: {exc}") from exc
-            if loaded is not None:
-                files.append(loaded)
         return self.check_files(files)
 
     def _check_parallel(
@@ -325,19 +315,14 @@ class Analyzer:
         facts: list["ModuleFacts"] = []
         suppression_map: dict[str, Suppressions] = {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rel_path, file_violations, module_facts in pool.map(
+            for rel_path, file_violations, module_facts, suppressions in pool.map(
                 _worker_check, payloads
             ):
                 violations.extend(file_violations)
+                suppression_map[rel_path] = suppressions
                 if module_facts is not None:
                     facts.append(module_facts)
         if self.project_rules:
-            # Suppressions for project findings come from the parent's
-            # cache — cheap re-parse of only the flagged-able files.
-            for path in file_paths:
-                loaded = SourceFile.load(path, base)
-                if loaded is not None:
-                    suppression_map[loaded.rel_path] = loaded.suppressions
             violations.extend(self._run_project_rules(facts, suppression_map))
         violations.sort(key=lambda v: (v.path, v.line, v.rule_id))
         return AnalysisReport(
@@ -347,7 +332,7 @@ class Analyzer:
         )
 
     def check_files(self, files: Sequence[SourceFile]) -> AnalysisReport:
-        from .cache import GLOBAL_CACHE
+        from .graph import extract_module
 
         violations: list[Violation] = []
         for source in files:
@@ -359,7 +344,7 @@ class Analyzer:
                         continue
                     violations.append(violation)
         if self.project_rules:
-            facts = [GLOBAL_CACHE.facts_for(source) for source in files]
+            facts = [extract_module(source) for source in files]
             suppression_map = {
                 source.rel_path: source.suppressions for source in files
             }
@@ -440,8 +425,3 @@ class RuleProtocol:
 
     def check(self, source: SourceFile) -> Iterator[Violation]:  # pragma: no cover
         raise NotImplementedError
-
-
-def main_stream() -> "object":
-    """Default output stream (separated for test capture)."""
-    return sys.stdout

@@ -16,8 +16,7 @@ interprocedural analyses need:
 Extraction is the only phase that touches ``ast`` nodes; everything
 downstream (summaries, fixpoint, findings) works on these facts.  That
 is what makes the engine's ``--jobs`` driver possible — worker processes
-ship facts, never syntax trees — and what the content-hash cache
-(:mod:`repro.analysis.cache`) memoises.
+ship facts, never syntax trees.
 """
 
 from __future__ import annotations
@@ -925,8 +924,7 @@ class _FunctionExtractor:
 
 
 def extract_module(source: SourceFile) -> ModuleFacts:
-    """Compile one parsed file into facts (the cache-aware entry point is
-    :func:`repro.analysis.cache.facts_for`)."""
+    """Compile one parsed file into facts."""
     return _ModuleExtractor(source).extract()
 
 

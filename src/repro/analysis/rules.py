@@ -1,8 +1,8 @@
-"""The seventeen domain rules enforced by ``repro-check``.
+"""The fifteen domain rules enforced by ``repro-check``.
 
 Each rule encodes one invariant from the paper that Python's type system
 cannot express on its own (see ``docs/static_analysis.md`` for the
-paper-section mapping):
+paper-section mapping and for why each rule is still a rule):
 
 ========  ======================  =====================================================
 Rule id   Name                    Invariant
@@ -11,7 +11,6 @@ R1        interval-comparison     Interval endpoints are ranked via the Eq. 4-6
                                   comparators, never by raw ``.lo``/``.hi`` floats
 R2        metric-consistency      Haversine and planar metrics never mix in one module
                                   without an explicit :class:`LocalProjection` bridge
-R3        dataclass-slots         Hot-path dataclasses declare ``slots=True``
 R4        mutable-default         No mutable default arguments
 R5        cache-expiry            Cache writes always carry an expiry/validity signal
 R6        exception-hygiene       No bare/silently-swallowed exceptions in serving and
@@ -47,15 +46,17 @@ R16       epoch-bypass            Engine and dynamic-cache reads in ``core/`` an
                                   ``server/`` flow through the epoch-fenced API —
                                   no reach-ins past ``_observe_epoch`` or the
                                   fenced ``DynamicCache.lookup``
-R17       label-cardinality-bypass  Metric labels outside ``observability/`` are
-                                  bounded enumerations or registry-guarded — no
-                                  user-derived/interpolated label values
 ========  ======================  =====================================================
 
-R1-R10 and R15-R17 are per-file AST rules defined below; R11-R14 are
-whole-program passes over the project graph, defined in
+R3 (``dataclass-slots``) and R17 (``label-cardinality-bypass``) are
+retired; their ids are not reused.  A tier-1 test now imports every
+hot-path module and requires ``__slots__`` on its dataclasses, and the
+metrics registry caps the values of every label itself.
+
+R1, R2, R4-R10, R15 and R16 are per-file AST rules defined below;
+R11-R14 are whole-program passes over the project graph, defined in
 :mod:`repro.analysis.passes` and registered here so selection,
-suppression, listing, and docs treat all seventeen uniformly.
+suppression, listing, and docs treat them uniformly.
 """
 
 from __future__ import annotations
@@ -198,72 +199,6 @@ class MetricConsistencyRule(RuleProtocol):
                     f"module mixes geographic metric ({geo_name}, line {geo_line}) "
                     f"with planar metric ({planar_name}, line {planar_line}) "
                     f"without a LocalProjection bridge"
-                ),
-            )
-
-
-# --------------------------------------------------------------------------
-# R3 — dataclass slots in hot-path packages
-# --------------------------------------------------------------------------
-
-#: Packages whose dataclasses sit on the per-segment hot path — millions
-#: of Interval / OfferingEntry / candidate instances per experiment run.
-_R3_PACKAGES = ("core/", "spatial/", "estimation/")
-
-
-def _dataclass_decorator(cls: ast.ClassDef) -> ast.expr | None:
-    for decorator in cls.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return decorator
-        if isinstance(target, ast.Attribute) and target.attr == "dataclass":
-            return decorator
-    return None
-
-
-def _has_true_keyword(call: ast.expr, keyword: str) -> bool:
-    if not isinstance(call, ast.Call):
-        return False
-    for kw in call.keywords:
-        if kw.arg == keyword and isinstance(kw.value, ast.Constant):
-            return bool(kw.value.value)
-    return False
-
-
-class DataclassSlotsRule(RuleProtocol):
-    """R3: every ``@dataclass`` in ``core/``, ``spatial/``,
-    ``estimation/`` declares ``slots=True``.
-
-    These packages allocate candidate/score objects per charger per
-    segment; ``__dict__``-backed instances cost ~3x the memory and a dict
-    lookup per attribute access on the scoring hot path.
-    """
-
-    rule_id = "R3"
-    name = "dataclass-slots"
-    description = "hot-path dataclass missing slots=True"
-
-    def applies_to(self, source: SourceFile) -> bool:
-        if source.is_test:
-            return False
-        return any(f"/{pkg}" in f"/{source.rel_path}" for pkg in _R3_PACKAGES)
-
-    def check(self, source: SourceFile) -> Iterator[Violation]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            decorator = _dataclass_decorator(node)
-            if decorator is None:
-                continue
-            if _has_true_keyword(decorator, "slots"):
-                continue
-            yield Violation(
-                rule_id=self.rule_id,
-                path=source.rel_path,
-                line=node.lineno,
-                message=(
-                    f"dataclass '{node.name}' in a hot-path package must declare "
-                    f"slots=True"
                 ),
             )
 
@@ -1128,142 +1063,6 @@ class EpochBypassRule(RuleProtocol):
 
 
 # --------------------------------------------------------------------------
-# R17 — metric label cardinality
-# --------------------------------------------------------------------------
-
-#: Metric-API methods whose keyword arguments are label values.
-_R17_LABEL_METHODS = frozenset({"inc", "observe", "labels", "set"})
-
-#: Keywords on those methods that carry *values*, not labels.
-_R17_VALUE_KEYWORDS = frozenset({"amount", "value", "exemplar", "buckets"})
-
-#: Label names with a bounded, enumerable value set (outcome enums,
-#: endpoint names, ladder levels, record types, engine backends, shard
-#: indices, alert metadata).  A label outside this set is either guarded
-#: (below) or a cardinality bomb.
-_R17_BOUNDED_LABELS = frozenset(
-    {
-        "outcome",
-        "endpoint",
-        "level",
-        "record_type",
-        "backend",
-        "shard",
-        "alertname",
-        "severity",
-        "to",
-        "state",
-        "label",
-        "metric",
-    }
-)
-
-#: Labels whose registry family declares ``max_label_values`` — the
-#: cardinality guard bounds them at the sink, so arbitrary (user-derived)
-#: values are safe to pass.
-_R17_GUARDED_LABELS = frozenset({"tenant"})
-
-
-class LabelCardinalityRule(RuleProtocol):
-    """R17: metric labels stay bounded outside the guarded registry.
-
-    Prometheus-style registries allocate one child series per distinct
-    label-value tuple, forever: a single ``tenant=<request field>`` or
-    ``trip=f"{...}"`` label on a hot counter turns an unbounded input
-    domain into unbounded process memory *and* unbounded exposition size
-    (the classic cardinality explosion).  The registry's guard
-    (``max_label_values`` + ``__other__`` overflow bucketing) makes that
-    safe — but only for families that declare it.  Outside
-    ``observability/`` (which owns the guard), this rule therefore
-    requires every label keyword on ``inc``/``observe``/``labels``/
-    ``set`` to be either a known bounded enumeration or a guarded label,
-    and rejects label values built by string interpolation — an
-    f-string/``%``/``+``/``.format`` value is how request-derived
-    identifiers sneak into label position.
-    """
-
-    rule_id = "R17"
-    name = "label-cardinality-bypass"
-    description = "unbounded or user-derived metric label outside the guarded registry"
-
-    def applies_to(self, source: SourceFile) -> bool:
-        if source.is_test:
-            return False
-        return "observability/" not in source.rel_path
-
-    def check(self, source: SourceFile) -> Iterator[Violation]:
-        for node in ast.walk(source.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _R17_LABEL_METHODS
-                and node.keywords
-            ):
-                continue
-            for keyword in node.keywords:
-                if keyword.arg is None:
-                    yield Violation(
-                        rule_id=self.rule_id,
-                        path=source.rel_path,
-                        line=node.lineno,
-                        message=(
-                            "**-splatted metric labels — the label set cannot "
-                            "be checked statically; pass each label keyword "
-                            "explicitly"
-                        ),
-                    )
-                    continue
-                if keyword.arg in _R17_VALUE_KEYWORDS:
-                    continue
-                if keyword.arg not in _R17_BOUNDED_LABELS | _R17_GUARDED_LABELS:
-                    yield Violation(
-                        rule_id=self.rule_id,
-                        path=source.rel_path,
-                        line=keyword.value.lineno,
-                        message=(
-                            f"metric label '{keyword.arg}' is not a known "
-                            f"bounded enumeration — every distinct value "
-                            f"allocates a series forever; add it to the "
-                            f"bounded set or declare a max_label_values "
-                            f"guard on the family"
-                        ),
-                    )
-                    continue
-                if keyword.arg not in _R17_GUARDED_LABELS and self._is_built_string(
-                    keyword.value
-                ):
-                    yield Violation(
-                        rule_id=self.rule_id,
-                        path=source.rel_path,
-                        line=keyword.value.lineno,
-                        message=(
-                            f"label '{keyword.arg}' value is built by string "
-                            f"interpolation — request-derived identifiers in "
-                            f"label position explode series cardinality; pass "
-                            f"a bounded enumeration value (or route through a "
-                            f"guarded label)"
-                        ),
-                    )
-
-    @staticmethod
-    def _is_built_string(value: ast.expr) -> bool:
-        """True for f-strings, ``%``/``+`` concatenation, and
-        ``.format``/``.join`` calls — the expression shapes that splice
-        runtime data into a label value."""
-        if isinstance(value, ast.JoinedStr):
-            return any(isinstance(part, ast.FormattedValue) for part in value.values)
-        if isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Mod)):
-            return True
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr in ("format", "join")
-        ):
-            return True
-        return False
-
-
-# --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
 
@@ -1272,7 +1071,6 @@ from .passes import PROJECT_RULES  # noqa: E402  (import after rule defs: passes
 ALL_RULES: tuple[RuleProtocol, ...] = (
     IntervalComparisonRule(),
     MetricConsistencyRule(),
-    DataclassSlotsRule(),
     MutableDefaultRule(),
     CacheExpiryRule(),
     ExceptionHygieneRule(),
@@ -1283,14 +1081,13 @@ ALL_RULES: tuple[RuleProtocol, ...] = (
     *PROJECT_RULES,
     BackpressureBypassRule(),
     EpochBypassRule(),
-    LabelCardinalityRule(),
 )
 
 RULES_BY_ID: dict[str, RuleProtocol] = {rule.rule_id: rule for rule in ALL_RULES}
 
 
 def select_rules(ids: Sequence[str] | None = None) -> tuple[RuleProtocol, ...]:
-    """The rule objects for ``ids`` (all seventeen when None)."""
+    """The rule objects for ``ids`` (every rule when None)."""
     if ids is None:
         return ALL_RULES
     unknown = [rule_id for rule_id in ids if rule_id.upper() not in RULES_BY_ID]

@@ -3,7 +3,7 @@
 SARIF (Static Analysis Results Interchange Format) is what CI forges
 ingest to annotate findings inline on pull requests.  This module
 renders an :class:`~repro.analysis.engine.AnalysisReport` as a SARIF
-``2.1.0`` log: one run, the full 14-rule catalogue under
+``2.1.0`` log: one run, the full rule catalogue under
 ``tool.driver.rules``, and one ``result`` per violation with a
 ``physicalLocation``.
 
@@ -39,10 +39,10 @@ def _rule_descriptor(rule: Any) -> dict[str, Any]:
     }
 
 
-def _result(violation: Violation, baselined: bool) -> dict[str, Any]:
-    result: dict[str, Any] = {
+def _result(violation: Violation) -> dict[str, Any]:
+    return {
         "ruleId": violation.rule_id,
-        "level": "note" if baselined else "error",
+        "level": "error",
         "message": {"text": violation.message},
         "locations": [
             {
@@ -56,27 +56,10 @@ def _result(violation: Violation, baselined: bool) -> dict[str, Any]:
             }
         ],
     }
-    if baselined:
-        result["baselineState"] = "unchanged"
-    return result
 
 
-def sarif_log(
-    report: AnalysisReport,
-    rules: Sequence[Any],
-    baselined: Sequence[Violation] = (),
-) -> dict[str, Any]:
-    """The SARIF log as a JSON-ready dict.
-
-    ``baselined`` findings (grandfathered via the baseline file) are
-    included at level ``note`` with ``baselineState: unchanged`` so the
-    forge still shows them without failing the run.
-    """
-    baselined_keys = {(v.rule_id, v.path, v.line, v.message) for v in baselined}
-    all_violations = sorted(
-        [*report.violations, *baselined],
-        key=lambda v: (v.path, v.line, v.rule_id),
-    )
+def sarif_log(report: AnalysisReport, rules: Sequence[Any]) -> dict[str, Any]:
+    """The SARIF log as a JSON-ready dict."""
     return {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,
@@ -91,26 +74,15 @@ def sarif_log(
                     }
                 },
                 "columnKind": "unicodeCodePoints",
-                "results": [
-                    _result(
-                        violation,
-                        (violation.rule_id, violation.path, violation.line, violation.message)
-                        in baselined_keys,
-                    )
-                    for violation in all_violations
-                ],
+                "results": [_result(violation) for violation in report.violations],
             }
         ],
     }
 
 
-def render_sarif(
-    report: AnalysisReport,
-    rules: Sequence[Any],
-    baselined: Sequence[Violation] = (),
-) -> str:
+def render_sarif(report: AnalysisReport, rules: Sequence[Any]) -> str:
     """The SARIF log serialised as stable, indented JSON."""
-    return json.dumps(sarif_log(report, rules, baselined), indent=2, sort_keys=True)
+    return json.dumps(sarif_log(report, rules), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

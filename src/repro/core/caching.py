@@ -26,6 +26,7 @@ from ..chargers.charger import Charger
 from ..interval_array import ComponentArrays
 from ..observability.metrics import hit_ratio
 from ..spatial.geometry import Point
+from ..validation import require_finite
 
 
 @dataclass(slots=True)
@@ -81,11 +82,8 @@ class DynamicCache:
     """Single-trip solution cache with ``Q``-range and TTL validity."""
 
     def __init__(self, range_km: float = 5.0, ttl_h: float = 1.0) -> None:
-        # ``not x > 0`` rather than ``x <= 0``: NaN compares false both ways.
-        if not range_km > 0:
-            raise ValueError("range_km (Q) must be positive")
-        if not ttl_h > 0:
-            raise ValueError("ttl_h must be positive")
+        require_finite("range_km", range_km, above=0.0)
+        require_finite("ttl_h", ttl_h, above=0.0)
         self.range_km = range_km
         self.ttl_h = ttl_h
         self.stats = CacheStats()

@@ -27,6 +27,7 @@ from ..interval_array import IntervalArray
 from ..network.distance_engine import DistanceEngine, Search
 from ..network.graph import RoadNetwork
 from ..network.path import TripSegment
+from ..validation import require_finite
 from .traffic import TrafficModel
 
 #: Reference speed used to convert the environment diameter into the
@@ -82,8 +83,7 @@ class DeroutingEstimator:
             diameter = math.hypot(bounds.width, bounds.height)
             # Out to the far corner and back at the reference speed.
             max_derouting_h = 2.0 * diameter / REFERENCE_SPEED_KMH
-        if not max_derouting_h > 0:
-            raise ValueError("max_derouting_h must be positive")
+        require_finite("max_derouting_h", max_derouting_h, above=0.0)
         self.max_derouting_h = max_derouting_h
 
     @property

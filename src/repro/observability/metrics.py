@@ -12,8 +12,11 @@ time.  Design constraints, in order:
   a labelled child is resolved once and cached, so steady-state
   ``inc()``/``observe()`` is one dict-free method call;
 * **fixed cardinality** — histograms use fixed bucket bounds declared at
-  registration; label values are free-form but each family keeps its
-  children in one dict, so an experiment can assert exact cardinality;
+  registration, and every label of every family admits at most
+  :data:`DEFAULT_LABEL_VALUE_LIMIT` distinct values (``max_label_values``
+  overrides the cap per label); later values land in
+  :data:`OVERFLOW_BUCKET` and count a guard trip, so no request-derived
+  value can grow the registry without bound;
 * **exact export** — snapshots are plain dicts of ints/floats, rendered
   by :mod:`.export` as Prometheus text exposition or canonical JSON with
   no rounding, so a read-through sample equals its stats field exactly;
@@ -41,6 +44,13 @@ OVERFLOW_BUCKET = "__other__"
 #: The registry-level meta-counter that counts cardinality-guard trips,
 #: one per ``labels()`` resolution routed into :data:`OVERFLOW_BUCKET`.
 OVERFLOW_COUNTER = "ecocharge_label_overflow_total"
+
+#: The cap on distinct values of every label of every family, unless
+#: ``max_label_values`` names a different one for that label.  Every
+#: native label is an enumeration far below it (outcomes, endpoints,
+#: ladder levels, shards); only a value spliced from request data can
+#: reach it.
+DEFAULT_LABEL_VALUE_LIMIT = 64
 
 #: Default latency buckets (seconds): 100 us .. 10 s, roughly log-spaced.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
@@ -185,8 +195,9 @@ class MetricFamily:
         self._buckets = buckets
         self._children: dict[tuple[str, ...], _Instrument] = {}
         #: Hard cardinality caps per label name (the guard of
-        #: ``docs/observability.md``): the first ``limit`` distinct
-        #: values seen get their own series, everything after lands in
+        #: ``docs/observability.md``; the registry sets one on every
+        #: label): the first ``limit`` distinct values seen get their
+        #: own series, everything after lands in
         #: :data:`OVERFLOW_BUCKET` and counts one guard trip.
         self._limits = dict(limits) if limits else {}
         self._admitted: dict[str, set[str]] = {name: set() for name in self._limits}
@@ -199,22 +210,17 @@ class MetricFamily:
 
         Children are created on first use and cached; hot call sites
         should hold the returned child rather than re-resolve labels.
-        Guarded labels (see ``max_label_values`` at registration) are
-        capped: over-limit values are rewritten to
-        :data:`OVERFLOW_BUCKET` *before* the child lookup, so the total
-        across all series — overflow included — stays exact.
+        Capped labels (all of them, on a registry's families) rewrite
+        over-limit values to :data:`OVERFLOW_BUCKET` *before* the child
+        lookup, so the total across all series — overflow included —
+        stays exact.
         """
         if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
             raise MetricError(
                 f"metric '{self.name}' takes labels {self.label_names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        if self._limits:
-            key = tuple(
-                self._guard(name, str(labels[name])) for name in self.label_names
-            )
-        else:
-            key = tuple(str(labels[name]) for name in self.label_names)
+        key = tuple(self._guard(name, str(labels[name])) for name in self.label_names)
         child = self._children.get(key)
         if child is None:
             child = self._new_child()
@@ -281,8 +287,8 @@ class MetricFamily:
             yield key, reading
 
     def admitted_values(self, label: str) -> frozenset[str]:
-        """The distinct values a guarded label has admitted so far (for
-        exact-accounting assertions; raises on an unguarded label)."""
+        """The distinct values a capped label has admitted so far (for
+        exact-accounting assertions; raises on an uncapped label)."""
         if label not in self._admitted:
             raise MetricError(f"label '{label}' on '{self.name}' has no guard")
         return frozenset(self._admitted[label])
@@ -398,16 +404,23 @@ class MetricsRegistry:
         for label in label_names:
             if not _LABEL_RE.match(label) or label.startswith("__"):
                 raise MetricError(f"bad label name {label!r} on metric '{name}'")
-        if max_label_values:
-            for label, limit in max_label_values.items():
-                if label not in label_names:
-                    raise MetricError(
-                        f"guarded label '{label}' is not in '{name}' schema {label_names}"
-                    )
-                if limit < 1:
-                    raise MetricError(
-                        f"cardinality limit for '{label}' on '{name}' must be positive"
-                    )
+        overrides = dict(max_label_values) if max_label_values else {}
+        for label, limit in overrides.items():
+            if label not in label_names:
+                raise MetricError(
+                    f"guarded label '{label}' is not in '{name}' schema {label_names}"
+                )
+            if limit < 1:
+                raise MetricError(
+                    f"cardinality limit for '{label}' on '{name}' must be positive"
+                )
+        if name == OVERFLOW_COUNTER:
+            # Its values are this registry's (family, label) pairs, so
+            # the code bounds them; a cap here would count its own trips.
+            limits: dict[str, int] = {}
+        else:
+            limits = {label: DEFAULT_LABEL_VALUE_LIMIT for label in label_names}
+            limits.update(overrides)
         existing = self._families.get(name)
         if existing is not None:
             if existing.kind != kind or existing.label_names != label_names:
@@ -415,21 +428,20 @@ class MetricsRegistry:
                     f"metric '{name}' already registered as {existing.kind}"
                     f"{existing.label_names}; cannot re-register as {kind}{label_names}"
                 )
-            if max_label_values and dict(max_label_values) != existing._limits:
+            if overrides and limits != existing._limits:
                 raise MetricError(
                     f"metric '{name}' already registered with cardinality limits "
-                    f"{existing._limits}; cannot re-register with {dict(max_label_values)}"
+                    f"{existing._limits}; cannot re-register with {limits}"
                 )
             return existing
-        on_overflow = self._count_overflow if max_label_values else None
         family = MetricFamily(
             name,
             kind,
             help_text,
             label_names,
             buckets,
-            limits=max_label_values,
-            on_overflow=on_overflow,
+            limits=limits,
+            on_overflow=self._count_overflow if limits else None,
         )
         self._families[name] = family
         return family

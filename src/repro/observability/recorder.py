@@ -37,11 +37,12 @@ from .metrics import (
 from .sampling import TailSampler
 from .tracing import NoopTracer, Span, Tracer
 
-#: Hard cap on distinct ``tenant`` label values per family — the serving
-#: tier is multi-tenant with an unbounded tenant universe, so tenant is
-#: the one native label that *must* be guarded (docs/observability.md,
-#: repro-check rule R17).  Overflow lands in ``__other__`` with the trip
-#: counted in ``ecocharge_label_overflow_total``.
+#: Cap on distinct ``tenant`` label values per family, below the
+#: registry's default cap — the serving tier is multi-tenant with an
+#: unbounded tenant universe, so tenant is the one native label whose
+#: values come from requests (docs/observability.md).  Overflow lands
+#: in ``__other__`` with the trip counted in
+#: ``ecocharge_label_overflow_total``.
 TENANT_LABEL_LIMIT = 8
 
 

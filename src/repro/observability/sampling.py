@@ -32,6 +32,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..validation import require_finite
 from .metrics import MetricsRegistry
 from .tracing import Span
 
@@ -55,8 +56,7 @@ class SamplingPolicy:
     def __post_init__(self) -> None:
         if self.slow_k < 0:
             raise ValueError("slow_k must be non-negative")
-        if self.slow_window_s <= 0:
-            raise ValueError("slow_window_s must be positive")
+        require_finite("slow_window_s", self.slow_window_s, above=0.0)
         if not 0.0 <= self.sample_rate <= 1.0:
             raise ValueError("sample_rate must be in [0, 1]")
 

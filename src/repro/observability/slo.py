@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from ..validation import require_finite
 from .metrics import MetricError
 from .windows import WindowedAggregator
 
@@ -72,12 +73,10 @@ class BurnWindowPair:
     for_s: float
 
     def __post_init__(self) -> None:
-        if self.short_s <= 0 or self.long_s < self.short_s:
-            raise ValueError("need 0 < short_s <= long_s")
-        if self.threshold <= 0:
-            raise ValueError("burn threshold must be positive")
-        if self.for_s < 0:
-            raise ValueError("for_s must be non-negative")
+        require_finite("short_s", self.short_s, above=0.0)
+        require_finite("long_s", self.long_s, at_least=self.short_s)
+        require_finite("threshold", self.threshold, above=0.0)
+        require_finite("for_s", self.for_s, at_least=0.0)
 
 
 DEFAULT_PAIRS: tuple[BurnWindowPair, ...] = (

@@ -20,6 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..validation import require_finite
+
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
@@ -38,8 +40,7 @@ class BreakerConfig:
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
-        if self.cooldown_h <= 0:
-            raise ValueError("cooldown_h must be positive")
+        require_finite("cooldown_h", self.cooldown_h, above=0.0)
         if self.close_after < 1:
             raise ValueError("close_after must be at least 1")
 

@@ -85,11 +85,11 @@ class FaultProfile:
     outages: tuple[OutageWindow, ...] = ()
 
     def __post_init__(self) -> None:
-        for rate in (self.error_rate, self.latency_spike_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("fault rates must be in [0, 1]")
-        if self.latency_ms < 0 or self.spike_latency_ms < 0:
-            raise ValueError("latencies must be non-negative")
+        for name in ("error_rate", "latency_spike_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        require_finite("latency_ms", self.latency_ms, at_least=0.0)
+        require_finite("spike_latency_ms", self.spike_latency_ms, at_least=0.0)
 
     def in_outage(self, now_h: float) -> bool:
         return any(window.covers(now_h) for window in self.outages)

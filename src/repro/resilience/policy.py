@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..validation import require_finite
 from .breaker import BreakerConfig
 from .retry import RetryPolicy
 
@@ -34,8 +35,8 @@ class StalenessPolicy:
     max_stale_h: float | None = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_stale_h is not None and self.max_stale_h <= 0:
-            raise ValueError("max_stale_h must be positive (or None for unbounded)")
+        if self.max_stale_h is not None:
+            require_finite("max_stale_h", self.max_stale_h, above=0.0)
 
     def admits(self, age_h: float) -> bool:
         return self.max_stale_h is None or age_h <= self.max_stale_h

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
+from ..validation import require_finite
+
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
@@ -40,14 +42,12 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay_ms < 0 or self.max_delay_ms < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        require_finite("base_delay_ms", self.base_delay_ms, at_least=0.0)
+        require_finite("multiplier", self.multiplier, at_least=1.0)
+        require_finite("max_delay_ms", self.max_delay_ms, at_least=0.0)
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
-        if self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive")
+        require_finite("deadline_ms", self.deadline_ms, above=0.0)
 
     def backoff_ms(self, retry_index: int, rng: Random) -> float:
         """Simulated sleep before retry ``retry_index`` (1-based)."""

@@ -25,6 +25,7 @@ from typing import Any, Hashable
 from ..lru import LRU
 from ..observability.metrics import hit_ratio
 from ..spatial.geometry import Point
+from ..validation import require_finite
 
 
 @dataclass(slots=True)
@@ -68,8 +69,7 @@ class ResponseCache:
     """
 
     def __init__(self, ttl_h: float = 0.5, max_entries: int = 4096):
-        if not ttl_h > 0:
-            raise ValueError("ttl_h must be positive")
+        require_finite("ttl_h", ttl_h, above=0.0)
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.ttl_h = ttl_h

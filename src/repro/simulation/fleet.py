@@ -20,6 +20,7 @@ from ..core.environment import ChargingEnvironment
 from ..network.graph import EdgeWeight
 from ..network.path import Trip
 from ..network.shortest_path import NoPathError, dijkstra
+from ..validation import require_finite
 from .events import EventKind, EventLog
 from .occupancy import ChargerOccupancy
 
@@ -43,14 +44,13 @@ class SimulationConfig:
     ecocharge: EcoChargeConfig = field(default_factory=EcoChargeConfig)
 
     def __post_init__(self) -> None:
-        if self.step_h <= 0 or self.replan_interval_h <= 0:
-            raise ValueError("time steps must be positive")
+        require_finite("step_h", self.step_h, above=0.0)
+        require_finite("replan_interval_h", self.replan_interval_h, above=0.0)
         if not 0.0 <= self.charge_below_soc <= 1.0:
             raise ValueError("charge_below_soc must be in [0, 1]")
-        if self.idle_duration_h <= 0:
-            raise ValueError("idle duration must be positive")
-        if self.max_sim_hours <= 0:
-            raise ValueError("max_sim_hours must be positive")
+        require_finite("min_offer_score", self.min_offer_score)
+        require_finite("idle_duration_h", self.idle_duration_h, above=0.0)
+        require_finite("max_sim_hours", self.max_sim_hours, above=0.0)
 
 
 class VehiclePhase(enum.Enum):

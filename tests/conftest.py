@@ -8,8 +8,11 @@ isolation (everything is immutable or reset between uses).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import AnalysisReport, check_paths
 from repro.chargers.plugshare import CatalogSpec, generate_catalog
 from repro.core.environment import ChargingEnvironment
 from repro.network.builders import NetworkSpec, build_city_network, build_grid_network
@@ -50,3 +53,16 @@ def sample_trip(small_environment):
 def unit_grid():
     """A perfectly regular 6x6 grid with 1 km blocks (closed-form tests)."""
     return build_grid_network(6, 6, block_km=1.0, speed_kmh=60.0)
+
+
+#: What CI's lint-gate job analyses, from the repo root.
+GATE_TREES = ("src/repro", "tests", "benchmarks", "examples")
+
+
+@pytest.fixture(scope="session")
+def gate_report() -> AnalysisReport:
+    """One repro-check run over every gated tree, rooted at the repo as
+    CI roots it: each tree is analysed once per test session, and the
+    whole-program passes see them together."""
+    repo_root = Path(__file__).resolve().parent.parent
+    return check_paths([repo_root / tree for tree in GATE_TREES])

@@ -1,5 +1,5 @@
-"""Whole-program passes (R11-R14), the parallel/caching driver, the
-baseline ratchet, SARIF export, and the suppression regressions.
+"""Whole-program passes (R11-R14), the parallel driver, SARIF export,
+and the suppression regressions.
 
 Every project rule gets at least one failing and one clean fixture (the
 same fixture discipline ``tests/test_analysis.py`` applies to R1-R10),
@@ -15,10 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import check_paths, check_snippets, check_source
+from repro.analysis import check_snippets, check_source
 from repro.analysis.__main__ import main
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import GLOBAL_CACHE
 from repro.analysis.engine import Analyzer
 from repro.analysis.rules import ALL_RULES, select_rules
 from repro.analysis.sarif import (
@@ -316,16 +314,15 @@ class TestR14LayerConformance:
 class TestSuppressionRegressions:
     def test_disable_next_line(self):
         plain = (
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
             "class Candidate:\n"
-            "    score: float = 0.0\n"
+            "    def scores(self, seen=[]):\n"
+            "        return seen\n"
         )
         path = "src/repro/core/example.py"
-        assert "R3" in rule_ids(check_source(plain, path))
+        assert "R4" in rule_ids(check_source(plain, path))
         lines = plain.splitlines(keepends=True)
         flagged_line = check_source(plain, path)[0].line
-        lines.insert(flagged_line - 1, "# repro-check: disable-next-line=R3\n")
+        lines.insert(flagged_line - 1, "    # repro-check: disable-next-line=R4\n")
         assert rule_ids(check_source("".join(lines), path)) == []
 
     def test_disable_next_line_does_not_leak_to_later_lines(self):
@@ -356,63 +353,21 @@ class TestSuppressionRegressions:
 
 
 # ---------------------------------------------------------------------------
-# Baseline ratchet
+# meta: the whole-program passes hold on the real tree
 # ---------------------------------------------------------------------------
 
 
-class TestBaseline:
-    VIOLATING = "def f(items=[]):\n    return items\n"
-
-    def _project(self, tmp_path: Path) -> Path:
-        tree = tmp_path / "proj"
-        tree.mkdir()
-        (tree / "mod.py").write_text(self.VIOLATING, encoding="utf-8")
-        return tree
-
-    def test_write_then_absorb(self, tmp_path, capsys):
-        tree = self._project(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        assert main(["--baseline", str(baseline_path), "--write-baseline", str(tree)]) == 0
-        assert baseline_path.exists()
-        # Same findings are grandfathered: exit 0, reported as baselined.
-        assert main(["--baseline", str(baseline_path), "--format", "json", str(tree)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["violations"] == []
-        assert len(payload["baselined"]) == 1
-
-    def test_new_finding_still_fails(self, tmp_path, capsys):
-        tree = self._project(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        assert main(["--baseline", str(baseline_path), "--write-baseline", str(tree)]) == 0
-        (tree / "fresh.py").write_text(self.VIOLATING, encoding="utf-8")
-        assert main(["--baseline", str(baseline_path), str(tree)]) == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out and "mod.py" not in out
-
-    def test_counts_are_a_multiset(self, tmp_path):
-        tree = self._project(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        assert main(["--baseline", str(baseline_path), "--write-baseline", str(tree)]) == 0
-        # A second identical finding in the same file exceeds the
-        # baselined count and must fail the run.
-        (tree / "mod.py").write_text(
-            self.VIOLATING + "def g(items=[]):\n    return items\n",
-            encoding="utf-8",
-        )
-        assert main(["--baseline", str(baseline_path), str(tree)]) == 1
-
-    def test_missing_baseline_file_is_usage_error(self, tmp_path):
-        tree = self._project(tmp_path)
-        assert main(["--baseline", str(tmp_path / "absent.json"), str(tree)]) == 2
-
-    def test_round_trip(self, tmp_path):
-        report = Analyzer(ALL_RULES).check_source(self.VIOLATING, rel_path="mod.py")
-        baseline = Baseline.from_violations(report)
-        path = tmp_path / "bl.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        new, grandfathered = loaded.split(report)
-        assert new == [] and len(grandfathered) == 1
+class TestRealTreeProjectRules:
+    def test_project_rules_clean_on_src(self, gate_report):
+        # The session's one gate analysis (conftest.py) ran R11-R14 over
+        # src/repro together with the other trees.
+        assert {"R11", "R12", "R13", "R14"} <= set(gate_report.rules_run)
+        project = [
+            v
+            for v in gate_report.violations
+            if v.rule_id in {"R11", "R12", "R13", "R14"} and v.path.startswith("src/repro/")
+        ]
+        assert project == []
 
 
 # ---------------------------------------------------------------------------
@@ -467,33 +422,9 @@ class TestSarif:
             json.loads(render_sarif(report, ALL_RULES)), schema
         )
 
-    def test_baselined_findings_are_notes(self, tmp_path, capsys):
-        tree = tmp_path / "proj"
-        tree.mkdir()
-        (tree / "mod.py").write_text("def f(items=[]):\n    return items\n")
-        baseline_path = tmp_path / "baseline.json"
-        assert main(["--baseline", str(baseline_path), "--write-baseline", str(tree)]) == 0
-        out_path = tmp_path / "report.sarif"
-        assert (
-            main(
-                [
-                    "--format", "sarif",
-                    "--baseline", str(baseline_path),
-                    "--output", str(out_path),
-                    str(tree),
-                ]
-            )
-            == 0
-        )
-        document = json.loads(out_path.read_text(encoding="utf-8"))
-        validate_sarif(document)
-        (result,) = document["runs"][0]["results"]
-        assert result["level"] == "note"
-        assert result["baselineState"] == "unchanged"
-
 
 # ---------------------------------------------------------------------------
-# Parallel driver + extraction cache
+# Parallel driver
 # ---------------------------------------------------------------------------
 
 
@@ -526,29 +457,6 @@ class TestParallelDriver:
 
     def test_jobs_garbage_is_usage_error(self):
         assert main(["--jobs", "lots", self.TARGET]) == 2
-
-
-class TestExtractionCache:
-    def test_repeat_load_hits_cache(self):
-        GLOBAL_CACHE.clear()
-        target = SRC / "intervals.py"
-        check_paths([target])
-        misses = GLOBAL_CACHE.stats.misses
-        check_paths([target])
-        assert GLOBAL_CACHE.stats.hits >= 1
-        assert GLOBAL_CACHE.stats.misses == misses
-
-    def test_facts_memoised_by_content(self):
-        GLOBAL_CACHE.clear()
-        target = SRC / "intervals.py"
-        check_paths([target])
-        check_paths([target])
-        assert GLOBAL_CACHE.stats.facts_hits >= 1
-
-    def test_content_key_tracks_content(self):
-        key_a = GLOBAL_CACHE.content_key("m.py", "x = 1\n")
-        key_b = GLOBAL_CACHE.content_key("m.py", "x = 2\n")
-        assert key_a != key_b
 
 
 # ---------------------------------------------------------------------------
@@ -585,18 +493,3 @@ class TestDocSync:
     def test_docs_list_no_ghost_rules(self):
         known = {rule.rule_id for rule in ALL_RULES}
         assert set(self._doc_rows()) <= known
-
-
-# ---------------------------------------------------------------------------
-# The real tree under the full 15-rule battery
-# ---------------------------------------------------------------------------
-
-
-class TestRealTreeProjectRules:
-    def test_project_rules_clean_on_src(self):
-        report = check_paths([SRC], rule_ids=["R11", "R12", "R13", "R14"])
-        assert report.violations == []
-
-    def test_checked_in_baseline_is_empty(self):
-        baseline = Baseline.load(REPO_ROOT / ".repro-check-baseline.json")
-        assert baseline.counts == {}

@@ -14,10 +14,17 @@ from repro.core.scoring import Weights
 from repro.estimation.derouting import DeroutingEstimator
 from repro.interval_array import ComponentArrays
 from repro.intervals import Interval
+from repro.observability.sampling import SamplingPolicy
+from repro.observability.slo import DEFAULT_PAIRS
 from repro.server.cache import ResponseCache
 from repro.resilience import OverloadChaos
+from repro.resilience.breaker import BreakerConfig
+from repro.resilience.faults import FaultProfile
+from repro.resilience.policy import StalenessPolicy
+from repro.resilience.retry import RetryPolicy
 from repro.server.scheduling import SchedulerConfig
 from repro.simulation.chaos import ChaosPlan
+from repro.simulation.fleet import SimulationConfig
 from repro.simulation.load import LoadProfile, Phase
 
 from .scalar_oracle import (
@@ -40,12 +47,19 @@ FLOAT_CONFIGS = (
     OverloadChaos(),
     SchedulerConfig(),
     ChaosPlan(),
+    SamplingPolicy(),
+    DEFAULT_PAIRS[0],
+    FaultProfile(),
+    RetryPolicy(),
+    BreakerConfig(),
+    StalenessPolicy(),
+    SimulationConfig(),
 )
 FLOAT_FIELDS = [
     (config, field.name)
     for config in FLOAT_CONFIGS
     for field in dataclasses.fields(config)
-    if field.type in ("float", float)
+    if field.type in ("float", float, "float | None")
 ]
 
 
@@ -116,7 +130,7 @@ class TestConfig:
         ],
     )
     def test_nan_is_refused_by_every_positive_guard(self, small_environment, build, knob):
-        # The same ``not x > 0`` guard as the config's own knobs: a NaN
+        # The same require_finite guard as the config's own knobs: a NaN
         # range or TTL never expires a cached entry.
         with pytest.raises(ValueError, match=knob):
             build(small_environment)

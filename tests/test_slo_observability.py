@@ -43,6 +43,7 @@ from repro.observability.export import (
     unescape_label,
 )
 from repro.observability.metrics import (
+    DEFAULT_LABEL_VALUE_LIMIT,
     DEFAULT_LATENCY_BUCKETS,
     OVERFLOW_BUCKET,
     OVERFLOW_COUNTER,
@@ -716,11 +717,59 @@ class TestCardinalityGuard:
         # Totals stay exact across the guard.
         assert sum(samples.values()) == 5.0
 
-    def test_admitted_values_requires_a_guard(self):
+    def test_interpolated_label_values_are_capped_by_default(self):
+        # No max_label_values: a value spliced from request data still
+        # cannot grow the registry past the default cap.
         registry = MetricsRegistry()
-        family = registry.counter("reqs_total", "requests", labels=("tenant",))
-        with pytest.raises(MetricError, match="no guard"):
-            family.admitted_values("tenant")
+        family = registry.counter("reqs_total", "requests", labels=("outcome",))
+        for i in range(DEFAULT_LABEL_VALUE_LIMIT + 5):
+            family.labels(outcome=f"outcome-{i}").inc()
+        samples = {s["labels"]["outcome"]: s["value"] for s in family.samples()}
+        assert len(samples) == DEFAULT_LABEL_VALUE_LIMIT + 1
+        assert samples[OVERFLOW_BUCKET] == 5.0
+        assert registry.sample_value(
+            OVERFLOW_COUNTER, {"label": "outcome", "metric": "reqs_total"}
+        ) == 5.0
+
+    def test_concatenated_label_values_are_capped_per_label(self):
+        # The cap is per label: an unbounded shard value overflows while
+        # the bounded outcome beside it keeps its own series.
+        registry = MetricsRegistry()
+        family = registry.counter(
+            "shard_reqs_total", "requests by shard", labels=("shard", "outcome")
+        )
+        for i in range(DEFAULT_LABEL_VALUE_LIMIT + 3):
+            family.labels(shard="shard-" + str(i), outcome="completed").inc()
+        assert len(family.admitted_values("shard")) == DEFAULT_LABEL_VALUE_LIMIT
+        assert family.admitted_values("outcome") == frozenset({"completed"})
+        overflow = [s for s in family.samples() if s["labels"]["shard"] == OVERFLOW_BUCKET]
+        assert [(s["labels"]["outcome"], s["value"]) for s in overflow] == [("completed", 3.0)]
+        assert registry.sample_value(
+            OVERFLOW_COUNTER, {"label": "shard", "metric": "shard_reqs_total"}
+        ) == 3.0
+
+    def test_unknown_label_name_is_a_schema_error(self):
+        # A wrong label name raises instead of opening a new series.
+        registry = MetricsRegistry()
+        family = registry.counter("trips_total", "trips", labels=("outcome",))
+        with pytest.raises(MetricError, match="takes labels"):
+            family.labels(trip="t-1")
+        assert family.samples() == []
+
+    def test_overflow_counter_is_not_capped(self):
+        # Its values are (family, label) pairs; a cap on it would count
+        # its own trips into itself.
+        registry = MetricsRegistry()
+        names = [f"f{n}_total" for n in range(DEFAULT_LABEL_VALUE_LIMIT + 2)]
+        for name in names:
+            family = registry.counter(
+                name, "f", labels=("x",), max_label_values={"x": 1}
+            )
+            family.labels(x="a").inc()
+            family.labels(x="b").inc()
+        overflow = registry.get(OVERFLOW_COUNTER)
+        assert overflow is not None
+        assert {s["labels"]["metric"] for s in overflow.samples()} == set(names)
 
     def test_guard_schema_validation(self):
         registry = MetricsRegistry()
