@@ -40,9 +40,11 @@ LAYER_RANKS: dict[str, int] = {
     # foundations: leaf utilities with no domain dependencies
     "analysis": 0,
     "observability": 0,
+    "interval_array": 0,
     "intervals": 0,
     "lru": 0,
     "spatial": 0,
+    "validation": 0,
     # the road network and its engines
     "network": 1,
     # domain data + estimation over the network

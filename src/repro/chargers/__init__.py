@@ -9,6 +9,7 @@ from .charger import (
     Vehicle,
 )
 from .plugshare import CatalogSpec, generate_catalog
+from .pool import ChargerColumns, ChargerPool
 from .registry import ChargerRegistry
 from .session import ChargingSessionSimulator, SessionResult
 from .solar import (
@@ -22,6 +23,8 @@ from .solar import (
 __all__ = [
     "CatalogSpec",
     "Charger",
+    "ChargerColumns",
+    "ChargerPool",
     "ChargerRegistry",
     "ChargingCurve",
     "ChargingSessionSimulator",

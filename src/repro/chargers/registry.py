@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from ..spatial.bbox import BoundingBox
 from ..spatial.geometry import Point
 from ..spatial.quadtree import QuadTree
 from .charger import Charger
+from .pool import ChargerColumns, ChargerPool
 
 
 class ChargerRegistry:
@@ -16,6 +19,11 @@ class ChargerRegistry:
     The registry is the single source of truth the baselines differ over:
     Brute-Force scans :meth:`all`, Index-Quadtree asks the quadtree, and
     EcoCharge uses radius queries bounded by the user radius ``R``.
+
+    Beside the quadtree the registry keeps one :class:`ChargerColumns`
+    store, its rows in the quadtree's pre-order; both are built together
+    on first use and dropped together on :meth:`add` and :meth:`remove`.
+    Radius queries are one vectorised pass over the store's coordinates.
     """
 
     def __init__(self, chargers: Iterable[Charger], bounds: BoundingBox | None = None):
@@ -31,7 +39,7 @@ class ChargerRegistry:
                 c.point for c in self._chargers.values()
             ).expanded(1.0)
         self.bounds = bounds
-        self._index: QuadTree[Charger] | None = None
+        self._indexed: tuple[QuadTree[Charger], ChargerColumns] | None = None
 
     def __len__(self) -> int:
         return len(self._chargers)
@@ -68,7 +76,7 @@ class ChargerRegistry:
                 f"the registry bounds {self.bounds}"
             )
         self._chargers[charger.charger_id] = charger
-        self._index = None
+        self._indexed = None
 
     def remove(self, charger_id: int) -> Charger:
         """Deregister a charger (site offline); returns the removed entry."""
@@ -78,23 +86,46 @@ class ChargerRegistry:
             charger = self._chargers.pop(charger_id)
         except KeyError:
             raise KeyError(f"no charger with id {charger_id}") from None
-        self._index = None
+        self._indexed = None
         return charger
 
-    def index(self) -> QuadTree[Charger]:
-        """The quadtree over the registry, built on first use."""
-        if self._index is None:
+    def _build(self) -> tuple[QuadTree[Charger], ChargerColumns]:
+        indexed = self._indexed
+        if indexed is None:
             tree: QuadTree[Charger] = QuadTree(self.bounds)
             for charger in self._chargers.values():
                 tree.insert(charger.point, charger)
-            self._index = tree
-        return self._index
+            indexed = self._indexed = (tree, ChargerColumns(item for __, item in tree))
+        return indexed
 
-    def within_radius(self, center: Point, radius_km: float) -> list[Charger]:
-        """Chargers within ``radius_km`` of ``center``, nearest first."""
-        hits = self.index().query_radius(center, radius_km)
-        hits.sort(key=lambda pair: pair[0].squared_distance_to(center))
-        return [charger for __, charger in hits]
+    def index(self) -> QuadTree[Charger]:
+        """The quadtree over the registry, built on first use."""
+        return self._build()[0]
+
+    def columns(self) -> ChargerColumns:
+        """The column store over the registry, rows in the quadtree's
+        pre-order, built with the quadtree."""
+        return self._build()[1]
+
+    def within_radius(self, center: Point, radius_km: float) -> ChargerPool:
+        """Chargers within ``radius_km`` of ``center``, nearest first.
+
+        A charger qualifies when its ``Point.squared_distance_to(center)``
+        is at most ``radius_km ** 2`` (the same IEEE operations, run over
+        the columns); exact ties keep the quadtree's pre-order.
+        """
+        if radius_km < 0:
+            raise ValueError("radius must be non-negative")
+        columns = self.columns()
+        # In place after the two subtractions: a large catalog's
+        # temporaries would otherwise be mapped and unmapped per query.
+        squared = columns.x - center.x
+        squared *= squared
+        dy = columns.y - center.y
+        dy *= dy
+        squared += dy
+        rows = np.flatnonzero(squared <= radius_km * radius_km)
+        return ChargerPool(columns, rows[np.argsort(squared[rows], kind="stable")])
 
     def nearest(self, center: Point, k: int = 1) -> list[Charger]:
         """The ``k`` nearest chargers to ``center``."""

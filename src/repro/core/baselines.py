@@ -182,7 +182,7 @@ class RandomRanker:
             sc_min=placeholder,
             sc_max=placeholder,
             chosen_rows=range(n),
-            chargers_by_id={charger.charger_id: charger for charger in picks},
+            chargers=picks,
             eta_h=eta_h,
         )
 

@@ -309,7 +309,7 @@ class EcoChargeRanker:
             sc_min=sc_min,
             sc_max=sc_max,
             chosen_rows=chosen_rows,
-            chargers_by_id={charger.charger_id: charger for charger in pool},
+            chargers=pool,
             eta_h=eta_h,
             adapted_from=adapted_from,
         )

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..chargers.charger import Charger
+from ..chargers.pool import ChargerPool
 from ..chargers.registry import ChargerRegistry
 from ..estimation.availability import AvailabilityEstimator
 from ..estimation.derouting import DeroutingEstimator, rejoin_nodes
@@ -180,11 +181,14 @@ class ChargingEnvironment:
         whole pool); ``search_budget_h`` bounds those searches — EcoCharge
         passes its ``R``-derived budget, Brute Force passes None (whole
         environment).  Sustainable and availability are array kernels
-        over the whole pool.
+        over the whole pool.  The three estimators read one
+        :class:`~repro.chargers.pool.ChargerPool`: a pool the registry
+        cut is used as it is, any other sequence is converted once here.
         """
+        pool = ChargerPool.of(chargers)
         derouting = self.derouting.batch_estimate(
             segment,
-            chargers,
+            pool,
             time_h=eta_h,
             now_h=now_h,
             next_segment=next_segment,
@@ -194,9 +198,9 @@ class ChargingEnvironment:
         # expired request stops here rather than pricing the pool.
         self.cancellation.checkpoint("pool")
         sustainable = self.sustainable.batch_estimate(
-            chargers, eta_h, now_h, window_h=self.charging_window_h
+            pool, eta_h, now_h, window_h=self.charging_window_h
         )
-        availability = self.availability.batch_estimate(chargers, eta_h, now_h)
+        availability = self.availability.batch_estimate(pool, eta_h, now_h)
         return ComponentArrays(
             charger_ids=derouting.charger_ids,
             sustainable=sustainable,

@@ -11,8 +11,10 @@ pre-filter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..chargers.charger import Charger, PlugType, Vehicle
+from ..chargers.pool import ChargerPool
 from ..spatial.geometry import Point
 
 #: Straight-line distances understate road distances; reachability checks
@@ -63,10 +65,12 @@ class VehicleConstraints:
 
 
 def filter_feasible(
-    pool: list[Charger], constraints: VehicleConstraints, origin: Point
-) -> list[Charger]:
+    pool: Sequence[Charger], constraints: VehicleConstraints, origin: Point
+) -> ChargerPool:
     """Chargers from ``pool`` the constrained vehicle can actually use.
 
-    Preserves input order (the radius query's nearest-first ordering).
+    Preserves input order (the radius query's nearest-first ordering),
+    and a registry pool's rows.
     """
-    return [c for c in pool if constraints.qualifies(c, origin)]
+    pool = ChargerPool.of(pool)
+    return pool.take([i for i, c in enumerate(pool) if constraints.qualifies(c, origin)])

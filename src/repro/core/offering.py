@@ -8,7 +8,7 @@ sequence ``O_p1 ... O_pn``, one table per segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -105,7 +105,7 @@ def build_table_from_arrays(
     sc_min: np.ndarray,
     sc_max: np.ndarray,
     chosen_rows: Sequence[int] | np.ndarray,
-    chargers_by_id: Mapping[int, Charger],
+    chargers: Sequence[Charger],
     eta_h: float,
     adapted_from: int | None = None,
 ) -> OfferingTable:
@@ -115,9 +115,10 @@ def build_table_from_arrays(
     :func:`~repro.core.scoring.intersect_top_k_batch`).  This is the API
     boundary of the batched scoring path: :class:`ScScore` and
     :class:`~repro.intervals.Interval` dataclasses exist only for
-    the ``<= k`` chosen rows, never for the whole pool.  Values are
-    passed through ``float()`` untouched, so the table carries the
-    arrays' exact bits.
+    the ``<= k`` chosen rows, never for the whole pool.  ``chargers``
+    is row-aligned with ``components`` (row ``i`` is ``chargers[i]``)
+    and is read at the chosen rows only.  Values are passed through
+    ``float()`` untouched, so the table carries the arrays' exact bits.
     """
     sustainable = components.sustainable
     availability = components.availability
@@ -126,7 +127,7 @@ def build_table_from_arrays(
     entries = tuple(
         OfferingEntry(
             rank=rank,
-            charger=chargers_by_id[int(ids[row])],
+            charger=chargers[int(row)],
             score=ScScore(int(ids[row]), float(sc_min[row]), float(sc_max[row])),
             sustainable=sustainable.at(int(row)),
             availability=availability.at(int(row)),
@@ -161,6 +162,7 @@ def rebuild_table(
     widening or a re-weighting.  A table's entries all carry the ETA it
     was ranked for, which the rebuilt entries keep.
     """
+    by_id = {entry.charger_id: entry.charger for entry in table.entries}
     return build_table_from_arrays(
         segment_index=table.segment_index,
         origin=table.origin,
@@ -170,7 +172,7 @@ def rebuild_table(
         sc_min=sc_min,
         sc_max=sc_max,
         chosen_rows=chosen_rows,
-        chargers_by_id={entry.charger_id: entry.charger for entry in table.entries},
+        chargers=[by_id[charger_id] for charger_id in components.charger_ids.tolist()],
         eta_h=table.entries[0].eta_h if table.entries else table.generated_at_h,
         adapted_from=table.adapted_from,
     )

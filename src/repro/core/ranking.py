@@ -138,7 +138,7 @@ def refine_pool(
         sc_min=sc_min,
         sc_max=sc_max,
         chosen_rows=chosen_rows,
-        chargers_by_id={charger.charger_id: charger for charger in pool},
+        chargers=pool,
         eta_h=eta_h,
     )
 

@@ -11,18 +11,26 @@ free) so that bigger is better in the weighted sum.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..chargers.charger import Charger
+from ..chargers.pool import ChargerColumns, ChargerPool
 from ..chargers.registry import ChargerRegistry
 from ..interval_array import IntervalArray
 from ..intervals import Interval
+from ..lru import LRU
 from .component import DEFAULT_CONFIDENCE, ForecastConfidence
 
 HOURS_PER_WEEK = 168
+
+#: Hour-of-week availability columns an estimator keeps over its
+#: registry's store: a day of hours covers every ETA of a trip and of the
+#: trips departing around it, at 8 bytes per charger and hour.
+HOUR_COLUMNS = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,40 +126,73 @@ class AvailabilityEstimator:
     ):
         self._registry = registry
         self.confidence = confidence
-        ids = [charger.charger_id for charger in registry]
-        self._timetables: dict[int, BusyTimetable] = dict(
-            zip(ids, BusyTimetable.generate_many([seed * 1_000_003 + i for i in ids]))
-        )
+        self._seed = seed
+        self._timetables: dict[int, BusyTimetable] = {}
+        self._generate([charger.charger_id for charger in registry])
+        #: ``1 - busy ** plugs`` over every row of the registry's store,
+        #: per (store, hour of the week).
+        self._hours: LRU[tuple[ChargerColumns, int], np.ndarray] = LRU(HOUR_COLUMNS)
+        self._lock = threading.Lock()
+
+    def _generate(self, ids: Sequence[int]) -> None:
+        """Build the timetables of ``ids`` in one pass.  A site's profile
+        depends on its own seed only, so a site registered after the
+        estimator was built gets the profile a fresh estimator would."""
+        fresh = BusyTimetable.generate_many([self._seed * 1_000_003 + i for i in ids])
+        self._timetables.update(zip(ids, fresh))
 
     def timetable(self, charger_id: int) -> BusyTimetable:
         """The weekly busy profile backing ``charger_id``."""
         return self._timetables[charger_id]
 
-    def _free(self, chargers: Sequence[Charger], time_h: float) -> list[float]:
-        """True availability ``1 - busy ** plugs`` per charger at
-        ``time_h``, in pool order.
+    def _free_rows(self, ids: Sequence[int], plugs: Sequence[int], hour: int) -> np.ndarray:
+        """True availability ``1 - busy ** plugs`` per row at ``hour``.
 
         Multi-plug sites stay available at higher busyness: the chance all
         plugs are taken falls roughly geometrically with plug count.  The
         power is Python float ``**`` per row, not ``np.power``, whose SIMD
         path may differ by an ulp.
         """
+        timetables = self._timetables
+        missing = [i for i in ids if i not in timetables]
+        if missing:
+            self._generate(missing)
+        return np.array(
+            [1.0 - timetables[i].busyness[hour] ** p for i, p in zip(ids, plugs)],
+            dtype=np.float64,
+        )
+
+    def _free(self, chargers: Sequence[Charger], time_h: float) -> np.ndarray:
+        """True availability per charger at ``time_h``, in pool order.
+
+        A pool the registry cut gathers its rows from the hour's column
+        over the whole store, computed on first use; any other pool is
+        priced row by row."""
+        pool = ChargerPool.of(chargers)
         hour = int(time_h) % HOURS_PER_WEEK
-        return [
-            1.0 - self._timetables[c.charger_id].busyness[hour] ** c.plugs
-            for c in chargers
-        ]
+        columns = pool.columns
+        if columns is not self._registry.columns():
+            return self._free_rows(pool.charger_ids.tolist(), pool.plugs.tolist(), hour)
+        key = (columns, hour)
+        with self._lock:
+            column = self._hours.get(key)
+        if column is None:
+            column = self._free_rows(columns.charger_id.tolist(), columns.plugs.tolist(), hour)
+            with self._lock:
+                self._hours.put(key, column)
+        return column[pool.rows]
 
     def true_availability(self, charger: Charger, time_h: float) -> float:
         """Ground-truth availability in [0, 1] (oracle view)."""
-        return self._free([charger], time_h)[0]
+        hour = int(time_h) % HOURS_PER_WEEK
+        return float(self._free_rows((charger.charger_id,), (charger.plugs,), hour)[0])
 
     def batch_estimate(
         self, chargers: Sequence[Charger], eta_h: float, now_h: float
     ) -> IntervalArray:
         """``[A_min, A_max]`` for every charger of a pool, in pool order:
         true availability widened by the one horizon the pool shares."""
-        truth = np.array(self._free(chargers, eta_h), dtype=np.float64)
+        truth = self._free(chargers, eta_h)
         horizon = eta_h - now_h
         if horizon <= 0:
             return IntervalArray.exact(truth)

@@ -23,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from ..chargers.charger import Charger
+from ..chargers.pool import ChargerPool
 from ..interval_array import IntervalArray
 from ..network.distance_engine import DistanceEngine, Search
 from ..network.graph import RoadNetwork
@@ -114,8 +115,8 @@ class DeroutingEstimator:
         ``back`` is already the cheaper of the two rejoin points (Section
         III-C).
         """
-        pool = list(chargers)
-        ids = np.array([charger.charger_id for charger in pool], dtype=np.int64)
+        pool = ChargerPool.of(chargers)
+        ids = pool.charger_ids
         if not pool:
             empty = IntervalArray.exact(np.empty(0, dtype=np.float64))
             return DeroutingArrays(charger_ids=ids, hours=empty, normalised=empty)
@@ -134,7 +135,7 @@ class DeroutingEstimator:
                 Search(spec_low, rejoins, forward=False),
                 Search(spec_high, rejoins, forward=False),
             ),
-            [charger.node_id for charger in pool],
+            pool.node_ids,
             max_cost=budget,
         )
         total_lo = out_low + back_low

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..chargers.charger import Charger
+from ..chargers.pool import ChargerPool
 from ..chargers.registry import ChargerRegistry
 from ..chargers.solar import SolarProfile
 from ..interval_array import IntervalArray
@@ -103,13 +104,14 @@ class SustainableChargingEstimator:
         """
         if window_h <= 0:
             raise ValueError("charging window must be positive")
-        rows = len(chargers)
+        pool = ChargerPool.of(chargers)
+        rows = len(pool)
         if isinstance(attenuation, Interval):
             attenuation = IntervalArray(
                 np.full(rows, attenuation.lo), np.full(rows, attenuation.hi)
             )
-        capacity = np.array([c.solar_capacity_kw for c in chargers], dtype=np.float64)
-        rate = np.array([c.rate_kw for c in chargers], dtype=np.float64)
+        capacity = pool.solar_capacity_kw
+        rate = pool.rate_kw
         # SolarProfile.clear_sky_kw's association: (capacity * peak) * bell,
         # with the bell a Python scalar shared by every site (math.sin, not
         # np.sin, whose SIMD paths may differ from libm by an ulp).

@@ -26,13 +26,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .intervals import Interval
-from .network.distance_engine import DISTANCE_DECIMALS
 
 __all__ = [
+    "DISTANCE_DECIMALS",
     "IntervalArray",
     "ComponentArrays",
     "quantize",
 ]
+
+#: Decimal places every delivered distance is rounded to.  1e-9 h is 3.6 us
+#: of travel time — far below any component's resolution, far above the
+#: ~1e-16 relative float noise that separates the backends.  Kept here,
+#: below the network layer, so :func:`quantize` needs no upward import;
+#: :mod:`repro.network` re-exports it.
+DISTANCE_DECIMALS = 9
 
 
 def _as_float_array(values: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -68,6 +68,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
+from ..interval_array import DISTANCE_DECIMALS
 from ..lru import LRU
 from ..observability.deadline import NEVER_EXPIRES, CancellationToken
 from ..observability.metrics import hit_ratio
@@ -76,11 +77,6 @@ from .contraction import ContractionHierarchy, CustomizedHierarchy, combine_spac
 from .epochs import GraphEpochManager
 from .graph import EdgeWeight, RoadEdge, RoadNetwork
 from .shortest_path import ArcGraph, CostFn, FrontierQuery, Labels, settle_frontier
-
-#: Decimal places every delivered distance is rounded to.  1e-9 h is 3.6 us
-#: of travel time — far below any component's resolution, far above the
-#: ~1e-16 relative float noise that separates the backends.
-DISTANCE_DECIMALS = 9
 
 #: One quantum of the rounding grid; search budgets are inflated by this
 #: much so that boundary nodes are included regardless of rounding side.
@@ -553,10 +549,11 @@ class DistanceEngine:
     def distance_rows(
         self,
         searches: Sequence[Search],
-        nodes: Sequence[int],
+        nodes: Sequence[int] | np.ndarray,
         max_cost: float = math.inf,
     ) -> np.ndarray:
-        """Quantised distances of several searches over one node list.
+        """Quantised distances of several searches over one node list
+        (a sequence, or an ``int64`` array read without a copy).
 
         Returns a ``(len(searches), len(nodes))`` float64 array.  Row ``i``
         holds, for each of ``nodes``, the distance from
@@ -581,6 +578,8 @@ class DistanceEngine:
             for spec in specs:
                 self._note_spec(spec)
             if self._backend == "ch":
+                if isinstance(nodes, np.ndarray):
+                    nodes = nodes.tolist()
                 distinct = list(dict.fromkeys(nodes))
                 return np.array(
                     [
@@ -686,7 +685,7 @@ class DistanceEngine:
         self,
         specs: Sequence[WeightSpec],
         searches: Sequence[Search],
-        nodes: Sequence[int],
+        nodes: Sequence[int] | np.ndarray,
         budget: float,
     ) -> np.ndarray:
         """Unquantised labels of ``searches`` at ``nodes`` (``inf`` where

@@ -227,9 +227,13 @@ class ArcGraph:
     def node_count(self) -> int:
         return len(self.ids)
 
-    def positions(self, nodes: Iterable[int]) -> np.ndarray:
-        """The positions of ``nodes``, ``-1`` for a node not in the graph."""
-        wanted = np.fromiter(nodes, dtype=np.int64)
+    def positions(self, nodes: Iterable[int] | np.ndarray) -> np.ndarray:
+        """The positions of ``nodes`` (an ``int64`` array is read as it
+        is), ``-1`` for a node not in the graph."""
+        if isinstance(nodes, np.ndarray):
+            wanted = nodes.astype(np.int64, copy=False)
+        else:
+            wanted = np.fromiter(nodes, dtype=np.int64)
         if not len(self.ids):
             return np.full(len(wanted), -1, dtype=np.int64)
         index = np.searchsorted(self.ids, wanted)

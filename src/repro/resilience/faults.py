@@ -515,6 +515,6 @@ class FaultyChargerCatalogApi:
 
     def nearby(
         self, location: "Point", radius_km: float, now_h: float = 0.0
-    ) -> list["Charger"]:
+    ) -> Sequence["Charger"]:
         self._injector.roll(self.ENDPOINT, now_h)
         return self._inner.nearby(location, radius_km)

@@ -135,7 +135,7 @@ class ChargerCatalogApi:
         self._registry = registry
         self._usage = usage
 
-    def nearby(self, location: Point, radius_km: float) -> list[Charger]:
+    def nearby(self, location: Point, radius_km: float) -> Sequence[Charger]:
         """Chargers within ``radius_km`` of ``location`` (counted)."""
         self._usage.catalog_calls += 1
         return self._registry.within_radius(location, radius_km)

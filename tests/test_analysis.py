@@ -616,7 +616,7 @@ class TestR11TableBuilderSink:
             "    return build_table_from_arrays(\n"
             "        segment_index=0, origin=origin, generated_at_h=stamp,\n"
             "        radius_km=1.0, components=components, sc_min=sc_min,\n"
-            "        sc_max=sc_max, chosen_rows=rows, chargers_by_id=chargers,\n"
+            "        sc_max=sc_max, chosen_rows=rows, chargers=chargers,\n"
             "        eta_h=0.0)\n"
         )
 

@@ -297,6 +297,31 @@ class TestR14LayerConformance:
         violations = check_source(snippet, "src/repro/core/util.py")
         assert [v for v in violations if v.rule_id == "R14"] == []
 
+    @pytest.mark.parametrize("module", ["interval_array", "validation"])
+    def test_top_level_foundation_importing_upward_fires(self, module):
+        violations = check_snippets(
+            {
+                f"src/repro/{module}.py": "from repro.server.cache import ResponseCache\n",
+                "src/repro/server/cache.py": "class ResponseCache:\n    pass\n",
+            }
+        )
+        r14 = [v for v in violations if v.rule_id == "R14"]
+        assert [v.path for v in r14] == [f"src/repro/{module}.py"]
+        assert f"layer '{module}', rank 0" in r14[0].message
+
+    def test_core_importing_top_level_foundation_conforms(self):
+        violations = check_snippets(
+            {
+                "src/repro/core/util.py": (
+                    "from repro.interval_array import IntervalArray\n"
+                    "from repro.validation import require_finite\n"
+                ),
+                "src/repro/interval_array.py": "class IntervalArray:\n    pass\n",
+                "src/repro/validation.py": "def require_finite():\n    pass\n",
+            }
+        )
+        assert [v for v in violations if v.rule_id == "R14"] == []
+
     def test_upward_import_names_both_layers(self):
         violations = check_source(
             "from repro.resilience.gateway import ResilienceGateway\n",

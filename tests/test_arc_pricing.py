@@ -15,7 +15,7 @@ the stacked frontier kernel (``settle_frontier``).  These tests pin:
 * that a stacked call equals its queries run one at a time;
 * the "price once" contract itself, counted at the cost functions;
 * the fences that drop a priced vector with the rest of a key's state;
-* that the ``L``/``A`` estimators keep no memo (they price whole pools).
+* that the ``L``/``A`` estimators keep no per-charger memo (they price whole pools).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.chargers.plugshare import CatalogSpec, generate_catalog
 from repro.core.environment import ChargingEnvironment
 from repro.estimation import component
+from repro.estimation.availability import HOUR_COLUMNS
 from repro.estimation.derouting import DeroutingEstimator
 from repro.estimation.traffic import TrafficModel
 from repro.lru import LRU
@@ -521,10 +522,19 @@ class TestPriceOnce:
 class TestEstimatorsKeepNoMemo:
     def test_l_and_a_estimators_hold_no_memo(self, city):
         """``L`` and ``A`` are priced per pool by array kernels; neither
-        estimator keeps a per-charger memo, and the memo bound is gone."""
+        estimator keeps a per-charger memo, and the memo bound is gone.
+        The one cache left is availability's hour columns: one entry per
+        hour of the week over the whole store, never one per charger."""
         registry = generate_catalog(city, CatalogSpec(charger_count=37, seed=2))
         env = ChargingEnvironment(city, registry, seed=2)
         for estimator in (env.sustainable, env.availability):
             assert not [name for name in vars(estimator) if "memo" in name]
-            assert not [v for v in vars(estimator).values() if isinstance(v, LRU)]
+        assert not [v for v in vars(env.sustainable).values() if isinstance(v, LRU)]
+        caches = [v for v in vars(env.availability).values() if isinstance(v, LRU)]
+        assert caches == [env.availability._hours]
+        pool = registry.within_radius(Point(4.0, 3.0), 50.0)
+        for eta_h in (9.5, 9.75, 10.5):
+            env.availability.batch_estimate(pool, eta_h, 9.0)
+        assert len(env.availability._hours) == 2
+        assert env.availability._hours.capacity == HOUR_COLUMNS
         assert not hasattr(component, "MEMO_ENTRIES_PER_CHARGER")
