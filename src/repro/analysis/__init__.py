@@ -3,12 +3,11 @@
 The machine-checked guardrails for the paper's invariants (see
 ``docs/static_analysis.md``):
 
-* :mod:`repro.analysis.rules` — the fifteen ``repro-check`` rules:
+* :mod:`repro.analysis.rules` — the fourteen ``repro-check`` rules:
   per-file AST rules R1, R2 and R4-R10 (interval comparisons, metric
   consistency, mutable defaults, cache expiry, exception hygiene,
-  resilience/engine/journal/clock bypasses), R15 (backpressure-bypass in
-  the serving tier) and R16 (epoch-bypass around the live-graph cache
-  fence), plus the whole-program passes R11-R14.
+  resilience/engine/journal/clock bypasses) and R15 (backpressure-bypass
+  in the serving tier), plus the whole-program passes R11-R14.
 * :mod:`repro.analysis.graph` / :mod:`repro.analysis.dataflow` — the
   project graph (imports, classes, function IR) and the fixpoint
   summary framework the whole-program passes run on.

@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-check",
         description=(
             "Domain-aware static analysis for the EcoCharge reproduction: "
-            "per-file rules R1, R2, R4-R10, R15 and R16 plus whole-program "
+            "per-file rules R1, R2, R4-R10 and R15 plus whole-program "
             "passes R11-R14."
         ),
     )

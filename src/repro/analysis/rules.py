@@ -1,4 +1,4 @@
-"""The fifteen domain rules enforced by ``repro-check``.
+"""The fourteen domain rules enforced by ``repro-check``.
 
 Each rule encodes one invariant from the paper that Python's type system
 cannot express on its own (see ``docs/static_analysis.md`` for the
@@ -42,18 +42,15 @@ R14       layer-conformance       Module-scope imports follow the architecture l
                                   (whole-program, `passes/layering.py`)
 R15       backpressure-bypass     The serving tier admits load only through bounded
                                   queues and never blocks without a timeout
-R16       epoch-bypass            Engine and dynamic-cache reads in ``core/`` and
-                                  ``server/`` flow through the epoch-fenced API —
-                                  no reach-ins past ``_observe_epoch`` or the
-                                  fenced ``DynamicCache.lookup``
 ========  ======================  =====================================================
 
-R3 (``dataclass-slots``) and R17 (``label-cardinality-bypass``) are
-retired; their ids are not reused.  A tier-1 test now imports every
-hot-path module and requires ``__slots__`` on its dataclasses, and the
-metrics registry caps the values of every label itself.
+R3 (``dataclass-slots``), R16 (``epoch-bypass``) and R17
+(``label-cardinality-bypass``) are retired; their ids are not reused.  A
+tier-1 test now imports every hot-path module and requires ``__slots__``
+on its dataclasses, every engine cache key carries its metric's weights
+version, and the metrics registry caps the values of every label itself.
 
-R1, R2, R4-R10, R15 and R16 are per-file AST rules defined below;
+R1, R2, R4-R10 and R15 are per-file AST rules defined below;
 R11-R14 are whole-program passes over the project graph, defined in
 :mod:`repro.analysis.passes` and registered here so selection,
 suppression, listing, and docs treat them uniformly.
@@ -962,107 +959,6 @@ class BackpressureBypassRule(RuleProtocol):
 
 
 # --------------------------------------------------------------------------
-# R16 — epoch-fence bypass around live-graph caches
-# --------------------------------------------------------------------------
-
-#: Packages whose distance reads must be epoch-sound: the ranking core
-#: and the serving tier both hold references to fenced caches.
-_R16_PACKAGES = ("core/", "server/")
-
-#: The module that owns the dynamic cache's fence (it implements the
-#: fenced ``lookup`` and may touch ``_entry`` on ``self``).
-_R16_CACHE_OWNER = "core/caching.py"
-
-#: Private stores inside :class:`DistanceEngine` and
-#: :class:`DynamicCache` that the epoch fence invalidates.  Reading one
-#: through another object's attribute skips the fence entirely, so a
-#: stale-epoch distance can escape.
-_R16_FENCED_STORES = frozenset({"_maps", "_customized", "_pairs", "_entry"})
-
-#: Engine internals that sit *below* the fence: the public
-#: ``distance_rows`` / ``one_to_many`` / ``many_to_one`` / ``many_to_many``
-#: entry points call ``_observe_epoch`` first, these do not.
-_R16_UNFENCED_METHODS = frozenset(
-    {
-        "_labels",
-        "_costs",
-        "_space",
-        "_ch_map",
-        "_ch_bipartite",
-        "_customize",
-        "_observe_epoch",
-    }
-)
-
-
-class EpochBypassRule(RuleProtocol):
-    """R16: engine and dynamic-cache reads go through the epoch-fenced API.
-
-    The live-graph guarantee — no Offering Table ever mixes distances
-    from two network epochs — is enforced at exactly two choke points:
-    :class:`~repro.network.distance_engine.DistanceEngine`'s public
-    query methods (which call ``_observe_epoch`` before touching any
-    cache) and ``DynamicCache.lookup`` (which takes the weights token as
-    a required argument and fences on it first, so an unfenced lookup
-    cannot be written).  Reaching around either one — reading a fenced
-    store (``_maps``/``_pairs``/``_customized``/``_entry``) through
-    another object, or calling a below-fence engine internal — recreates
-    the stale-serve bug the fence exists to prevent, and only under
-    live-graph churn, where it is hardest to debug.
-    """
-
-    rule_id = "R16"
-    name = "epoch-bypass"
-    description = (
-        "reach-in to a fenced engine/dynamic-cache store or a below-fence engine internal"
-    )
-
-    def applies_to(self, source: SourceFile) -> bool:
-        if source.is_test:
-            return False
-        path = f"/{source.rel_path}"
-        return any(f"/{pkg}" in path for pkg in _R16_PACKAGES)
-
-    def check(self, source: SourceFile) -> Iterator[Violation]:
-        is_owner = source.rel_path.endswith(_R16_CACHE_OWNER)
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Attribute):
-                violation = self._store_violation(source, node, is_owner)
-                if violation is not None:
-                    yield violation
-
-    def _store_violation(
-        self, source: SourceFile, node: ast.Attribute, is_owner: bool
-    ) -> Violation | None:
-        attr = node.attr
-        on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
-        if attr in _R16_FENCED_STORES and not on_self and not is_owner:
-            return Violation(
-                rule_id=self.rule_id,
-                path=source.rel_path,
-                line=node.lineno,
-                message=(
-                    f"direct read of fenced cache store '.{attr}' — it is "
-                    f"invalidated by the epoch fence, so reaching in can "
-                    f"serve distances from a retired network epoch; use the "
-                    f"public engine/cache API"
-                ),
-            )
-        if attr in _R16_UNFENCED_METHODS and not on_self:
-            return Violation(
-                rule_id=self.rule_id,
-                path=source.rel_path,
-                line=node.lineno,
-                message=(
-                    f"call to below-fence engine internal '.{attr}' skips "
-                    f"_observe_epoch — use distance_rows / one_to_many / "
-                    f"many_to_one / many_to_many, which fence first"
-                ),
-            )
-        return None
-
-
-# --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
 
@@ -1080,7 +976,6 @@ ALL_RULES: tuple[RuleProtocol, ...] = (
     ClockBypassRule(),
     *PROJECT_RULES,
     BackpressureBypassRule(),
-    EpochBypassRule(),
 )
 
 RULES_BY_ID: dict[str, RuleProtocol] = {rule.rule_id: rule for rule in ALL_RULES}

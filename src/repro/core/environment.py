@@ -135,17 +135,20 @@ class ChargingEnvironment:
     def set_epochs(self, epochs: GraphEpochManager) -> None:
         """Attach a live-graph epoch manager, mirroring :meth:`set_telemetry`.
 
-        Wires the tiers this environment owns: the traffic model starts
-        pricing against the manager's incident factors (metrics built
-        *after* this call see the live graph; earlier specs keep their
-        admission epoch), and the shared distance engine fences its warm
-        caches on every weight-changing epoch bump.
+        The traffic model starts pricing against the manager's incident
+        factors: metrics built *after* this call see the live graph, and
+        carry its weights version, which the shared distance engine keys
+        its caches on.  Attaching the same manager again is a no-op; the
+        traffic model refuses a different one with :class:`ValueError`,
+        since its versions restart and would name distances priced under
+        the first.
         """
+        if epochs is self.epochs:
+            return
         if epochs.network is not self.network:
             raise ValueError("epoch manager must wrap this environment's network")
-        self.epochs = epochs
         self.traffic.set_epochs(epochs)
-        self.engine.attach_epochs(epochs)
+        self.epochs = epochs
         epochs.publish(self.telemetry)
 
     def current_epoch(self) -> int:

@@ -14,11 +14,11 @@ per-edge incident factor (``inf`` = closed).  Factors are *observed*
 state, not a forecast, so they multiply the optimistic and pessimistic
 bounds identically and interval validity is preserved.  Cost functions
 capture the epoch's immutable factor table at construction — a metric
-built on epoch *e* prices epoch *e* forever — and spec keys embed the
-weights version, so the distance engine can never join results across a
-weight change.  Raw static-map metrics (``EdgeWeight`` specs) and the
-energy metric deliberately never see incidents: they are the map view,
-not the traffic view.
+built on epoch *e* prices epoch *e* forever — and each spec carries the
+weights version as its ``epoch_version``, so the distance engine can
+never join results across a weight change.  Raw static-map metrics
+(``EdgeWeight`` specs) and the energy metric deliberately never see
+incidents: they are the map view, not the traffic view.
 """
 
 from __future__ import annotations
@@ -92,13 +92,19 @@ class TrafficModel:
         """The same congestion field with empty caches and no epochs."""
         return TrafficModel(self.params, self._rng_seed, self.confidence)
 
-    def set_epochs(self, epochs: GraphEpochManager | None) -> None:
-        """Attach the live-graph epoch manager (``None`` detaches).
+    def set_epochs(self, epochs: GraphEpochManager) -> None:
+        """Attach the live-graph epoch manager.
 
         Only metrics built *after* this call see incident factors; metrics
         already handed out keep pricing the epoch they captured, which is
-        exactly the in-flight-completes-on-admission-epoch contract.
+        exactly the in-flight-completes-on-admission-epoch contract.  A
+        model prices against one manager: its specs carry that manager's
+        weights versions, and a second manager's versions would restart
+        and name distances priced under the first, so a different one
+        raises :class:`ValueError`.
         """
+        if self._epochs is not None and epochs is not self._epochs:
+            raise ValueError("this traffic model already prices against an epoch manager")
         self._epochs = epochs
 
     @property
@@ -225,20 +231,11 @@ class TrafficModel:
 
     # -- keyed weight specs for the DistanceEngine -------------------------
 
-    @staticmethod
-    def _spec_key(kind: str, version: int | None, *times: float) -> tuple:
-        """Metric cache identity; the weights version is part of the key
-        when the live graph is attached, so results can never be joined
-        across an epoch bump even before the engine fences."""
-        if version is None:
-            return (kind, *times)
-        return (kind, *times, "w", version)
-
     def travel_time_spec(self, time_h: float) -> WeightSpec:
         """True travel-time metric with a cache identity (oracle view)."""
         version, factors = self._epoch_state()
         return WeightSpec(
-            key=self._spec_key("travel_time", version, time_h),
+            key=("travel_time", time_h),
             fn=self._with_factors(
                 lambda edge: edge.weight(EdgeWeight.TRAVEL_TIME_H)
                 * self.multiplier(edge, time_h),
@@ -268,7 +265,7 @@ class TrafficModel:
         high = self._with_factors(base_high, factors)
         return (
             WeightSpec(
-                key=self._spec_key("travel_time_lo", version, time_h, now_h),
+                key=("travel_time_lo", time_h, now_h),
                 fn=low,
                 batch=lambda edges: self._batch_travel_time(
                     edges, time_h, now_h, "lo", factors, version
@@ -276,7 +273,7 @@ class TrafficModel:
                 epoch_version=version,
             ),
             WeightSpec(
-                key=self._spec_key("travel_time_hi", version, time_h, now_h),
+                key=("travel_time_hi", time_h, now_h),
                 fn=high,
                 batch=lambda edges: self._batch_travel_time(
                     edges, time_h, now_h, "hi", factors, version

@@ -47,16 +47,16 @@ plus the per-edge callable (and optionally a vectorised batch evaluator
 used to price every arc at once).  Raw :class:`~repro.network.graph.EdgeWeight`
 members are accepted directly.
 
-**Live-graph fencing.** When a :class:`~repro.network.epochs.
-GraphEpochManager` is attached, every public query first observes the
-manager's ``weights_version`` and *fences*: cached settled maps,
-customisations and pair joins belonging to specs built against an older
-version are dropped before anything is served, so a stale-epoch read is
-structurally impossible.  Fencing is incremental —
-only specs that carry a stale ``epoch_version`` are invalidated; static
-specs (``epoch_version=None``, e.g. raw ``EdgeWeight`` metrics that never
-see incidents) keep their warm state, and re-customization on the CH
-backend therefore sweeps only the metrics the incident actually touched.
+**Weight versions.** Every cache is keyed by :attr:`WeightSpec.identity`,
+the metric's key plus the live-graph weights version it was built
+against, so a spec reads only what was priced under its own version: no
+distance crosses a weight change, and the engine needs no epoch manager.
+When a spec carries a version newer than any the engine holds, every
+older live entry is dropped, one pass per cache, which keeps memory
+bounded; static specs (``epoch_version=None``, e.g. raw ``EdgeWeight``
+metrics that never see incidents) keep their warm state.  A network that
+has grown since its artifacts were cached drops them all, a hierarchy
+the engine built included.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from ..observability.deadline import NEVER_EXPIRES, CancellationToken
 from ..observability.metrics import hit_ratio
 from ..observability.recorder import NOOP_TELEMETRY, Telemetry
 from .contraction import ContractionHierarchy, CustomizedHierarchy, combine_spaces
-from .epochs import GraphEpochManager
 from .graph import EdgeWeight, RoadEdge, RoadNetwork
 from .shortest_path import ArcGraph, CostFn, FrontierQuery, Labels, settle_frontier
 
@@ -85,6 +84,9 @@ DISTANCE_QUANTUM = 10.0 ** (-DISTANCE_DECIMALS)
 BACKENDS = ("dijkstra", "ch")
 
 _T = TypeVar("_T")
+
+#: A metric's cache identity, :attr:`WeightSpec.identity`.
+Identity = tuple[Hashable, int | None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,17 +102,21 @@ class WeightSpec:
 
     ``epoch_version`` is the live-graph ``weights_version`` the metric
     was built against, or ``None`` for metrics that never see incidents
-    (raw :class:`EdgeWeight` specs — the static map view).  The engine
-    fences cached state per key when the recorded version goes stale, and
-    rejects a *reused* key whose version changed — the contract that
-    makes serving distances across a weight change structurally
-    impossible (see ``docs/live_graph.md``).
+    (raw :class:`EdgeWeight` specs — the static map view).  Together
+    with ``key`` it is the metric's :attr:`identity`, which every engine
+    cache is keyed on: a key reused under another version is another
+    metric (see ``docs/live_graph.md``).
     """
 
     key: Hashable
     fn: CostFn
     batch: Callable[[Sequence[RoadEdge | None]], Sequence[float]] | None = None
     epoch_version: int | None = None
+
+    @property
+    def identity(self) -> Identity:
+        """The metric's cache identity: ``(key, epoch_version)``."""
+        return (self.key, self.epoch_version)
 
     @classmethod
     def of(cls, weight: "EdgeWeight | WeightSpec") -> "WeightSpec":
@@ -157,10 +163,9 @@ class EngineStats:
     customisation_hits: int = 0
     evictions: int = 0
     ch_builds: int = 0
-    #: Weight-version bumps the engine observed and fenced (live graph).
-    epoch_fences: int = 0
     #: Cached artifacts (maps, arc-cost vectors, customisations, pair
-    #: joins) dropped by epoch fencing — zero across a no-op epoch bump.
+    #: joins) dropped when a newer weights version arrived — zero across
+    #: a no-op epoch bump.
     epoch_invalidations: int = 0
 
     #: Integer counter fields, in report order (used for snapshot deltas).
@@ -175,7 +180,6 @@ class EngineStats:
         "customisation_hits",
         "evictions",
         "ch_builds",
-        "epoch_fences",
         "epoch_invalidations",
     )
 
@@ -292,11 +296,6 @@ def _anchor(target: int | tuple[int, ...]) -> int | tuple[int, ...]:
     return nodes[0] if len(nodes) == 1 else nodes
 
 
-#: Sentinel distinguishing "key never seen" from the valid version
-#: ``None`` (static spec) in the engine's per-key version ledger.
-_UNSEEN = object()
-
-
 class DistanceEngine:
     """Memoising one-to-many / many-to-one distance facade.
 
@@ -308,6 +307,9 @@ class DistanceEngine:
     default is 64 settled nodes per network node, so the bound scales
     with the network instead of letting a small network's engine grow
     until a fixed node count is reached.
+
+    A ``hierarchy`` passed in is bound to the network as it is: once the
+    network grows, every query raises :class:`ValueError`.
     """
 
     def __init__(
@@ -332,21 +334,27 @@ class DistanceEngine:
         self._network = network
         self._backend = backend
         self._hierarchy = hierarchy
-        #: (weight key, origin, direction) -> (computed budget, settled
+        #: A hierarchy passed in cannot be rebuilt when the network grows.
+        self._given_hierarchy = hierarchy is not None
+        #: The network's ``(node_count, edge_count)`` the caches hold.
+        self._shape = (network.node_count, network.edge_count)
+        #: The newest weights version the caches hold (``None``: none).
+        self._live_version: int | None = None
+        #: (identity, origin, direction) -> (computed budget, settled
         #: map), each map costing its label count: the final labels of a
         #: Dijkstra search, or a CH upward search space.
         self._maps: LRU[
-            tuple[Hashable, int | tuple[int, ...], str],
+            tuple[Identity, int | tuple[int, ...], str],
             tuple[float, Labels | dict[int, float]],
         ]
         self._maps = LRU(capacity_nodes, cost=lambda entry: len(entry[1]))
-        self._customized: LRU[Hashable, CustomizedHierarchy] = LRU(max_customizations)
+        self._customized: LRU[Identity, CustomizedHierarchy] = LRU(max_customizations)
         #: The network's arcs flattened for the Dijkstra backend, built on
         #: its first search.
         self._arcs: ArcGraph | None = None
-        #: weight key -> the metric's cost per ``_arcs`` arc: the Dijkstra
-        #: backend's counterpart of a customisation, priced once per key.
-        self._priced: LRU[Hashable, np.ndarray] = LRU(PRICED_METRICS)
+        #: identity -> the metric's cost per ``_arcs`` arc: the Dijkstra
+        #: backend's counterpart of a customisation, priced once.
+        self._priced: LRU[Identity, np.ndarray] = LRU(PRICED_METRICS)
         #: Metrics announced by :meth:`prepare` but not yet customised.
         #: Customisation is *deferred* to the first settled-map miss that
         #: needs one of them: a warm segment whose maps are all cached
@@ -355,27 +363,17 @@ class DistanceEngine:
         #: which is exactly what made warm CH serving slower than warm
         #: Dijkstra).
         self._pending: tuple[WeightSpec, ...] = ()
-        #: Interned small-int ids per weight key: pair-cache keys hash a
-        #: 4-int tuple instead of a nested tuple of floats.
-        self._spec_ids: dict[Hashable, int] = {}
-        #: (spec id, anchor, node, forward) -> (budget, quantised join).
+        #: (identity, anchor, node, forward) -> (budget, quantised join).
         #: The CH warm path: a bipartite query member whose join result is
         #: cached is answered by this one probe — no settled maps, no
         #: space combine, no re-quantisation.
-        self._pairs: LRU[tuple[int, int, int, bool], tuple[float, float]]
+        self._pairs: LRU[tuple[Identity, int, int, bool], tuple[float, float]]
         self._pairs = LRU(capacity_pairs)
         self.stats = EngineStats()
-        #: Live-graph epoch manager (``attach_epochs``); ``None`` keeps
-        #: the engine in its historical static-network behaviour.
-        self._epochs: GraphEpochManager | None = None
-        #: The weights version all cached state is currently valid for.
-        self._fenced_version = 0
-        #: Per weight key: the ``epoch_version`` the key was first seen
-        #: with (``None`` marks static specs that never fence).
-        self._spec_versions: dict[Hashable, object] = {}
-        #: Set by a fence that dropped live-metric state; the next CH
-        #: customisation is the *re*-customization and reports its latency.
-        self._epoch_dirty = False
+        #: Set when a newer weights version retired older live entries;
+        #: the next CH customisation is the *re*-customization and
+        #: reports its latency.
+        self._recustomize = False
         #: Installed by the owning environment's ``set_telemetry``; the
         #: no-op default keeps cache hits span-free and searches unguarded.
         self.telemetry: Telemetry = NOOP_TELEMETRY
@@ -425,93 +423,60 @@ class DistanceEngine:
             self._priced.clear()
             self._customized.clear()
             self._pending = ()
-            self._spec_ids.clear()
             self._pairs.clear()
-            self._spec_versions.clear()
-            self._epoch_dirty = False
+            self._recustomize = False
 
-    # -- live-graph epoch fencing -------------------------------------------
+    # -- cache identity ------------------------------------------------------
 
-    def attach_epochs(self, epochs: GraphEpochManager | None) -> None:
-        """Bind the engine to the live graph's epoch manager.
+    def _admit(self, specs: Iterable[WeightSpec]) -> None:
+        """Bring the caches up to the network and to ``specs``.
 
-        From here on every public query fences first: cached state built
-        against an older ``weights_version`` is unreachable before any
-        distance is served.  Detaching (``None``) restores static-network
-        behaviour for state cached afterwards.
+        A network grown since the caches were filled drops every cached
+        artifact.  A spec newer than any version held retires every older
+        live entry.  That only bounds memory: each key carries its
+        version, so no current spec could read them, and a stale spec
+        still in flight prices afresh under its own identity.
         """
-        with self._lock:
-            self._epochs = epochs
-            self._fenced_version = 0 if epochs is None else epochs.weights_version
-
-    @property
-    def epochs(self) -> GraphEpochManager | None:
-        return self._epochs
-
-    def _observe_epoch(self) -> None:
-        """Fence cached state up to the manager's current weights version
-        (no-op when detached or already current — the no-incident hot
-        path pays one integer compare)."""
-        manager = self._epochs
-        if manager is None:
+        network = self._network
+        shape = (network.node_count, network.edge_count)
+        if shape != self._shape:
+            if self._given_hierarchy:
+                raise ValueError("the network changed after its hierarchy was built")
+            self.clear()
+            self._arcs = None
+            self._hierarchy = None
+            self._shape = shape
+        held = newest = self._live_version
+        for spec in specs:
+            version = spec.epoch_version
+            if version is not None and (newest is None or version > newest):
+                newest = version
+        if newest == held:
             return
-        version = manager.weights_version
-        if version != self._fenced_version:
-            self._fence_to(version)
-
-    def _fence_to(self, version: int) -> None:
-        """Drop every cached artifact owned by a stale live spec.
-
-        Static specs (``epoch_version=None``) survive — their metrics do
-        not depend on incident factors — which is what makes a fence
-        incremental rather than a full :meth:`clear`.
-        """
-        stale = {
-            key
-            for key, recorded in self._spec_versions.items()
-            if recorded is not None and recorded < version  # type: ignore[operator]
-        }
-        self._fenced_version = version
-        self.stats.epoch_fences += 1
-        if not stale:
+        self._live_version = newest
+        if held is None:
             return
-        self.stats.epoch_invalidations += self._invalidate_keys(stale)
-        for key in stale:
-            del self._spec_versions[key]
-        self._epoch_dirty = True
 
-    def _invalidate_keys(self, keys: set[Hashable]) -> int:
-        """Remove every cached artifact for the given weight keys in one
-        pass over each cache; returns how many artifacts were dropped."""
-        dropped = self._maps.drop_where(lambda map_key, _: map_key[0] in keys)
-        dropped += self._priced.drop_where(lambda key, _: key in keys)
-        dropped += self._customized.drop_where(lambda key, _: key in keys)
-        if self._pending:
-            self._pending = tuple(p for p in self._pending if p.key not in keys)
-        spec_ids = {self._spec_ids[key] for key in keys if key in self._spec_ids}
-        if spec_ids:
-            dropped += self._pairs.drop_where(lambda pair_key, _: pair_key[0] in spec_ids)
-        return dropped
+        def older(identity: Identity) -> bool:
+            return identity[1] is not None and identity[1] < newest
 
-    def _note_spec(self, spec: WeightSpec) -> None:
-        """Pin the key -> epoch-version binding; a key *reused* under a
-        different version is a weight change in disguise, and its cached
-        state is dropped before the query runs (the pair-join cache can
-        never serve distances across a weight change)."""
-        recorded = self._spec_versions.get(spec.key, _UNSEEN)
-        if recorded is _UNSEEN:
-            self._spec_versions[spec.key] = spec.epoch_version
-            return
-        if recorded != spec.epoch_version:
-            self.stats.epoch_invalidations += self._invalidate_keys({spec.key})
-            self._spec_versions[spec.key] = spec.epoch_version
+        dropped = self._maps.drop_where(lambda key, _: older(key[0]))
+        dropped += self._priced.drop_where(lambda key, _: older(key))
+        dropped += self._customized.drop_where(lambda key, _: older(key))
+        dropped += self._pairs.drop_where(lambda key, _: older(key[0]))
+        self._pending = tuple(p for p in self._pending if not older(p.identity))
+        self.stats.epoch_invalidations += dropped
+        self._recustomize = True
 
     def ensure_hierarchy(self) -> ContractionHierarchy:
-        """Build (once) and return the contraction hierarchy."""
-        if self._hierarchy is None:
-            self._hierarchy = ContractionHierarchy.build(self._network)
-            self.stats.ch_builds += 1
-        return self._hierarchy
+        """Build (once per network shape) and return the contraction
+        hierarchy."""
+        with self._lock:
+            self._admit(())
+            if self._hierarchy is None:
+                self._hierarchy = ContractionHierarchy.build(self._network)
+                self.stats.ch_builds += 1
+            return self._hierarchy
 
     def prepare(self, *weights: EdgeWeight | WeightSpec) -> None:
         """Announce the metrics the next queries will price, as one group.
@@ -529,16 +494,16 @@ class DistanceEngine:
         """
         if self._backend != "ch":
             return
+        specs = [WeightSpec.of(weight) for weight in weights]
         with self._lock:
-            self._observe_epoch()
+            self._admit(specs)
             pending: list[WeightSpec] = []
-            seen: set[Hashable] = set()
-            for weight in weights:
-                spec = WeightSpec.of(weight)
-                self._note_spec(spec)
-                if spec.key in self._customized or spec.key in seen:
+            seen: set[Identity] = set()
+            for spec in specs:
+                identity = spec.identity
+                if identity in self._customized or identity in seen:
                     continue
-                seen.add(spec.key)
+                seen.add(identity)
                 pending.append(spec)
             # Replace (not extend): stale never-queried groups from earlier
             # segments must not grow the sweep unboundedly.
@@ -574,9 +539,7 @@ class DistanceEngine:
         budget = _search_budget(max_cost)
         specs = [WeightSpec.of(search.weight) for search in searches]
         with self._lock:
-            self._observe_epoch()
-            for spec in specs:
-                self._note_spec(spec)
+            self._admit(specs)
             if self._backend == "ch":
                 if isinstance(nodes, np.ndarray):
                     nodes = nodes.tolist()
@@ -691,7 +654,7 @@ class DistanceEngine:
         """Unquantised labels of ``searches`` at ``nodes`` (``inf`` where
         none is held), from the settled-map memo or one stacked search.
 
-        Each distinct ``(weight key, origin, direction)`` map is looked up
+        Each distinct ``(identity, origin, direction)`` map is looked up
         once.  A cached map serves when its budget covers ``budget`` and
         either its search ran to the budget or it holds every node asked
         for; the rest run together, stopped at ``nodes``, and replace
@@ -701,12 +664,12 @@ class DistanceEngine:
         columns = arcs.positions(nodes)
         known = columns >= 0
         out = np.empty((len(searches), len(columns)))
-        groups: dict[tuple[Hashable, int | tuple[int, ...], str], list[int]] = {}
+        groups: dict[tuple[Identity, int | tuple[int, ...], str], list[int]] = {}
         for row, (spec, search) in enumerate(zip(specs, searches)):
-            key = (spec.key, _anchor(search.origin), "f" if search.forward else "b")
+            key = (spec.identity, _anchor(search.origin), "f" if search.forward else "b")
             groups.setdefault(key, []).append(row)
         stats = self.stats
-        missed: list[tuple[Hashable, int | tuple[int, ...], str]] = []
+        missed: list[tuple[Identity, int | tuple[int, ...], str]] = []
         queries: list[FrontierQuery] = []
         for key, rows in groups.items():
             cached = self._maps.get(key)
@@ -742,21 +705,18 @@ class DistanceEngine:
         return out
 
     def _arc_graph(self) -> ArcGraph:
-        """The network's arcs, rebuilt (and every priced vector dropped)
-        when the network has grown since they were flattened."""
-        network = self._network
-        arcs = self._arcs
-        if arcs is None or arcs.shape != (network.node_count, network.edge_count):
-            arcs = self._arcs = ArcGraph.of(network)
-            self._priced.clear()
-        return arcs
+        """The network's arcs, flattened on first need."""
+        if self._arcs is None:
+            self._arcs = ArcGraph.of(self._network)
+        return self._arcs
 
     def _costs(self, spec: WeightSpec, arcs: ArcGraph) -> np.ndarray:
-        """``spec`` priced over every arc, once per weight key."""
-        costs = self._priced.get(spec.key)
+        """``spec`` priced over every arc, once per identity."""
+        identity = spec.identity
+        costs = self._priced.get(identity)
         if costs is None:
             costs = _arc_costs(spec, arcs.edges)
-            self.stats.evictions += self._priced.put(spec.key, costs)
+            self.stats.evictions += self._priced.put(identity, costs)
         return costs
 
     # -- CH backend ---------------------------------------------------------
@@ -784,7 +744,7 @@ class DistanceEngine:
     ) -> dict[int, float]:
         """The upward search space for (spec, node, direction), cached
         and budgeted: a cached space serves any query its budget covers."""
-        key = (spec.key, node, direction)
+        key = (spec.identity, node, direction)
         budget = _search_budget(max_cost)
         with self._lock:
             cached = self._maps.get(key)
@@ -814,8 +774,9 @@ class DistanceEngine:
         single sweep per segment as the eager design did, but a warm
         segment whose searches never miss skips customisation entirely.
         """
+        identity = spec.identity
         with self._lock:
-            cached = self._customized.get(spec.key)
+            cached = self._customized.get(identity)
             if cached is not None:
                 self.stats.customisation_hits += 1
                 return cached
@@ -823,12 +784,12 @@ class DistanceEngine:
             group = [spec] + [
                 p
                 for p in self._pending
-                if p.key != spec.key and p.key not in self._customized
+                if p.identity != identity and p.identity not in self._customized
             ]
             self._pending = ()
             rows = [_arc_costs(p, hierarchy.original_edges) for p in group]
             telemetry = self.telemetry
-            recustomizing = self._epoch_dirty
+            recustomizing = self._recustomize
             timed = telemetry.enabled and recustomizing
             started_s = telemetry.clock.monotonic() if timed else 0.0
             with telemetry.span(
@@ -836,10 +797,10 @@ class DistanceEngine:
             ):
                 customs = hierarchy.customize_many(rows)
             if recustomizing:
-                # First sweep after an epoch fence rebinds the live
-                # metrics on the new graph: that is the re-customization
-                # whose latency degraded serving is hiding.
-                self._epoch_dirty = False
+                # First sweep after a weights version retired the old
+                # live metrics prices them on the new graph: that is the
+                # re-customization whose latency degraded serving hides.
+                self._recustomize = False
                 if timed:
                     telemetry.observe(
                         "ecocharge_engine_recustomize_seconds",
@@ -847,7 +808,7 @@ class DistanceEngine:
                         backend=self._backend,
                     )
             for p, custom in zip(group, customs):
-                self.stats.evictions += self._customized.put(p.key, custom)
+                self.stats.evictions += self._customized.put(p.identity, custom)
                 self.stats.customisations += 1
             return customs[0]
 
@@ -863,7 +824,7 @@ class DistanceEngine:
 
         ``forward=True`` answers anchor -> pool member; ``forward=False``
         answers pool member -> anchor.  Joined, quantised results are
-        memoised per ``(spec, anchor, node, direction)`` pair, so a warm
+        memoised per ``(identity, anchor, node, direction)``, so a warm
         query is one LRU probe per pool member — the spaces themselves
         (each independently cached in the settled-map LRU) are only
         touched on a pair miss.
@@ -871,15 +832,12 @@ class DistanceEngine:
         budget = _search_budget(max_cost)
         with self._lock:
             stats = self.stats
-            spec_id = self._spec_ids.get(spec.key)
-            if spec_id is None:
-                spec_id = len(self._spec_ids)
-                self._spec_ids[spec.key] = spec_id
+            identity = spec.identity
             pairs = self._pairs
             anchor_space: dict[int, float] | None = None
             out: dict[int, float] = {}
             for node in pool:
-                key = (spec_id, anchor, node, forward)
+                key = (identity, anchor, node, forward)
                 cached = pairs.get(key)
                 if cached is not None:
                     cached_budget, q = cached

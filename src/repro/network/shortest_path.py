@@ -175,8 +175,6 @@ class ArcGraph:
     ``in_edges`` order (relaxed backward): ``heads`` is each arc's far
     end and ``arcs`` its id, padded to one width with ``p`` itself and the
     sentinel arc ``len(edges)``, which every search prices at ``inf``.
-    ``shape`` is the ``(node_count, edge_count)`` the graph was built
-    from, so a network grown afterwards is detected.
 
     The rest is the kernel's scratch, grown on demand: ``labels`` is the
     stacked label vector (``inf`` between calls; a call resets only the
@@ -189,7 +187,6 @@ class ArcGraph:
     ids: np.ndarray
     heads: np.ndarray
     arcs: np.ndarray
-    shape: tuple[int, int]
     labels: np.ndarray = field(default_factory=lambda: np.empty(0))
     weights: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     layouts: dict[tuple[bool, ...], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
@@ -220,8 +217,7 @@ class ArcGraph:
             for c, (head, arc) in enumerate(row):
                 heads[r, c] = head
                 arcs[r, c] = arc
-        shape = (network.node_count, network.edge_count)
-        return cls(tuple(edges), np.array(ids, dtype=np.int64), heads, arcs, shape)
+        return cls(tuple(edges), np.array(ids, dtype=np.int64), heads, arcs)
 
     @property
     def node_count(self) -> int:

@@ -229,8 +229,8 @@ class FaultTolerantEnvironment(ChargingEnvironment):
 
     def set_epochs(self, epochs: "GraphEpochManager") -> None:
         """Attach the live-graph epoch manager on this view *and* the
-        inner environment (which owns the traffic model and engine the
-        manager must fence)."""
+        inner environment (which owns the traffic model that prices
+        against it)."""
         self.inner.set_epochs(epochs)
         self.epochs = epochs
 

@@ -1,5 +1,5 @@
-"""The ``repro.analysis`` subsystem: per-file rules R1, R2, R4-R10, R15
-and R16, suppressions, CLI, and runtime contracts (the whole-program
+"""The ``repro.analysis`` subsystem: per-file rules R1, R2, R4-R10 and
+R15, suppressions, CLI, and runtime contracts (the whole-program
 passes R11-R14 and SARIF live in ``test_analysis_project.py``; the
 real-tree gate lives in ``test_lint_gate.py``).
 
@@ -28,7 +28,7 @@ SRC = REPO_ROOT / "src" / "repro"
 
 LIVE_RULES = (
     "R1", "R2", "R4", "R5", "R6", "R7", "R8", "R9", "R10",
-    "R11", "R12", "R13", "R14", "R15", "R16",
+    "R11", "R12", "R13", "R14", "R15",
 )
 
 
@@ -738,84 +738,6 @@ class TestR15BackpressureBypass:
         path = "src/repro/server/scheduling/queueing.py"
         assert check_source(snippet, path) == []
 
-
-# ---------------------------------------------------------------------------
-# R16 — epoch-fence bypass around live-graph caches
-# ---------------------------------------------------------------------------
-
-
-class TestR16EpochBypass:
-    CORE_PATH = "src/repro/core/example.py"
-    SERVER_PATH = "src/repro/server/example.py"
-
-    def test_fires_on_fenced_store_reach_in(self):
-        snippet = (
-            "def peek(engine, node):\n"
-            "    return engine._pairs, engine._maps.get(node)\n"
-        )
-        assert rule_ids(check_source(snippet, self.SERVER_PATH)) == ["R16", "R16"]
-
-    def test_fires_on_dynamic_cache_entry_reach_in(self):
-        snippet = (
-            "def raw(cache):\n"
-            "    return cache._entry\n"
-        )
-        assert rule_ids(check_source(snippet, self.CORE_PATH)) == ["R16"]
-
-    def test_fires_on_below_fence_engine_call(self):
-        snippet = (
-            "def price(engine, spec, anchor, pool):\n"
-            "    return engine._ch_bipartite(spec, anchor, pool)\n"
-        )
-        assert rule_ids(check_source(snippet, self.CORE_PATH)) == ["R16"]
-
-    def test_fires_on_below_fence_stacked_labels(self):
-        snippet = (
-            "def price(engine, specs, searches, pool, budget):\n"
-            "    rows = engine._labels(specs, searches, pool, budget)\n"
-            "    return rows, engine._costs(specs[0], engine.arcs)\n"
-        )
-        assert rule_ids(check_source(snippet, self.SERVER_PATH)) == ["R16", "R16"]
-
-    def test_clean_on_public_engine_api(self):
-        snippet = (
-            "def price(engine, spec, anchor, pool, budget):\n"
-            "    return engine.many_to_one(spec, pool, anchor, budget)\n"
-        )
-        assert check_source(snippet, self.CORE_PATH) == []
-
-    def test_self_access_is_allowed(self):
-        # An owner class implementing its own store is not a reach-in.
-        snippet = (
-            "class Ledger:\n"
-            "    def __init__(self):\n"
-            "        self._pairs = {}\n"
-            "    def size(self):\n"
-            "        return len(self._pairs)\n"
-        )
-        assert check_source(snippet, self.CORE_PATH) == []
-
-    def test_cache_owner_module_is_exempt(self):
-        snippet = (
-            "def migrate(cache):\n"
-            "    return cache._entry\n"
-        )
-        assert check_source(snippet, "src/repro/core/caching.py") == []
-
-    def test_non_cache_lookup_is_not_flagged(self):
-        snippet = (
-            "def resolve(registry, name):\n"
-            "    return registry.lookup(name)\n"
-        )
-        assert check_source(snippet, self.CORE_PATH) == []
-
-    def test_tests_are_exempt(self):
-        snippet = (
-            "def test_fence(engine):\n"
-            "    assert engine._pairs == {}\n"
-        )
-        assert check_source(snippet, "tests/test_example.py") == []
-
     def test_non_server_tier_is_exempt(self):
         snippet = (
             "import queue\n"
@@ -844,8 +766,8 @@ class TestEngineAndCli:
         with pytest.raises(KeyError):
             select_rules(["R99"])
 
-    def test_all_fifteen_rules_registered(self):
-        # R3 and R17 are retired, and their ids are not reused.
+    def test_all_fourteen_rules_registered(self):
+        # R3, R16 and R17 are retired, and their ids are not reused.
         assert tuple(r.rule_id for r in ALL_RULES) == LIVE_RULES
 
     def test_cli_clean_tree_exits_zero(self, tmp_path, capsys):

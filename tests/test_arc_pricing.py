@@ -20,6 +20,7 @@ the stacked frontier kernel (``settle_frontier``).  These tests pin:
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -35,7 +36,9 @@ from repro.estimation.derouting import DeroutingEstimator
 from repro.estimation.traffic import TrafficModel
 from repro.lru import LRU
 from repro.network.builders import NetworkSpec, build_city_network
+from repro.network.contraction import ContractionHierarchy
 from repro.network.distance_engine import (
+    BACKENDS,
     DISTANCE_QUANTUM,
     DistanceEngine,
     Search,
@@ -136,7 +139,6 @@ class TestSettledMapsMatchRawDijkstra:
         network, closed, origin = case
         manager, traffic = live_traffic(network, closed)
         engine = DistanceEngine(network)
-        engine.attach_epochs(manager)
         specs = [
             WeightSpec.of(EdgeWeight.DISTANCE_KM),
             *traffic.travel_time_bound_specs(9.0, 8.0),
@@ -181,7 +183,6 @@ class TestSettledMapsMatchRawDijkstra:
         assert spec.fn(closed) == INF
         assert spec.batch((closed,))[0] == INF
         engine = DistanceEngine(network)
-        engine.attach_epochs(manager)
         ball = raw_labels(engine, spec, 0, True, INF)
         assert ball[1] == ball[2] + spec.fn(network.edge(2, 1))
 
@@ -221,9 +222,7 @@ class TestFusedReturns:
         for backend in ("dijkstra", "ch"):
 
             def engine() -> DistanceEngine:
-                fresh = DistanceEngine(network, backend=backend)
-                fresh.attach_epochs(manager)
-                return fresh
+                return DistanceEngine(network, backend=backend)
 
             got = engine().many_to_one(ids, (first, second), spec, max_cost=budget)
             expected = nearest(
@@ -476,19 +475,25 @@ class TestPriceOnce:
         traffic = TrafficModel(seed=2)
         traffic.set_epochs(manager)
         engine = DistanceEngine(city)
-        engine.attach_epochs(manager)
         nodes = sorted(city.node_ids())
+        static = WeightSpec.of(EdgeWeight.DISTANCE_KM).identity
         live = traffic.travel_time_spec(9.0)
         engine.one_to_many(nodes[0], nodes, live, max_cost=0.2)
         engine.one_to_many(nodes[0], nodes, EdgeWeight.DISTANCE_KM, max_cost=2.0)
-        assert live.key in engine._priced and EdgeWeight.DISTANCE_KM in engine._priced
+        assert live.identity in engine._priced and static in engine._priced
         edge = next(city.edges())
         manager.apply([Incident.congestion(edge.source, edge.target, 3.0)])
         invalidations = engine.stats.epoch_invalidations
+        # A static query alone keeps the live metric: no newer version seen.
         engine.one_to_many(nodes[0], nodes, EdgeWeight.DISTANCE_KM, max_cost=2.0)
-        # The live metric's map and vector are gone; the static one stays warm.
-        assert live.key not in engine._priced
-        assert EdgeWeight.DISTANCE_KM in engine._priced
+        assert live.identity in engine._priced
+        assert engine.stats.epoch_invalidations == invalidations
+        # The first query carrying the newer version drops the live map and
+        # vector; the static one stays warm.
+        newer = traffic.travel_time_spec(9.0)
+        engine.one_to_many(nodes[0], nodes, newer, max_cost=0.2)
+        assert live.identity not in engine._priced and newer.identity in engine._priced
+        assert static in engine._priced
         assert engine.stats.epoch_invalidations == invalidations + 2
         engine.clear()
         assert len(engine._priced) == 0
@@ -504,15 +509,45 @@ class TestPriceOnce:
         assert second == DistanceEngine(city).one_to_many(nodes[0], nodes, new)
 
     def test_grown_network_is_repriced(self):
+        # On both backends, with and without clear(): the memo, the arcs
+        # and a hierarchy the engine built all follow the network.
+        for backend, clear in itertools.product(BACKENDS, (False, True)):
+            network = RoadNetwork()
+            for node in range(3):
+                network.add_node(node, Point(float(node), 0.0))
+            network.add_edge(0, 1, length_km=1.0)
+            engine = DistanceEngine(network, backend=backend)
+            assert engine.one_to_many(0, [1, 2], EdgeWeight.DISTANCE_KM) == {1: 1.0}
+            network.add_edge(1, 2, length_km=2.0)
+            if clear:
+                engine.clear()
+            assert engine.one_to_many(0, [1, 2], EdgeWeight.DISTANCE_KM) == {1: 1.0, 2: 3.0}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_shortcut_added_to_a_line_is_served(self, backend):
+        # 0-1-2-3 at 1 km a link; a 0.5 km arc 0 -> 3 added after the
+        # first answer must replace it, memo and hierarchy alike.
+        network = RoadNetwork()
+        for node in range(4):
+            network.add_node(node, Point(float(node), 0.0))
+        for node in range(3):
+            network.add_edge(node, node + 1, length_km=1.0)
+        engine = DistanceEngine(network, backend=backend)
+        assert engine.one_to_many(0, [3], EdgeWeight.DISTANCE_KM) == {3: 3.0}
+        network.add_edge(0, 3, length_km=0.5)
+        assert engine.one_to_many(0, [3], EdgeWeight.DISTANCE_KM) == {3: 0.5}
+
+    def test_a_given_hierarchy_refuses_a_grown_network(self):
         network = RoadNetwork()
         for node in range(3):
             network.add_node(node, Point(float(node), 0.0))
         network.add_edge(0, 1, length_km=1.0)
-        engine = DistanceEngine(network)
-        assert engine.one_to_many(0, [1, 2], EdgeWeight.DISTANCE_KM) == {1: 1.0}
+        hierarchy = ContractionHierarchy.build(network)
+        engine = DistanceEngine(network, backend="ch", hierarchy=hierarchy)
+        assert engine.one_to_many(0, [1], EdgeWeight.DISTANCE_KM) == {1: 1.0}
         network.add_edge(1, 2, length_km=2.0)
-        engine.clear()  # drop the settled map; the arcs are rebuilt on their own
-        assert engine.one_to_many(0, [1, 2], EdgeWeight.DISTANCE_KM) == {1: 1.0, 2: 3.0}
+        with pytest.raises(ValueError):
+            engine.one_to_many(0, [1, 2], EdgeWeight.DISTANCE_KM)
 
     def test_unknown_node_raises(self, city):
         with pytest.raises(KeyError):

@@ -135,9 +135,9 @@ class TestEngineBasics:
         assert engine.stats.as_dict()["hit_rate"] == 0.0
 
 
-def held(engine: DistanceEngine, key) -> dict[int, float]:
+def held(engine: DistanceEngine, weight, origin, direction) -> dict[int, float]:
     """The labels a Dijkstra settled map holds, keyed by node id."""
-    _, labels = engine._maps.get(key)
+    _, labels = engine._maps.get((WeightSpec.of(weight).identity, origin, direction))
     ids = engine._arcs.ids.tolist()
     return {ids[p]: d for p, d in zip(labels.positions.tolist(), labels.values.tolist())}
 
@@ -151,7 +151,7 @@ class TestTargetStop:
         assert engine.one_to_many(0, [1, 7], w, max_cost=20.0) == {1: 1.0, 7: 1.0}
         # 1 and 7 tie at 1.0; their neighbours 2 and 8 are labelled but
         # not final when the search stops, and must not leak.
-        assert held(engine, (w, 0, "f")) == {0: 0.0, 1: 1.0, 7: 1.0}
+        assert held(engine, w, 0, "f") == {0: 0.0, 1: 1.0, 7: 1.0}
         assert engine.stats.settled == 3
 
     def test_near_pool_map_researches_for_a_farther_node(self, grid):
@@ -459,6 +459,37 @@ class TestPrepare:
         engine.prepare(*traffic.travel_time_bound_specs(9.0, 8.0))
         assert engine.stats.customisations == 0
         assert engine.cached_maps == 0
+
+
+class TestBoundedBookkeeping:
+    """Every cache is a bounded LRU: serving segment after segment, each
+    under its own ETA, grows no other container on the engine."""
+
+    @staticmethod
+    def _unbounded(engine: DistanceEngine) -> dict[str, int]:
+        return {
+            name: len(value)
+            for name, value in vars(engine).items()
+            if isinstance(value, (dict, set, list))
+        }
+
+    @staticmethod
+    def _serve(engine: DistanceEngine, traffic: TrafficModel, first: int, count: int) -> None:
+        nodes = sorted(engine.network.node_ids())
+        for i in range(first, first + count):
+            lo, hi = traffic.travel_time_bound_specs(8.0 + 0.01 * i, 8.0)
+            engine.prepare(lo, hi)
+            origin = nodes[i % len(nodes)]
+            engine.distance_rows([Search(lo, origin), Search(hi, origin, False)], nodes, 0.2)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_engine_dict_grows_with_the_segment_count(self, grid, backend):
+        engine = DistanceEngine(grid, backend=backend)
+        traffic = TrafficModel(seed=6)
+        self._serve(engine, traffic, 0, 10)
+        after_ten = self._unbounded(engine)
+        self._serve(engine, traffic, 10, 40)
+        assert self._unbounded(engine) == after_ten
 
 
 class TestBackendEquality:

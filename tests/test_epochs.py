@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.chargers.plugshare import CatalogSpec, generate_catalog
 from repro.core.ecocharge import EcoChargeConfig
 from repro.core.environment import ChargingEnvironment
+from repro.estimation.traffic import TrafficModel
 from repro.network.builders import build_grid_network
 from repro.network.distance_engine import BACKENDS, DistanceEngine, WeightSpec
 from repro.network.epochs import (
@@ -226,10 +227,10 @@ class TestIncidentStream:
 
 
 class TestWeightChangeCacheAudit:
-    """The pair-join cache is keyed by an interned weight id; these tests
-    pin that a reused key (same id, different metric) fences the pair
-    joins, settled maps and customisations instead of serving stale
-    joins."""
+    """The pair-join cache is keyed by the weight key and its version;
+    these tests pin that a reused key (same key, different metric) fences
+    the pair joins, settled maps and customisations instead of serving
+    stale joins."""
 
     @staticmethod
     def _endpoints(grid):
@@ -342,6 +343,79 @@ class TestEnvironmentEpochs:
         tables = server.rank_trip(trip, config).tables
         assert tables and all(table.entries for table in tables)
         assert environment.engine.stats.epoch_invalidations > 0
+
+
+class TestOneManagerPerEnvironment:
+    def test_a_second_manager_is_refused(self, grid, registry):
+        # Two managers both number their weights versions from 0: a spec
+        # of the second would name distances priced under the first.
+        environment = ChargingEnvironment(grid, registry, seed=5)
+        nodes = sorted(grid.node_ids())
+        first = GraphEpochManager(grid)
+        environment.set_epochs(first)
+        environment.set_epochs(first)  # the same manager again is a no-op
+        first.apply([Incident.closure(e.source, e.target) for e in grid.out_edges(nodes[0])])
+        spec = environment.traffic.travel_time_spec(9.0)
+        assert environment.engine.one_to_many(nodes[0], nodes, spec) == {nodes[0]: 0.0}
+        with pytest.raises(ValueError):
+            environment.set_epochs(GraphEpochManager(grid))
+        assert environment.epochs is first
+        # Nor can the second manager reach the traffic model directly.
+        with pytest.raises(ValueError):
+            environment.traffic.set_epochs(GraphEpochManager(grid))
+        assert environment.traffic.travel_time_spec(9.0).identity == spec.identity
+
+
+# ---------------------------------------------------------------------------
+# property: a warm engine answers every spec as a cold engine does, across
+# random incident sequences (the versioned cache identity at work)
+# ---------------------------------------------------------------------------
+
+
+class TestVersionedCacheIdentity:
+    """Engine caches are keyed by ``(key, epoch_version)``: whatever the
+    incidents, a warm engine's answer under a current spec — or under a
+    stale one queried after a newer version retired its entries — is a
+    cold engine's answer."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_warm_answers_equal_cold(self, grid, edges, backend, data):
+        incident = st.one_of(
+            st.builds(
+                lambda edge, multiplier: Incident.congestion(*edge, multiplier),
+                st.sampled_from(edges),
+                st.sampled_from([0.5, 2.0, 4.0]),
+            ),
+            st.builds(lambda edge: Incident.closure(*edge), st.sampled_from(edges)),
+            st.builds(lambda edge: Incident.reopening(*edge), st.sampled_from(edges)),
+        )
+        batches = data.draw(st.lists(st.lists(incident, max_size=3), min_size=1, max_size=4))
+        nodes = sorted(grid.node_ids())
+        manager = GraphEpochManager(grid)
+        traffic = TrafficModel(seed=4)
+        traffic.set_epochs(manager)
+        engine = DistanceEngine(grid, backend=backend)
+        stale = None
+        for batch in [[], *batches]:
+            manager.apply(batch)
+            specs = [*traffic.travel_time_bound_specs(9.0, 8.0), traffic.travel_time_spec(9.0)]
+            engine.prepare(*specs)
+            origin = data.draw(st.sampled_from(nodes), label="origin")
+            budget = data.draw(st.sampled_from([0.05, 0.1, math.inf]), label="budget")
+            queried = [*specs, EdgeWeight.TRAVEL_TIME_H]
+            if stale is not None:
+                queried.append(stale)
+            for spec in queried:
+                cold = DistanceEngine(grid, backend=backend)
+                assert engine.one_to_many(origin, nodes, spec, budget) == cold.one_to_many(
+                    origin, nodes, spec, budget
+                )
+                assert engine.many_to_one(nodes, origin, spec, budget) == cold.many_to_one(
+                    nodes, origin, spec, budget
+                )
+            stale = specs[0]
 
 
 # ---------------------------------------------------------------------------
